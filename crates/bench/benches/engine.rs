@@ -1,70 +1,20 @@
-//! Throughput of the simulation substrate: event calendar operations and
+//! Throughput of the simulation substrate: timer-wheel churn and
 //! physical-server ticks at various VM counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use perfcloud_host::{PhysicalServer, ServerConfig, ServerId, VmConfig, VmId};
 use perfcloud_sim::wheel::{Entry, TimerWheel};
-use perfcloud_sim::{EventId, RngFactory, SimDuration, SimTime, Simulation};
+use perfcloud_sim::{RngFactory, SimDuration, SimTime};
 use perfcloud_workloads::{FioRandRead, Stream};
 use std::collections::BinaryHeap;
 use std::hint::black_box;
 
-fn bench_event_calendar(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sim");
-    for n in [1_000usize, 10_000] {
-        g.bench_with_input(BenchmarkId::new("schedule_and_fire", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut sim = Simulation::new(0u64);
-                for i in 0..n {
-                    sim.schedule_at(SimTime::from_micros(((i * 7919) % 100_000) as u64), |w, _| {
-                        *w += 1
-                    });
-                }
-                sim.run();
-                black_box(sim.into_world())
-            })
-        });
-    }
-    g.finish();
-}
-
-/// The simulator's real calendar pattern: handlers capture a few words
-/// (task/VM ids, amounts), and a third of the scheduled events — timeouts,
-/// speculative retries — are cancelled before they fire.
-fn bench_cancel_churn(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sim");
-    for n in [1_000usize, 10_000] {
-        g.bench_with_input(BenchmarkId::new("schedule_cancel_churn", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut sim = Simulation::new(0u64);
-                for i in 0..n {
-                    let a = i as u64;
-                    let bb = (i * 31) as u64;
-                    let cc = (i * 17) as u64;
-                    let id = sim.schedule_at(
-                        SimTime::from_micros(((i * 7919) % 100_000) as u64),
-                        move |w, _| *w += a ^ bb ^ cc,
-                    );
-                    if i % 3 == 0 {
-                        sim.cancel(id);
-                    }
-                }
-                sim.run();
-                black_box(sim.into_world())
-            })
-        });
-    }
-    g.finish();
-}
-
-/// Raw calendar pop/reinsert churn at a fixed pending count: the
-/// hierarchical timer wheel against the binary heap it replaced, both on
-/// the engine's 24-byte `(time, seq, id)` entry. Mirrors the
-/// `engine_bench` binary's comparison points (10k/100k/1M) at criterion's
-/// statistical rigor; 1M is left to the binary to keep `cargo bench` quick.
+/// Raw pop/reinsert churn at a fixed pending count: the hierarchical timer
+/// wheel against a binary heap, both on the wheel's 24-byte
+/// `(time, seq, id)` entry.
 fn bench_wheel_vs_heap(c: &mut Criterion) {
     fn entry(t: u64, seq: u64) -> Entry {
-        Entry { time: SimTime::from_micros(t), seq, id: EventId::from_raw(0) }
+        Entry { time: SimTime::from_micros(t), seq, id: 0 }
     }
     let mut xs = 0x9e3779b97f4a7c15u64;
     let mut next = move || {
@@ -137,11 +87,5 @@ fn bench_server_tick(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_event_calendar,
-    bench_cancel_churn,
-    bench_wheel_vs_heap,
-    bench_server_tick
-);
+criterion_group!(benches, bench_wheel_vs_heap, bench_server_tick);
 criterion_main!(benches);

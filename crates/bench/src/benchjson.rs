@@ -2,7 +2,7 @@
 //!
 //! `run_all` (and anything else that measures a run) writes one
 //! `BENCH_<name>.json` file per measurement so CI and scripts can track
-//! wall time and engine throughput without scraping human-readable logs.
+//! wall time and throughput without scraping human-readable logs.
 //! Files land in `$BENCH_JSON_DIR` when set, else the current directory.
 
 use std::path::PathBuf;
@@ -14,30 +14,16 @@ pub struct BenchRecord {
     pub name: String,
     /// Wall-clock duration of the measured run, in seconds.
     pub wall_seconds: f64,
-    /// Simulation events fired during the run, when the measurement drove
-    /// a [`perfcloud_sim::Simulation`] directly.
-    pub events_fired: Option<u64>,
     /// Additional named measurements appended verbatim as JSON number
-    /// fields (e.g. the wheel-vs-heap comparison points of the engine
-    /// micro-bench). Keys must be unique and distinct from the fixed
-    /// fields.
+    /// fields (e.g. the control-plane probe's `msgs_per_sec`). Keys must
+    /// be unique and distinct from the fixed fields.
     pub extras: Vec<(String, f64)>,
 }
 
 impl BenchRecord {
     /// Creates a wall-time-only record.
     pub fn wall(name: impl Into<String>, wall_seconds: f64) -> Self {
-        BenchRecord { name: name.into(), wall_seconds, events_fired: None, extras: Vec::new() }
-    }
-
-    /// Events per wall-clock second, when events were counted.
-    pub fn events_per_sec(&self) -> Option<f64> {
-        let fired = self.events_fired?;
-        if self.wall_seconds > 0.0 {
-            Some(fired as f64 / self.wall_seconds)
-        } else {
-            None
-        }
+        BenchRecord { name: name.into(), wall_seconds, extras: Vec::new() }
     }
 
     /// The record as a single-line JSON object.
@@ -47,12 +33,6 @@ impl BenchRecord {
             json_string(&self.name),
             json_number(self.wall_seconds)
         );
-        if let Some(fired) = self.events_fired {
-            s.push_str(&format!(",\"events_fired\":{fired}"));
-        }
-        if let Some(eps) = self.events_per_sec() {
-            s.push_str(&format!(",\"events_per_sec\":{}", json_number(eps)));
-        }
         for (key, value) in &self.extras {
             s.push_str(&format!(",{}:{}", json_string(key), json_number(*value)));
         }
@@ -61,7 +41,7 @@ impl BenchRecord {
     }
 
     /// Reads one numeric field out of a previously written record, e.g.
-    /// the committed `BENCH_engine.json` baseline's `events_per_sec`.
+    /// the committed `BENCH_ctrl.json` baseline's `msgs_per_sec`.
     /// Minimal by design (the writer above emits flat objects with no
     /// nested structure): returns `None` when the file or field is absent.
     pub fn read_field(path: impl AsRef<std::path::Path>, field: &str) -> Option<f64> {
@@ -124,29 +104,14 @@ mod tests {
     fn wall_only_record() {
         let r = BenchRecord::wall("fig3", 1.5);
         assert_eq!(r.to_json(), "{\"name\":\"fig3\",\"wall_seconds\":1.5}");
-        assert_eq!(r.events_per_sec(), None);
-    }
-
-    #[test]
-    fn throughput_record() {
-        let r = BenchRecord {
-            name: "engine".into(),
-            wall_seconds: 2.0,
-            events_fired: Some(1_000_000),
-            extras: Vec::new(),
-        };
-        assert_eq!(r.events_per_sec(), Some(500_000.0));
-        let j = r.to_json();
-        assert!(j.contains("\"events_fired\":1000000"), "{j}");
-        assert!(j.contains("\"events_per_sec\":500000"), "{j}");
     }
 
     #[test]
     fn extras_append_as_number_fields() {
-        let mut r = BenchRecord::wall("engine", 1.0);
-        r.extras.push(("wheel_eps_10k".into(), 2.5e6));
+        let mut r = BenchRecord::wall("ctrl", 1.0);
+        r.extras.push(("msgs_per_sec".into(), 2.5e6));
         let j = r.to_json();
-        assert!(j.ends_with(",\"wheel_eps_10k\":2500000}"), "{j}");
+        assert!(j.ends_with(",\"msgs_per_sec\":2500000}"), "{j}");
     }
 
     #[test]
@@ -154,15 +119,14 @@ mod tests {
         let r = BenchRecord {
             name: "readback".into(),
             wall_seconds: 0.5,
-            events_fired: Some(100),
-            extras: vec![("speedup_1m".into(), 3.25)],
+            extras: vec![("msgs_per_sec".into(), 200.0), ("speedup_1m".into(), 3.25)],
         };
         let path = std::env::temp_dir().join("perfcloud_benchjson_readback.json");
         std::fs::write(&path, format!("{}\n", r.to_json())).unwrap();
-        assert_eq!(BenchRecord::read_field(&path, "events_per_sec"), Some(200.0));
+        assert_eq!(BenchRecord::read_field(&path, "msgs_per_sec"), Some(200.0));
         assert_eq!(BenchRecord::read_field(&path, "speedup_1m"), Some(3.25));
         assert_eq!(BenchRecord::read_field(&path, "missing"), None);
-        assert_eq!(BenchRecord::read_field("/no/such/file.json", "events_per_sec"), None);
+        assert_eq!(BenchRecord::read_field("/no/such/file.json", "msgs_per_sec"), None);
     }
 
     #[test]

@@ -30,17 +30,15 @@
 //!
 //! Every harness run also emits a machine-readable `BENCH_<bin>.json`
 //! record (the fork-converted figures write their own, with
-//! `sweep_points` / `forked_points` / `prefix_events_saved` extras), and a
-//! quick in-process engine probe emits `BENCH_engine.json` with raw
-//! simulator throughput (run `engine_bench` for the full wheel-vs-heap
-//! comparison record). The whole suite's timing lands in
-//! `BENCH_runall.json` — total wall seconds plus one `<bin>_wall` extra
-//! per harness — which CI regression-gates against the committed copy via
-//! `--baseline BENCH_runall.json --max-slower 0.15` (and `--timing-out
-//! PATH` writes a second copy wherever the caller wants it).
+//! `sweep_points` / `forked_points` / `prefix_events_saved` extras). The
+//! whole suite's timing lands in `BENCH_runall.json` — total wall seconds
+//! plus one `<bin>_wall` extra per harness — which CI regression-gates
+//! against the committed copy via `--baseline BENCH_runall.json
+//! --max-slower 0.15` (and `--timing-out PATH` writes a second copy
+//! wherever the caller wants it).
 
 use perfcloud_bench::benchjson::BenchRecord;
-use perfcloud_bench::{baseline, enginebench, golden, scenarios, sweep};
+use perfcloud_bench::{baseline, golden, scenarios, sweep};
 use perfcloud_frameworks::Benchmark;
 use perfcloud_obs::chrome_trace;
 use std::collections::BTreeMap;
@@ -283,21 +281,6 @@ fn main() {
         if !output.status.success() {
             failures.push(bin);
         }
-    }
-
-    // Quick engine probe only — the wheel-vs-heap comparison record is
-    // `engine_bench`'s job and costs more wall time than every converted
-    // figure combined.
-    let probe = enginebench::probe();
-    match probe.write() {
-        Ok(path) => println!(
-            "\nengine probe: {} events in {:.3}s ({:.0} events/sec) -> {}",
-            probe.events_fired.unwrap_or(0),
-            probe.wall_seconds,
-            probe.events_per_sec().unwrap_or(0.0),
-            path.display()
-        ),
-        Err(e) => eprintln!("warning: could not write BENCH_engine.json: {e}"),
     }
 
     if let Some(path) = &cache_path {

@@ -23,7 +23,7 @@ const MANAGERS: u32 = 3;
 const SERVERS: usize = 16;
 /// VMs registered per server (sets the size of each placement payload).
 const VMS_PER_SERVER: u32 = 2;
-/// Engine tick driving delivery and replica timers.
+/// Tick driving delivery and replica timers.
 const TICK: SimDuration = SimDuration::from_micros(10_000);
 /// Placement publish cadence (50× the production 5 s default).
 const SAMPLE: SimDuration = SimDuration::from_micros(100_000);

@@ -568,7 +568,7 @@ pub fn golden_dir() -> PathBuf {
 /// On mismatch, the report carries the flight-recorder dump of the run
 /// that produced `actual` (when one was recorded on this thread): the
 /// last [`FLIGHT_DUMP_EVENTS`] events on the diverging side, so a failure
-/// shows not just *which* decision changed but what the engine, agents,
+/// shows not just *which* decision changed but what the agents
 /// and control plane were doing around it.
 pub fn check(name: &str, actual: &str) -> GoldenStatus {
     // Always consume this thread's dump so a scenario that records nothing

@@ -11,12 +11,10 @@ pub mod accuracy;
 pub mod baseline;
 pub mod benchjson;
 pub mod ctrlbench;
-pub mod enginebench;
 pub mod forked;
 pub mod golden;
 pub mod placementbench;
 pub mod report;
-pub mod scalebench;
 pub mod scenarios;
 pub mod shadow;
 pub mod sweep;

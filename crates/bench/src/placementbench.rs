@@ -7,7 +7,7 @@
 //!   cluster snapshot (server loads + candidate VMs + penalty ledger)
 //!   into migration proposals. This is the hot path a cloud-scale
 //!   coordinator would run every sampling interval, so CI gates it
-//!   against the committed baseline like the engine and scale probes.
+//!   against the committed baseline like the control-plane probe.
 //! - the scenario JCT comparison — the three `placement_*` golden
 //!   testbeds re-run end to end, recording each arm's victim JCT,
 //!   migration count, and the hybrid-vs-throttle delta. These are

@@ -16,7 +16,7 @@ pub struct ClusterSpec {
     pub slots_per_worker: u32,
     /// Physical server model.
     pub server_config: ServerConfig,
-    /// Simulation tick length.
+    /// Length of one experiment tick.
     pub tick: SimDuration,
     /// Master seed for all randomness in the run.
     pub seed: u64,

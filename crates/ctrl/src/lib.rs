@@ -8,8 +8,8 @@
 //!
 //! * [`net`] — a simulated network carrying control messages with per-link
 //!   latency and jitter, seed-driven drop / duplicate / extra-delay faults,
-//!   and named partitions, queued on the same hierarchical timer wheel the
-//!   DES engine uses;
+//!   and named partitions, queued on a hierarchical timer wheel
+//!   (`sim::wheel`);
 //! * [`proto`] — the wire protocol: epoch-numbered placement updates and
 //!   acks, heartbeats, and the modified-Bully election triple;
 //! * [`election`] — heartbeat failure detection and the CloudP2P-style

@@ -2,10 +2,10 @@
 //!
 //! [`SimNet`] carries [`Message`]s between control-plane participants with
 //! per-link latency and jitter, seed-driven drop/duplicate/extra-delay link
-//! faults, and named partitions. In-flight messages sit in the same
-//! hierarchical [`TimerWheel`] the DES engine uses, so delivery order is the
-//! exact `(deliver-at, send-seq)` FIFO discipline of the event queue —
-//! deterministic for any evaluation order or worker-thread count.
+//! faults, and named partitions. In-flight messages sit in a hierarchical
+//! [`TimerWheel`], so delivery order is the exact `(deliver-at, send-seq)`
+//! FIFO discipline — deterministic for any evaluation order or
+//! worker-thread count.
 //!
 //! Randomness is stateless, in the `sim::faults` discipline: jitter and every
 //! link-fault decision are pure FNV-1a hashes of
@@ -20,7 +20,7 @@ use perfcloud_obs::{FlightEvent, FlightRecorder};
 use perfcloud_sim::faults::{FaultInjector, FaultKind, FaultScenario};
 use perfcloud_sim::rng::fnv1a64;
 use perfcloud_sim::wheel::{Entry, TimerWheel};
-use perfcloud_sim::{EventId, SimDuration, SimTime};
+use perfcloud_sim::{SimDuration, SimTime};
 
 /// Latency model for every link in the plane.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -101,8 +101,8 @@ pub struct SimNet {
     link: LinkSpec,
     partitions: Vec<Partition>,
     wheel: TimerWheel,
-    /// In-flight message storage; wheel entries carry the slot index as an
-    /// opaque [`EventId`], and freed slots are reused via `free`.
+    /// In-flight message storage; wheel entries carry the slot index as
+    /// their `id`, and freed slots are reused via `free`.
     slab: Vec<Option<Message>>,
     free: Vec<u32>,
     seq: u64,
@@ -249,7 +249,7 @@ impl SimNet {
             };
             let seq = self.seq;
             self.seq += 1;
-            self.wheel.insert(Entry { time: deliver_at, seq, id: EventId::from_raw(slot as u64) });
+            self.wheel.insert(Entry { time: deliver_at, seq, id: slot as u64 });
         }
         SendOutcome::Queued { copies }
     }
@@ -272,7 +272,7 @@ impl SimNet {
     /// `(deliver-at, send-seq)` order, appending `(deliver_at, message)`.
     pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, Message)>) {
         while let Some(e) = self.wheel.pop_at_most(now) {
-            let slot = e.id.raw() as usize;
+            let slot = e.id as usize;
             let msg = self.slab[slot].take().expect("in-flight slot occupied");
             self.free.push(slot as u32);
             self.stats.delivered += 1;

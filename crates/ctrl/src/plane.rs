@@ -7,7 +7,7 @@
 //! * every sampling interval ([`ControlPlane::begin_interval`]) each live
 //!   coordinator stamps a fresh [`PlacementEpoch`] and publishes one
 //!   `PlacementUpdate` per server from the registry;
-//! * every engine tick ([`ControlPlane::tick`]) due messages are delivered —
+//! * every experiment tick ([`ControlPlane::tick`]) due messages are delivered —
 //!   updates apply to node managers (which ack with their last-applied
 //!   epoch), acks reconcile a healed coordinator's volatile publish counter,
 //!   colocation notices reach the registry, and election traffic feeds the
@@ -379,7 +379,7 @@ impl ControlPlane {
         }
     }
 
-    /// One engine tick: refreshes replica outage windows, delivers due
+    /// One experiment tick: refreshes replica outage windows, delivers due
     /// messages, and runs replica timers. Safe to call repeatedly at the
     /// same `now`.
     pub fn tick(&mut self, now: SimTime, cloud: &mut CloudManager, nms: &mut [NodeManager]) {

@@ -2,7 +2,7 @@
 //!
 //! This crate is the testbed substrate PerfCloud runs on: a fluid-flow model
 //! of one physical machine hosting KVM-style VMs, advanced in fixed ticks by
-//! the discrete-event engine. It exposes exactly the surface the paper's
+//! the cluster experiment loop. It exposes exactly the surface the paper's
 //! node manager uses on real hardware:
 //!
 //! * **per-VM cumulative counters** ([`counters`]) with the semantics of

@@ -95,32 +95,10 @@ impl fmt::Display for FaultClass {
 }
 
 /// One flight-recorder event. `Copy`, fixed size, covering the four
-/// instrumented domains: sim engine, node manager, control plane, chaos.
+/// instrumented domains: node manager, telemetry collector, control plane,
+/// chaos.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FlightEvent {
-    // --- sim engine ---
-    /// A calendar event fired.
-    Fire {
-        /// Events still pending after this one popped.
-        pending: u64,
-    },
-    /// The event queue reached a new high-water depth.
-    QueueHighWater {
-        /// New peak number of pending events.
-        depth: u64,
-    },
-    /// An entry was scheduled behind the wheel cursor and promoted to the
-    /// late heap.
-    LatePromotion {
-        /// Cumulative late-heap insertions.
-        total: u64,
-    },
-    /// An entry landed beyond the wheel horizon in the overflow heap.
-    OverflowPromotion {
-        /// Cumulative overflow-heap insertions.
-        total: u64,
-    },
-
     // --- node manager ---
     /// Detection crossed a threshold: a contention episode began.
     DetectOnset {
@@ -343,10 +321,6 @@ impl fmt::Display for FlightEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         use FlightEvent::*;
         match *self {
-            Fire { pending } => write!(f, "fire pending={pending}"),
-            QueueHighWater { depth } => write!(f, "queue-high-water depth={depth}"),
-            LatePromotion { total } => write!(f, "late-promotion total={total}"),
-            OverflowPromotion { total } => write!(f, "overflow-promotion total={total}"),
             DetectOnset { server, io, cpu } => {
                 write!(f, "detect-onset s{server} io={} cpu={}", io as u8, cpu as u8)
             }
@@ -533,7 +507,7 @@ mod tests {
     fn tail_returns_newest_events() {
         let mut fr = FlightRecorder::with_capacity(8);
         for i in 0..6u64 {
-            fr.record(i, FlightEvent::QueueHighWater { depth: i });
+            fr.record(i, FlightEvent::DetectClear { server: i as u32 });
         }
         let t = fr.tail(2);
         assert_eq!(t.len(), 2);

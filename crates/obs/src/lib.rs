@@ -1,7 +1,7 @@
 //! Deterministic observability for the PerfCloud testbed.
 //!
-//! Three pieces, all dependency-free so every crate in the workspace —
-//! including the bottom-of-stack simulation engine — can use them:
+//! Three pieces, all dependency-free so every crate in the workspace can
+//! use them:
 //!
 //! - [`metrics`]: a fixed-capacity registry of counters, gauges and
 //!   log-linear histograms. All record-path arithmetic is u64 integer
@@ -9,7 +9,8 @@
 //!   same flat `(name, value)` pairs the `BENCH_*.json` records use.
 //! - [`flight`]: a bounded ring buffer of typed, `Copy`, sim-time-stamped
 //!   events — a flight recorder. Every component that makes decisions
-//!   (engine, node manager, control plane, chaos injector) can carry one;
+//!   (node manager, telemetry collector, control plane, chaos injector) can
+//!   carry one;
 //!   when something diverges, the last N events explain *why*, in
 //!   deterministic `(time, seq)` order.
 //! - [`export`]: merges any number of recorders into Chrome-trace-event
@@ -18,8 +19,7 @@
 //!   thread scheduling, so trace files are byte-identical across runs.
 //!
 //! Time is represented as raw `u64` microseconds (the simulator's native
-//! tick); this crate deliberately does not depend on `perfcloud-sim`, so
-//! the engine itself can be instrumented.
+//! tick), so this crate needs no dependency on `perfcloud-sim`.
 
 #![warn(missing_docs)]
 

@@ -52,7 +52,7 @@ fn record_path_is_allocation_free_even_across_wraparound() {
     counted(true);
     // 4x capacity: fills the ring, then overwrites every slot three times.
     for i in 0..1024u64 {
-        rec.record(i * 100, FlightEvent::Fire { pending: i });
+        rec.record(i * 100, FlightEvent::FlushBatch { server: 0, count: i });
         rec.record(
             i * 100 + 1,
             FlightEvent::CapUpdate { server: 0, vm: i, resource: Resource::Io, level: 0.5 },

@@ -1,50 +1,43 @@
-//! Deterministic discrete-event simulation engine for the PerfCloud testbed.
+//! Deterministic simulation substrate for the PerfCloud testbed.
 //!
-//! The engine provides three building blocks used throughout the workspace:
+//! The cluster experiment (`perfcloud_cluster::Experiment`) is a fixed-tick
+//! loop; this crate supplies the pieces every layer of it agrees on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — a microsecond-resolution virtual clock
 //!   with exact integer arithmetic, so runs are reproducible bit-for-bit.
-//! * [`Simulation`] — an event-calendar executor generic over a world type
-//!   `W`, backed by a deterministic hierarchical timer wheel
-//!   ([`wheel::TimerWheel`]). Events are inline-stored closures fired in
-//!   exact `(time, insertion order)` order; handlers may schedule or cancel
-//!   further events.
 //! * [`RngFactory`] — seedable, *named* random-number streams
 //!   (ChaCha8-based). Every stochastic component draws from its own stream,
 //!   so adding a component never perturbs the draws seen by another.
-//!
-//! The host, framework and controller models in the other crates are passive
-//! state machines advanced by events scheduled here (a periodic resource
-//! tick, monitor sampling, job arrivals, control actions).
+//! * [`faults`] — stateless, hash-keyed fault injection.
+//! * [`shard`] — the contiguous partitioning rule behind in-run sharding.
+//! * [`wheel::TimerWheel`] — a hierarchical timer wheel popping entries in
+//!   exact `(time, insertion order)` order; the control plane's delivery
+//!   queue for in-flight messages.
 //!
 //! # Example
 //!
 //! ```
-//! use perfcloud_sim::{Simulation, SimDuration};
+//! use perfcloud_sim::{RngFactory, SimDuration, SimTime};
+//! use rand::Rng;
 //!
-//! let mut sim = Simulation::new(0u64); // world = a counter
-//! sim.schedule_in(SimDuration::from_secs(1.0), |world, ctx| {
-//!     *world += 1;
-//!     // chain another event 500 ms later
-//!     ctx.schedule_in(SimDuration::from_millis(500), |world, _| *world += 10);
-//! });
-//! sim.run();
-//! assert_eq!(*sim.world(), 11);
-//! assert_eq!(sim.now().as_secs_f64(), 1.5);
+//! let tick = SimDuration::from_millis(100);
+//! let t = SimTime::from_secs(1) + tick;
+//! assert_eq!(t.as_secs_f64(), 1.1);
+//!
+//! // Named streams are independent and replay exactly from the seed.
+//! let draw = |name: &str| RngFactory::new(42).stream(name).gen::<u64>();
+//! assert_eq!(draw("luck"), draw("luck"));
+//! assert_ne!(draw("luck"), draw("demand"));
 //! ```
 
-pub mod engine;
 pub mod faults;
-pub mod handler;
 pub mod rng;
 pub mod shard;
 pub mod time;
 pub mod wheel;
 
-pub use engine::{EventId, Scheduler, Simulation};
 pub use faults::{
     FaultInjector, FaultKind, FaultRule, FaultScenario, FaultTarget, MessageClass, MetricClass,
 };
 pub use rng::RngFactory;
 pub use time::{SimDuration, SimTime};
-pub use wheel::WheelStats;

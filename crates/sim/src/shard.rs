@@ -65,10 +65,6 @@ pub fn split_mut<'a, T>(items: &'a mut [T], ranges: &[Range<usize>]) -> Vec<&'a 
 mod tests {
     use super::*;
 
-    // The calendar must be movable to shard worker threads wholesale.
-    const fn assert_send<T: Send>() {}
-    const _: () = assert_send::<crate::engine::Simulation<Vec<u64>>>();
-
     #[test]
     fn partition_is_contiguous_and_balanced() {
         for n in [0usize, 1, 7, 15, 100, 1001] {

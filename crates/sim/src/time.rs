@@ -1,11 +1,11 @@
 //! Microsecond-resolution virtual time.
 //!
-//! All simulation time is integer microseconds. Integer arithmetic keeps the
-//! event calendar total-ordered and runs reproducible across platforms;
+//! All simulation time is integer microseconds. Integer arithmetic keeps
+//! instants total-ordered and runs reproducible across platforms;
 //! floating-point seconds are available at the edges for human-facing I/O.
 //!
-//! The microsecond is also the tick of the calendar's hierarchical timer
-//! wheel ([`crate::wheel`]): two instants fall into the same level-0 wheel
+//! The microsecond is also the tick of the hierarchical timer wheel
+//! ([`crate::wheel`]): two instants fall into the same level-0 wheel
 //! slot iff they are the same `SimTime`, which is what lets the wheel
 //! reproduce exact `(time, insertion-order)` firing without any rounding
 //! or epsilon comparisons.

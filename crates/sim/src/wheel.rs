@@ -1,8 +1,8 @@
-//! Deterministic hierarchical timer wheel — the event calendar's queue.
+//! Deterministic hierarchical timer wheel.
 //!
-//! A Varghese/Lauck-style timing wheel replaces the binary heap of PR 1:
-//! [`LEVELS`] levels of [`SLOTS`] slots each, with a tick of one
-//! microsecond (the sim's native granularity, see [`crate::time`]). Level
+//! A Varghese/Lauck-style timing wheel: [`LEVELS`] levels of [`SLOTS`]
+//! slots each, with a tick of one microsecond (the sim's native
+//! granularity, see [`crate::time`]). Level
 //! `l` covers `64^(l+1)` µs, so eight levels span `64^8` µs ≈ 8.9 simulated
 //! years; anything beyond the covered horizon waits in a small overflow
 //! heap and is migrated in when the cursor reaches it.
@@ -25,9 +25,7 @@
 //! Firing a slot sorts its entries by `seq` (globally unique, monotonically
 //! assigned at schedule time), which restores the exact `(time, seq)` FIFO
 //! pop order of a binary heap — ties at equal timestamps fire in insertion
-//! order, byte-for-byte identical to the heap-backed engine. Entries are
-//! plain 24-byte `Copy` data; cancellation stays O(1) and lazy (stale
-//! generation stamps are skipped at pop, exactly as with the heap).
+//! order. Entries are plain 24-byte `Copy` data.
 //!
 //! # Allocation behavior
 //!
@@ -41,7 +39,6 @@
 //! where per-slot growable buckets would still allocate); see
 //! `tests/alloc_free.rs`.
 
-use crate::engine::EventId;
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -54,8 +51,8 @@ pub const SLOTS: usize = 1 << SLOT_BITS;
 /// the microsecond clock, everything above goes to the overflow heap.
 pub const LEVELS: usize = 8;
 
-/// A calendar entry: plain data, 24 bytes, cheap to copy between slots.
-/// The handler it refers to lives in the engine's slot map under `id`.
+/// A queued entry: plain data, 24 bytes, cheap to copy between slots.
+/// What it refers to lives in the caller's storage under `id`.
 #[derive(Clone, Copy, Debug)]
 pub struct Entry {
     /// Absolute fire time.
@@ -63,8 +60,8 @@ pub struct Entry {
     /// Global schedule sequence number; ties at equal `time` fire in `seq`
     /// order.
     pub seq: u64,
-    /// Handle into the engine's handler slot map.
-    pub id: EventId,
+    /// Caller-defined key, e.g. an index into the caller's payload slab.
+    pub id: u64,
 }
 
 impl PartialEq for Entry {
@@ -81,7 +78,7 @@ impl PartialOrd for Entry {
 impl Ord for Entry {
     // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
     // first. Used by the overflow/late heaps here and by the reference
-    // heap in benches and property tests.
+    // heap in benches and unit tests.
     fn cmp(&self, other: &Self) -> Ordering {
         other.time.cmp(&self.time).then_with(|| other.seq.cmp(&self.seq))
     }
@@ -89,21 +86,6 @@ impl Ord for Entry {
 
 /// Sentinel for "no node" in the intrusive lists.
 const NIL: u32 = u32::MAX;
-
-/// Always-on queue statistics: a handful of u64 counters bumped on the
-/// insert path, cheap enough to keep unconditionally. Consumed by the
-/// engine bench (`BENCH_engine.json` extras) and the flight recorder.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WheelStats {
-    /// High-water mark of [`TimerWheel::len`] observed after any insert.
-    pub peak_len: u64,
-    /// Entries promoted to the late heap (scheduled behind the cursor).
-    pub late_insertions: u64,
-    /// Entries promoted to the overflow heap (beyond the wheel horizon).
-    pub overflow_insertions: u64,
-    /// Entries migrated back from the overflow heap into the wheel.
-    pub overflow_migrations: u64,
-}
 
 /// One slab node: an entry plus the next link of whatever slot list (or
 /// the free list) it is currently on.
@@ -115,9 +97,9 @@ struct Node {
 
 /// Hierarchical timer wheel with exact `(time, seq)` pop order.
 ///
-/// `Clone` duplicates the whole calendar — cursor, bitmaps, slab lists,
-/// late/overflow heaps and counters — so a forked simulation replays the
-/// exact same pop order as its parent.
+/// `Clone` duplicates the whole queue — cursor, bitmaps, slab lists and
+/// late/overflow heaps — so a forked experiment replays the exact same pop
+/// order as its parent.
 #[derive(Debug, Clone)]
 pub struct TimerWheel {
     /// Cursor: the wheel's notion of "current tick". Only ever advances,
@@ -144,17 +126,14 @@ pub struct TimerWheel {
     /// Entries stored in slot lists (excludes `firing`, `late`,
     /// `overflow`).
     stored: usize,
-    /// Entries scheduled behind the cursor. This only happens after lazy
-    /// cancellation drained the wheel past the engine clock (popping a
-    /// cancelled entry advances the cursor, but not the engine's `now`),
-    /// so it is cold; a tiny heap keeps the corner exactly ordered.
+    /// Entries inserted behind the cursor, i.e. earlier than a time the
+    /// caller already popped or polled up to with `pop_at_most`. Cold; a
+    /// tiny heap keeps the corner exactly ordered.
     late: BinaryHeap<Entry>,
     /// Entries beyond the wheel's horizon (no shared parent with the
     /// cursor at any level, e.g. `SimTime::MAX` sentinels). Strictly later
     /// than every wheel entry; migrated in when the wheel empties.
     overflow: BinaryHeap<Entry>,
-    /// Always-on counters; see [`WheelStats`].
-    stats: WheelStats,
 }
 
 impl Default for TimerWheel {
@@ -190,17 +169,10 @@ impl TimerWheel {
             stored: 0,
             late: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
-            stats: WheelStats::default(),
         }
     }
 
-    /// Snapshot of the always-on queue counters.
-    pub fn stats(&self) -> WheelStats {
-        self.stats
-    }
-
-    /// Number of entries waiting (including lazily-cancelled ones that
-    /// have not been popped yet).
+    /// Number of entries waiting.
     pub fn len(&self) -> usize {
         self.stored + (self.firing.len() - self.firing_pos) + self.late.len() + self.overflow.len()
     }
@@ -216,19 +188,11 @@ impl TimerWheel {
         let t = e.time.as_micros();
         if t < self.now {
             self.late.push(e);
-            self.stats.late_insertions += 1;
         } else {
             match level_of(self.now, t) {
-                None => {
-                    self.overflow.push(e);
-                    self.stats.overflow_insertions += 1;
-                }
+                None => self.overflow.push(e),
                 Some(l) => self.link(l, e),
             }
-        }
-        let len = self.len() as u64;
-        if len > self.stats.peak_len {
-            self.stats.peak_len = len;
         }
     }
 
@@ -407,7 +371,6 @@ impl TimerWheel {
                 break;
             }
             let e = self.overflow.pop().unwrap();
-            self.stats.overflow_migrations += 1;
             self.insert(e);
         }
         true
@@ -419,7 +382,7 @@ mod tests {
     use super::*;
 
     fn entry(t: u64, seq: u64) -> Entry {
-        Entry { time: SimTime::from_micros(t), seq, id: EventId::from_raw(seq) }
+        Entry { time: SimTime::from_micros(t), seq, id: seq }
     }
 
     fn drain(w: &mut TimerWheel) -> Vec<(u64, u64)> {
@@ -525,9 +488,8 @@ mod tests {
 
     #[test]
     fn late_inserts_behind_the_cursor_still_pop_first() {
-        // Drain the wheel past t=100, then insert earlier times — the
-        // corner the engine hits when cancelled entries advanced the
-        // cursor beyond the engine clock.
+        // Drain the wheel past t=100, then insert earlier times: the
+        // cursor already sits at 100, so they land on the late heap.
         let mut w = TimerWheel::new();
         w.insert(entry(100, 0));
         assert_eq!(w.pop().map(|e| e.seq), Some(0));
@@ -567,25 +529,6 @@ mod tests {
             times.iter().enumerate().map(|(s, &t)| (t, s as u64)).collect();
         expect.sort_by_key(|&(t, s)| (t, s));
         assert_eq!(drain(&mut w), expect);
-    }
-
-    #[test]
-    fn stats_track_peak_late_and_overflow() {
-        let mut w = TimerWheel::new();
-        w.insert(entry(100, 0));
-        w.insert(entry(200, 1));
-        assert_eq!(w.stats().peak_len, 2);
-        assert_eq!(w.pop().map(|e| e.seq), Some(0));
-        assert_eq!(w.pop().map(|e| e.seq), Some(1));
-        // Cursor is now at 200: an earlier time lands on the late heap.
-        w.insert(entry(50, 2));
-        assert_eq!(w.stats().late_insertions, 1);
-        // Beyond the 64^8 µs horizon: overflow, then migrated on drain.
-        w.insert(entry(1 << 55, 3));
-        assert_eq!(w.stats().overflow_insertions, 1);
-        assert_eq!(drain(&mut w), [(50, 2), (1 << 55, 3)]);
-        assert_eq!(w.stats().overflow_migrations, 1);
-        assert_eq!(w.stats().peak_len, 2);
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Proof that steady-state stepping performs zero heap allocations.
+//! Proof that steady-state timer-wheel churn performs zero heap allocations.
 //!
-//! A counting global allocator wraps the system allocator; after a warm-up
-//! phase (buffers grown, calendar at steady size), a long stretch of
-//! periodic events — including schedule-then-cancel churn, the pattern the
-//! cluster harness hammers — must not allocate at all.
+//! A counting global allocator wraps the system allocator. After a warm-up
+//! phase (node slab and firing buffer grown to the pending count), a long
+//! stretch of pop-then-reinsert churn must not allocate at all — including
+//! once the cursor runs into high-level slots the warm-up never touched.
 
-use perfcloud_sim::{SimDuration, SimTime, Simulation};
+use perfcloud_sim::wheel::{Entry, TimerWheel};
+use perfcloud_sim::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,34 +48,52 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Entries kept pending throughout the churn.
+const PENDING: u64 = 256;
+
+/// Pops the earliest entry and reinserts it `1 + draw % span` µs later,
+/// returning the popped time. Reinserted times are always ahead of the
+/// cursor, so the late and overflow heaps stay empty.
+fn churn(w: &mut TimerWheel, seq: &mut u64, x: &mut u64, span: u64) -> u64 {
+    *x ^= *x << 13;
+    *x ^= *x >> 7;
+    *x ^= *x << 17;
+    let e = w.pop().expect("pending count is constant");
+    let t = e.time.as_micros();
+    w.insert(Entry { time: SimTime::from_micros(t + 1 + *x % span), seq: *seq, id: e.id });
+    *seq += 1;
+    t
+}
+
 #[test]
-fn steady_state_stepping_is_allocation_free() {
-    let mut sim = Simulation::new(0u64);
+fn steady_state_churn_is_allocation_free() {
+    let mut w = TimerWheel::new();
+    // All entries share one instant first, so the first pop grows the
+    // firing buffer to the whole pending count: no later slot can hold more.
+    for seq in 0..PENDING {
+        w.insert(Entry { time: SimTime::ZERO, seq, id: seq });
+    }
+    let mut seq = PENDING;
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
 
-    // A ticker that also schedules-and-cancels a victim each firing: the
-    // slot map, scratch buffers, and inline handler storage all cycle.
-    sim.schedule_periodic(SimTime::ZERO, SimDuration::from_millis(10), |w, ctx| {
-        *w += 1;
-        let doomed = ctx.schedule_in(SimDuration::from_secs(1.0), |w, _| *w += 1_000_000);
-        ctx.cancel(doomed);
-        true
-    });
-    // A second independent ticker so the calendar holds several live events.
-    sim.schedule_periodic(SimTime::ZERO, SimDuration::from_millis(37), |w, _| {
-        *w += 2;
-        true
-    });
+    // Warm-up: short delays keep the cursor within levels 0-1.
+    let mut warm_end = 0;
+    for _ in 0..10_000 {
+        warm_end = churn(&mut w, &mut seq, &mut x, 1 << 12);
+    }
 
-    // Warm-up: grow every buffer to its steady capacity (including the
-    // one-simulated-second backlog of cancelled victims).
-    sim.run_until(SimTime::from_secs(5));
-
+    // Measured: delays up to 2^30 µs push the cursor through level-4 and
+    // level-5 slots it has never visited.
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
     counted(true);
-    sim.run_until(SimTime::from_secs(120));
+    let mut last = 0;
+    for _ in 0..100_000 {
+        last = churn(&mut w, &mut seq, &mut x, 1 << 30);
+    }
     counted(false);
     let after = ALLOC_CALLS.load(Ordering::Relaxed);
 
-    assert!(*sim.world() > 0);
-    assert_eq!(after - before, 0, "steady-state stepping allocated {} times", after - before);
+    assert!(last >> 30 > warm_end >> 30, "cursor never left the warm-up's level-5 slot");
+    assert_eq!(w.len() as u64, PENDING);
+    assert_eq!(after - before, 0, "steady-state churn allocated {} times", after - before);
 }

@@ -1,55 +1,133 @@
-//! Property-based tests for the event engine and time arithmetic.
+//! Property-based tests for the timer wheel and time arithmetic.
+//!
+//! Every wheel property is checked against a reference binary heap on
+//! `(time, seq)`: the wheel must pop exactly what the heap pops, in the
+//! same order, whatever mix of inserts, pops and deadline-bounded pops
+//! drives it.
 
-use perfcloud_sim::{SimDuration, SimTime, Simulation};
+use perfcloud_sim::wheel::{Entry, TimerWheel};
+use perfcloud_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+fn entry(t: u64, seq: u64) -> Entry {
+    Entry { time: SimTime::from_micros(t), seq, id: seq }
+}
+
+fn key(e: Entry) -> (u64, u64) {
+    (e.time.as_micros(), e.seq)
+}
+
+/// Inserts `times` in order, `seq` = index.
+fn wheel_of(times: &[u64]) -> TimerWheel {
+    let mut w = TimerWheel::new();
+    for (seq, &t) in times.iter().enumerate() {
+        w.insert(entry(t, seq as u64));
+    }
+    w
+}
+
+fn drain(w: &mut TimerWheel) -> Vec<(u64, u64)> {
+    std::iter::from_fn(|| w.pop()).map(key).collect()
+}
+
+/// Spreads a small draw across the wheel's levels and its overflow heap,
+/// so cascades and overflow migration are exercised alongside level 0.
+fn spread(t: u64, scale: u8) -> u64 {
+    match scale {
+        0 => t,
+        1 => t * 977,
+        2 => t << 20,
+        _ => (1 << 50) + t,
+    }
+}
 
 proptest! {
-    /// Events fire in non-decreasing time order no matter the insertion order.
+    /// Entries pop in non-decreasing time order no matter the insertion order.
     #[test]
-    fn events_fire_in_nondecreasing_time(times in proptest::collection::vec(0u64..1_000_000, 1..64)) {
-        let mut sim = Simulation::new(Vec::<u64>::new());
-        for &t in &times {
-            sim.schedule_at(SimTime::from_micros(t), move |w: &mut Vec<u64>, _| w.push(t));
-        }
-        sim.run();
-        let fired = sim.into_world();
-        prop_assert_eq!(fired.len(), times.len());
-        for pair in fired.windows(2) {
-            prop_assert!(pair[0] <= pair[1]);
+    fn pops_in_nondecreasing_time(times in proptest::collection::vec(0u64..1_000_000, 1..64)) {
+        let popped = drain(&mut wheel_of(&times));
+        prop_assert_eq!(popped.len(), times.len());
+        for pair in popped.windows(2) {
+            prop_assert!(pair[0].0 <= pair[1].0);
         }
     }
 
-    /// The multiset of fired events equals the multiset of scheduled events.
+    /// Every inserted entry pops exactly once, carrying its own time.
     #[test]
-    fn no_events_lost_or_duplicated(times in proptest::collection::vec(0u64..10_000, 1..128)) {
-        let mut sim = Simulation::new(Vec::<u64>::new());
-        for &t in &times {
-            sim.schedule_at(SimTime::from_micros(t), move |w: &mut Vec<u64>, _| w.push(t));
-        }
-        sim.run();
-        let mut fired = sim.into_world();
-        let mut expect = times.clone();
-        fired.sort_unstable();
-        expect.sort_unstable();
-        prop_assert_eq!(fired, expect);
+    fn no_entries_lost_or_duplicated(times in proptest::collection::vec(0u64..10_000, 1..128)) {
+        let mut popped = drain(&mut wheel_of(&times));
+        popped.sort_unstable_by_key(|&(_, seq)| seq);
+        let expect: Vec<(u64, u64)> =
+            times.iter().enumerate().map(|(seq, &t)| (t, seq as u64)).collect();
+        prop_assert_eq!(popped, expect);
     }
 
-    /// run_until(d) fires exactly the events with time <= d.
+    /// `pop_at_most(d)` yields exactly the entries with time <= d, and
+    /// leaves the rest to pop afterwards.
     #[test]
-    fn run_until_partitions_events(
+    fn pop_at_most_partitions_entries(
         times in proptest::collection::vec(0u64..1_000, 1..64),
         deadline in 0u64..1_000,
     ) {
-        let mut sim = Simulation::new(Vec::<u64>::new());
-        for &t in &times {
-            sim.schedule_at(SimTime::from_micros(t), move |w: &mut Vec<u64>, _| w.push(t));
-        }
-        sim.run_until(SimTime::from_micros(deadline));
-        let early = sim.world().clone();
-        prop_assert!(early.iter().all(|&t| t <= deadline));
+        let mut w = wheel_of(&times);
+        let early: Vec<(u64, u64)> =
+            std::iter::from_fn(|| w.pop_at_most(SimTime::from_micros(deadline))).map(key).collect();
+        prop_assert!(early.iter().all(|&(t, _)| t <= deadline));
         prop_assert_eq!(early.len(), times.iter().filter(|&&t| t <= deadline).count());
-        sim.run();
-        prop_assert_eq!(sim.world().len(), times.len());
+        prop_assert_eq!(w.len(), times.len() - early.len());
+        let late = drain(&mut w);
+        prop_assert!(late.iter().all(|&(t, _)| t > deadline));
+        prop_assert_eq!(early.len() + late.len(), times.len());
+    }
+
+    /// Random interleavings of inserts (with duplicated timestamps, times
+    /// behind the cursor, and times across every level and the overflow),
+    /// pops and deadline-bounded pops: the wheel pops exactly what a
+    /// reference `(time, seq)` min-heap pops, step by step.
+    #[test]
+    fn interleaved_ops_match_reference_heap(
+        ops in proptest::collection::vec((0u64..2_000, 0u8..8, 0u8..4), 1..200),
+    ) {
+        let mut w = TimerWheel::new();
+        let mut heap = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut last_time = 0u64;
+        for &(t, action, scale) in &ops {
+            match action {
+                0 | 1 => {
+                    let want = heap.pop().map(|Reverse(k)| k);
+                    prop_assert_eq!(w.pop().map(key), want);
+                }
+                2 => {
+                    let deadline = spread(t, scale);
+                    loop {
+                        let want = match heap.peek() {
+                            Some(&Reverse(k)) if k.0 <= deadline => heap.pop().map(|Reverse(k)| k),
+                            _ => None,
+                        };
+                        let got = w.pop_at_most(SimTime::from_micros(deadline)).map(key);
+                        prop_assert_eq!(got, want);
+                        if got.is_none() {
+                            break;
+                        }
+                    }
+                }
+                _ => {
+                    // Half the inserts repeat the previous timestamp, to
+                    // stress same-slot FIFO order.
+                    let time = if action < 5 { last_time } else { spread(t, scale) };
+                    w.insert(entry(time, seq));
+                    heap.push(Reverse((time, seq)));
+                    last_time = time;
+                    seq += 1;
+                }
+            }
+            prop_assert_eq!(w.len(), heap.len());
+        }
+        let rest: Vec<(u64, u64)> = std::iter::from_fn(|| heap.pop().map(|Reverse(k)| k)).collect();
+        prop_assert_eq!(drain(&mut w), rest);
     }
 
     /// SimTime +/- SimDuration round-trips exactly.
@@ -72,89 +150,17 @@ proptest! {
         // or off by at most one microsecond of rounding.
         prop_assert!(diff <= 1, "diff {diff} for {us}");
     }
-
-    /// Random schedules with duplicate timestamps, cancellations and
-    /// reschedules: the timer-wheel calendar fires surviving events in
-    /// exactly the order a reference `(time, seq)` binary heap pops them.
-    #[test]
-    fn cancel_and_reschedule_order_matches_reference_heap(
-        ops in proptest::collection::vec((0u64..2_000, 0u8..8), 1..200),
-    ) {
-        let mut sim = Simulation::new(Vec::<u32>::new());
-        // Reference model: every schedule call as (time, seq, payload),
-        // payload u32::MAX marking a cancellation tombstone. The engine
-        // burns one seq per schedule call whether or not it is later
-        // cancelled, so the model counts them identically.
-        let mut model: Vec<(u64, u64, u32)> = Vec::new();
-        let mut pending: Vec<(perfcloud_sim::EventId, usize)> = Vec::new();
-        let mut seq = 0u64;
-        let schedule =
-            |sim: &mut Simulation<Vec<u32>>,
-             model: &mut Vec<(u64, u64, u32)>,
-             pending: &mut Vec<(perfcloud_sim::EventId, usize)>,
-             seq: &mut u64,
-             t: u64| {
-                let payload = model.len() as u32;
-                let id = sim.schedule_at(SimTime::from_micros(t), move |w: &mut Vec<u32>, _| {
-                    w.push(payload)
-                });
-                model.push((t, *seq, payload));
-                pending.push((id, model.len() - 1));
-                *seq += 1;
-            };
-        for &(t, action) in &ops {
-            match action {
-                // Cancel one pending event (picked by the time draw).
-                0 if !pending.is_empty() => {
-                    let (id, k) = pending.swap_remove(t as usize % pending.len());
-                    sim.cancel(id);
-                    model[k].2 = u32::MAX;
-                }
-                // Reschedule: cancel, then schedule again at a fresh time
-                // (which burns a fresh seq, i.e. goes to the FIFO tail of
-                // its new timestamp).
-                1 if !pending.is_empty() => {
-                    let (id, k) = pending.swap_remove((t / 3) as usize % pending.len());
-                    sim.cancel(id);
-                    model[k].2 = u32::MAX;
-                    schedule(&mut sim, &mut model, &mut pending, &mut seq, t);
-                }
-                // Duplicate the previous op's timestamp half the time, to
-                // stress same-slot FIFO ordering.
-                2 if !model.is_empty() => {
-                    let dup = model[model.len() - 1].0;
-                    schedule(&mut sim, &mut model, &mut pending, &mut seq, dup);
-                }
-                _ => schedule(&mut sim, &mut model, &mut pending, &mut seq, t),
-            }
-        }
-        // Reference pop order: a min-heap on (time, seq), tombstones skipped.
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, u32)>> =
-            model.iter().copied().map(std::cmp::Reverse).collect();
-        let mut expected = Vec::new();
-        while let Some(std::cmp::Reverse((_, _, payload))) = heap.pop() {
-            if payload != u32::MAX {
-                expected.push(payload);
-            }
-        }
-        sim.run();
-        prop_assert_eq!(sim.into_world(), expected);
-    }
 }
 
-/// Deterministic replay: the same schedule produces identical traces.
+/// A clone taken mid-run pops the same remaining sequence as the original:
+/// what lets a forked experiment replay its in-flight messages exactly.
 #[test]
-fn identical_schedules_replay_identically() {
-    let build = || {
-        let mut sim = Simulation::new(Vec::<(u64, u64)>::new());
-        for i in 0..50u64 {
-            let t = (i * 37) % 17;
-            sim.schedule_at(SimTime::from_micros(t), move |w: &mut Vec<(u64, u64)>, ctx| {
-                w.push((ctx.now().as_micros(), i));
-            });
-        }
-        sim.run();
-        sim.into_world()
-    };
-    assert_eq!(build(), build());
+fn cloned_wheel_replays_identically() {
+    let times: Vec<u64> = (0..500u64).map(|i| (i * 7919) % 100_000 + (i % 3) * (1 << 22)).collect();
+    let mut w = wheel_of(&times);
+    for _ in 0..100 {
+        w.pop();
+    }
+    let mut fork = w.clone();
+    assert_eq!(drain(&mut fork), drain(&mut w));
 }

@@ -6,7 +6,8 @@
 //!
 //! This umbrella crate re-exports the whole workspace:
 //!
-//! * [`sim`] — deterministic discrete-event engine and named RNG streams.
+//! * [`sim`] — virtual clock, named RNG streams, fault injection, shard
+//!   partitioning and the timer wheel the control plane queues messages on.
 //! * [`stats`] — EWMA, cross-VM deviation, Pearson (missing-as-zero),
 //!   quantiles/boxplots/CDFs.
 //! * [`host`] — the simulated multi-tenant physical server: CPU scheduler
@@ -51,6 +52,6 @@ pub use perfcloud_workloads as workloads;
 
 /// Convenient glob-import of the most commonly used types.
 pub mod prelude {
-    pub use perfcloud_sim::{RngFactory, SimDuration, SimTime, Simulation};
+    pub use perfcloud_sim::{RngFactory, SimDuration, SimTime};
     pub use perfcloud_stats::{BoxplotSummary, Ewma, TimeSeries};
 }
