@@ -96,28 +96,12 @@ impl Clone for Placement {
     }
 }
 
-/// Borrowed view of the registry's VM columns, for hot paths that stream
-/// per-VM state without touching the id index. All four slices are indexed
-/// by *row*; rows for one server come from [`CloudManager::rows_on`].
-#[derive(Debug, Clone, Copy)]
-pub struct VmColumns<'a> {
-    /// VM id of each row.
-    pub ids: &'a [VmId],
-    /// Hosting server of each row.
-    pub servers: &'a [ServerId],
-    /// Priority of each row.
-    pub priorities: &'a [Priority],
-    /// Application membership of each row (high-priority VMs only).
-    pub apps: &'a [Option<AppId>],
-}
-
 /// The central VM registry.
 ///
 /// Stored struct-of-arrays: one dense column per [`VmRecord`] field plus a
 /// per-server row list, so the per-interval placement fetch walks only the
 /// server's own rows (contiguous column reads) instead of scanning the
-/// whole registry, and the batched sampling path of the scale scenarios
-/// can stream whole columns. A `VmId → row` index keeps point lookups and
+/// whole registry. A `VmId → row` index keeps point lookups and
 /// re-registration cheap; rows are swap-removed on deregistration, and the
 /// per-server lists stay sorted by VM id so every derived view keeps the
 /// exact id order of the original map-based registry.
@@ -166,19 +150,8 @@ impl CloudManager {
         self.ids.is_empty()
     }
 
-    /// The VM columns, for streaming reads.
-    pub fn vm_columns(&self) -> VmColumns<'_> {
-        VmColumns {
-            ids: &self.ids,
-            servers: &self.servers,
-            priorities: &self.priorities,
-            apps: &self.apps,
-        }
-    }
-
-    /// Rows of the VMs hosted on `server`, sorted by VM id. Index into the
-    /// [`Self::vm_columns`] slices.
-    pub fn rows_on(&self, server: ServerId) -> &[u32] {
+    /// Rows of the VMs hosted on `server`, sorted by VM id.
+    fn rows_on(&self, server: ServerId) -> &[u32] {
         self.by_server.get(&server).map_or(&[], Vec::as_slice)
     }
 
@@ -429,17 +402,20 @@ mod tests {
         cm.register(VmId(2), lo(0));
         cm.register(VmId(1), hi(0, 1));
         assert_eq!(cm.len(), 4);
-        let cols = cm.vm_columns();
-        for (i, &vm) in cols.ids.iter().enumerate() {
-            let r = cm.record(vm).unwrap();
-            assert_eq!(cols.servers[i], r.server);
-            assert_eq!(cols.priorities[i], r.priority);
-            assert_eq!(cols.apps[i], r.app);
+        for s in [ServerId(0), ServerId(1)] {
+            for &row in cm.rows_on(s) {
+                let row = row as usize;
+                let r = cm.record(cm.ids[row]).unwrap();
+                assert_eq!(r.server, s);
+                assert_eq!(cm.servers[row], r.server);
+                assert_eq!(cm.priorities[row], r.priority);
+                assert_eq!(cm.apps[row], r.app);
+            }
         }
         // Row lists are sorted by VM id regardless of registration order.
-        let on0: Vec<VmId> =
-            cm.rows_on(ServerId(0)).iter().map(|&r| cols.ids[r as usize]).collect();
+        let on0: Vec<VmId> = cm.rows_on(ServerId(0)).iter().map(|&r| cm.ids[r as usize]).collect();
         assert_eq!(on0, vec![VmId(0), VmId(1), VmId(2)]);
+        assert_eq!(on0, cm.vms_on(ServerId(0)).into_iter().map(|(vm, _)| vm).collect::<Vec<_>>());
     }
 
     #[test]
@@ -461,12 +437,11 @@ mod tests {
             assert_eq!(cm.record(VmId(v)).is_some(), expect_present, "vm {v}");
         }
         // Every row list entry round-trips through the index.
-        let cols = cm.vm_columns();
         for s in 0..4u32 {
             let rows = cm.rows_on(ServerId(s));
-            assert!(rows.windows(2).all(|w| cols.ids[w[0] as usize] < cols.ids[w[1] as usize]));
+            assert!(rows.windows(2).all(|w| cm.ids[w[0] as usize] < cm.ids[w[1] as usize]));
             for &r in rows {
-                assert_eq!(cols.servers[r as usize], ServerId(s));
+                assert_eq!(cm.record(cm.ids[r as usize]).unwrap().server, ServerId(s));
             }
         }
         let mut total = 0;
@@ -496,19 +471,18 @@ mod tests {
         };
         let check = |cm: &CloudManager, model: &BTreeMap<VmId, VmRecord>| {
             assert_eq!(cm.len(), model.len());
-            let cols = cm.vm_columns();
             let mut seen = 0;
             for s in 0..SERVERS {
                 let server = ServerId(s);
                 let rows = cm.rows_on(server);
                 seen += rows.len();
                 assert!(
-                    rows.windows(2).all(|w| cols.ids[w[0] as usize] < cols.ids[w[1] as usize]),
+                    rows.windows(2).all(|w| cm.ids[w[0] as usize] < cm.ids[w[1] as usize]),
                     "row list of {server} not id-sorted"
                 );
                 for &r in rows {
-                    let vm = cols.ids[r as usize];
-                    assert_eq!(cols.servers[r as usize], server, "row of {vm} mislinked");
+                    let vm = cm.ids[r as usize];
+                    assert_eq!(cm.servers[r as usize], server, "row of {vm} mislinked");
                     assert_eq!(model.get(&vm), cm.record(vm).as_ref(), "record of {vm}");
                 }
                 // The node manager's sampling read.

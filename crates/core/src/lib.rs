@@ -33,7 +33,7 @@ pub mod pipeline;
 
 pub use antagonist::{AntagonistIdentifier, Resource};
 pub use chaos::{ManagerFault, NodeFaults};
-pub use cloud::{AppId, CloudManager, Placement, PlacementEpoch, VmColumns, VmRecord};
+pub use cloud::{AppId, CloudManager, Placement, PlacementEpoch, VmRecord};
 pub use config::PerfCloudConfig;
 pub use cubic::{CubicController, CubicState};
 pub use detector::{deviation_across_vms, ContentionSignal};

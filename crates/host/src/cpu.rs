@@ -17,48 +17,78 @@ pub struct CpuRequest {
     pub weight: f64,
 }
 
+/// Working columns of the progressive fill. The caller owns one and passes
+/// it to every [`allocate`] call, so a steady-state allocation reuses the
+/// capacity of the previous one instead of touching the heap.
+#[derive(Debug, Default)]
+pub struct Waterfill {
+    /// Effective demand per request.
+    pub(crate) want: Vec<f64>,
+    /// Allocation per request: the fill's output.
+    pub(crate) alloc: Vec<f64>,
+    /// Requests still competing for capacity.
+    active: Vec<usize>,
+    /// Requests satisfied in the current round.
+    satisfied: Vec<usize>,
+}
+
+impl Waterfill {
+    /// Fills `capacity` over the wants in `self.want` with weighted max-min
+    /// fairness (`weight(i)` is request `i`'s raw weight), leaving the
+    /// per-request allocations in `self.alloc`.
+    pub(crate) fn run(&mut self, capacity: f64, weight: impl Fn(usize) -> f64) {
+        let n = self.want.len();
+        self.alloc.clear();
+        self.alloc.resize(n, 0.0);
+        if n == 0 || capacity <= 0.0 {
+            return;
+        }
+        let (want, alloc) = (&self.want, &mut self.alloc);
+        let mut remaining = capacity;
+        self.active.clear();
+        self.active.extend((0..n).filter(|&i| want[i] > 0.0));
+        // Progressive filling: in each round, offer every active VM its
+        // weighted share of the remaining capacity; VMs whose residual want
+        // is below the share are satisfied and leave, freeing capacity for
+        // the next round.
+        while !self.active.is_empty() && remaining > 1e-15 {
+            let total_weight: f64 = self.active.iter().map(|&i| weight(i).max(1e-9)).sum();
+            self.satisfied.clear();
+            let mut consumed = 0.0;
+            for &i in &self.active {
+                let share = remaining * weight(i).max(1e-9) / total_weight;
+                let residual = want[i] - alloc[i];
+                if residual <= share {
+                    alloc[i] = want[i];
+                    consumed += residual;
+                    self.satisfied.push(i);
+                }
+            }
+            if self.satisfied.is_empty() {
+                // No one is satisfiable: split the remainder by weight and stop.
+                for &i in &self.active {
+                    let share = remaining * weight(i).max(1e-9) / total_weight;
+                    alloc[i] += share;
+                }
+                break;
+            }
+            remaining -= consumed;
+            let satisfied = &self.satisfied;
+            self.active.retain(|i| !satisfied.contains(i));
+        }
+    }
+}
+
 /// Allocates `capacity` core-seconds among the requests with weighted
-/// max-min fairness. Returns per-request allocations, each ≤
-/// `min(demand, limit)`, summing to ≤ `capacity`. Work-conserving: if total
-/// effective demand ≤ capacity everyone gets their demand.
-pub fn allocate(requests: &[CpuRequest], capacity: f64) -> Vec<f64> {
-    let n = requests.len();
-    let mut alloc = vec![0.0; n];
-    if n == 0 || capacity <= 0.0 {
-        return alloc;
-    }
-    // Effective demand per VM.
-    let want: Vec<f64> = requests.iter().map(|r| r.demand.min(r.limit).max(0.0)).collect();
-    let mut remaining = capacity;
-    let mut active: Vec<usize> = (0..n).filter(|&i| want[i] > 0.0).collect();
-    // Progressive filling: in each round, offer every active VM its weighted
-    // share of the remaining capacity; VMs whose residual want is below the
-    // share are satisfied and leave, freeing capacity for the next round.
-    while !active.is_empty() && remaining > 1e-15 {
-        let total_weight: f64 = active.iter().map(|&i| requests[i].weight.max(1e-9)).sum();
-        let mut satisfied: Vec<usize> = Vec::new();
-        let mut consumed = 0.0;
-        for &i in &active {
-            let share = remaining * requests[i].weight.max(1e-9) / total_weight;
-            let residual = want[i] - alloc[i];
-            if residual <= share {
-                alloc[i] = want[i];
-                consumed += residual;
-                satisfied.push(i);
-            }
-        }
-        if satisfied.is_empty() {
-            // No one is satisfiable: split the remainder by weight and stop.
-            for &i in &active {
-                let share = remaining * requests[i].weight.max(1e-9) / total_weight;
-                alloc[i] += share;
-            }
-            break;
-        }
-        remaining -= consumed;
-        active.retain(|i| !satisfied.contains(i));
-    }
-    alloc
+/// max-min fairness, using `fill`'s columns as working space. Returns
+/// per-request allocations, each ≤ `min(demand, limit)`, summing to ≤
+/// `capacity`. Work-conserving: if total effective demand ≤ capacity
+/// everyone gets their demand.
+pub fn allocate<'a>(requests: &[CpuRequest], capacity: f64, fill: &'a mut Waterfill) -> &'a [f64] {
+    fill.want.clear();
+    fill.want.extend(requests.iter().map(|r| r.demand.min(r.limit).max(0.0)));
+    fill.run(capacity, |i| requests[i].weight);
+    &fill.alloc
 }
 
 #[cfg(test)]
@@ -67,6 +97,10 @@ mod tests {
 
     fn req(demand: f64, limit: f64, weight: f64) -> CpuRequest {
         CpuRequest { demand, limit, weight }
+    }
+
+    fn allocate(requests: &[CpuRequest], capacity: f64) -> Vec<f64> {
+        super::allocate(requests, capacity, &mut Waterfill::default()).to_vec()
     }
 
     #[test]
@@ -137,6 +171,25 @@ mod tests {
         let a = allocate(&rs, 6.0);
         for x in a {
             assert!((x - 2.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn reused_fill_matches_a_fresh_one() {
+        // An oversubscribed fill stops with requests still active; the next
+        // call on the same columns must not see them.
+        let calls: [&[CpuRequest]; 4] = [
+            &[req(10.0, 10.0, 1.0), req(10.0, 10.0, 3.0), req(0.5, 1.0, 2.0)],
+            &[req(1.0, 2.0, 2.0)],
+            &[],
+            &[req(3.0, 3.0, 1.0), req(0.1, 4.0, 1.0)],
+        ];
+        let mut fill = Waterfill::default();
+        for reqs in calls {
+            let reused = super::allocate(reqs, 2.0, &mut fill).to_vec();
+            let fresh = allocate(reqs, 2.0);
+            assert_eq!(reused.len(), reqs.len());
+            assert!(reused.iter().zip(&fresh).all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
 }

@@ -13,7 +13,7 @@
 //! deviation a contention signal (see [`crate::jitter`]).
 
 use crate::config::DiskConfig;
-use crate::cpu::{allocate as waterfill, CpuRequest};
+use crate::cpu::Waterfill;
 
 /// One VM's I/O demand reaching the device this tick (post-throttle).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -44,16 +44,6 @@ pub struct DiskOutcome {
     pub wait: f64,
 }
 
-/// Result of one tick of device arbitration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiskTick {
-    /// Per-VM outcomes, index-aligned with the request slice.
-    pub outcomes: Vec<DiskOutcome>,
-    /// Offered utilization ρ (total demanded device time / tick length).
-    /// May exceed 1 under overload.
-    pub offered_utilization: f64,
-}
-
 /// Device time needed to serve a request in full, seconds. Random ops pay
 /// the seek budget plus their (usually negligible) transfer time; sequential
 /// transfers pay bandwidth only.
@@ -63,17 +53,31 @@ fn device_time(req: &DiskRequest, cfg: &DiskConfig, speed: f64) -> f64 {
     req.rand_ops / iops + (req.rand_bytes + req.seq_bytes) / bps
 }
 
-/// Arbitrates the device for one tick of `dt` seconds.
-pub fn allocate(requests: &[DiskRequest], cfg: &DiskConfig, speed: f64, dt: f64) -> DiskTick {
+/// Arbitrates the device for one tick of `dt` seconds. Writes one outcome
+/// per request into `outcomes` (index-aligned with `requests`), using
+/// `fill` as the fair-share working space, and returns the offered
+/// utilization ρ (total demanded device time / tick length; may exceed 1
+/// under overload).
+pub fn allocate(
+    requests: &[DiskRequest],
+    cfg: &DiskConfig,
+    speed: f64,
+    dt: f64,
+    fill: &mut Waterfill,
+    outcomes: &mut Vec<DiskOutcome>,
+) -> f64 {
     assert!(dt > 0.0, "tick length must be positive");
     assert!(speed > 0.0, "speed factor must be positive");
-    let want_time: Vec<f64> = requests.iter().map(|r| device_time(r, cfg, speed)).collect();
-    let offered: f64 = want_time.iter().sum::<f64>() / dt;
+    fill.want.clear();
+    fill.want.extend(requests.iter().map(|r| device_time(r, cfg, speed)));
+    let offered: f64 = fill.want.iter().sum::<f64>() / dt;
 
-    // Share device time max-min fairly (equal weights).
-    let cpu_reqs: Vec<CpuRequest> =
-        want_time.iter().map(|&w| CpuRequest { demand: w, limit: w, weight: 1.0 }).collect();
-    let granted = waterfill(&cpu_reqs, dt);
+    // Share device time max-min fairly (equal weights). A negative want
+    // fills as zero, and the `want > 0` test below treats both alike.
+    for w in &mut fill.want {
+        *w = w.max(0.0);
+    }
+    fill.run(dt, |_| 1.0);
 
     // Per-op queueing wait: (queue factor − 1) service times, scaled by luck.
     let rho = offered.min(0.999);
@@ -81,11 +85,9 @@ pub fn allocate(requests: &[DiskRequest], cfg: &DiskConfig, speed: f64, dt: f64)
     let base_wait = cfg.base_service_time / speed * (queue_factor - 1.0);
 
     let service = cfg.base_service_time / speed;
-    let outcomes = requests
-        .iter()
-        .zip(&want_time)
-        .zip(&granted)
-        .map(|((req, &want), &got)| {
+    outcomes.clear();
+    outcomes.extend(requests.iter().zip(&fill.want).zip(&fill.alloc).map(
+        |((req, &want), &got)| {
             let frac = if want > 0.0 { (got / want).clamp(0.0, 1.0) } else { 0.0 };
             let wait_per_op = base_wait * req.luck.max(0.0);
             // Closed-loop latency effect: a requester with `queue_depth`
@@ -100,10 +102,9 @@ pub fn allocate(requests: &[DiskRequest], cfg: &DiskConfig, speed: f64, dt: f64)
             let bytes = (req.rand_bytes + req.seq_bytes) * eff;
             let wait = ops * wait_per_op;
             DiskOutcome { ops, bytes, wait }
-        })
-        .collect();
-
-    DiskTick { outcomes, offered_utilization: offered }
+        },
+    ));
+    offered
 }
 
 #[cfg(test)]
@@ -112,6 +113,18 @@ mod tests {
 
     fn cfg() -> DiskConfig {
         DiskConfig::default()
+    }
+
+    struct Tick {
+        outcomes: Vec<DiskOutcome>,
+        offered_utilization: f64,
+    }
+
+    fn allocate(requests: &[DiskRequest], cfg: &DiskConfig, speed: f64, dt: f64) -> Tick {
+        let mut outcomes = Vec::new();
+        let offered_utilization =
+            super::allocate(requests, cfg, speed, dt, &mut Waterfill::default(), &mut outcomes);
+        Tick { outcomes, offered_utilization }
     }
 
     fn rand_req(ops: f64, luck: f64) -> DiskRequest {

@@ -73,8 +73,13 @@ pub fn amplitude(utilization: f64, onset: f64, max_amp: f64, floor: f64) -> f64 
     (floor + (max_amp - floor) * s).min(max_amp)
 }
 
-/// The multiplicative luck factor for one VM: `exp(amp · x)`.
+/// The multiplicative luck factor for one VM: `exp(amp · x)`. With zero
+/// amplitude and a finite state the product is ±0 and `exp` of it exactly
+/// 1, so that case (every VM of an idle resource) skips the `exp` call.
 pub fn luck_multiplier(ar1_state: f64, amp: f64) -> f64 {
+    if amp == 0.0 && ar1_state.is_finite() {
+        return 1.0;
+    }
     (amp * ar1_state).exp()
 }
 
@@ -155,6 +160,23 @@ mod tests {
     fn luck_multiplier_is_one_without_amplitude() {
         assert_eq!(luck_multiplier(2.5, 0.0), 1.0);
         assert!((luck_multiplier(1.0, 0.5) - (0.5f64).exp()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn zero_amplitude_shortcut_is_bit_exact() {
+        let subnormal = f64::MIN_POSITIVE / 8.0;
+        let states =
+            [0.0, -0.0, subnormal, -subnormal, 1e-300, 2.5, -3.7, 1e300, f64::MAX, f64::MIN];
+        for x in states {
+            for amp in [0.0, -0.0] {
+                let full = (amp * x).exp();
+                assert_eq!(luck_multiplier(x, amp).to_bits(), full.to_bits(), "x={x:e} amp={amp}");
+            }
+        }
+        // Non-finite states are not shortcut: 0 · ∞ is NaN, as before.
+        for x in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert!(luck_multiplier(x, 0.0).is_nan());
+        }
     }
 
     #[test]

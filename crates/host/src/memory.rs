@@ -54,17 +54,16 @@ pub struct MemOutcome {
     pub miss_rate: f64,
 }
 
-/// Result of one tick of the memory model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MemTick {
-    /// Per-VM outcomes, index-aligned with the request slice.
-    pub outcomes: Vec<MemOutcome>,
-    /// Offered DRAM bandwidth utilization (may exceed 1 under overload).
-    pub offered_utilization: f64,
-}
-
-/// Evaluates the memory model for one tick of `dt` seconds.
-pub fn model(requests: &[MemRequest], cfg: &MemoryConfig, dt: f64) -> MemTick {
+/// Evaluates the memory model for one tick of `dt` seconds. Writes one
+/// outcome per request into `outcomes` (index-aligned with `requests`) and
+/// returns the offered DRAM bandwidth utilization (may exceed 1 under
+/// overload).
+pub fn model(
+    requests: &[MemRequest],
+    cfg: &MemoryConfig,
+    dt: f64,
+    outcomes: &mut Vec<MemOutcome>,
+) -> f64 {
     assert!(dt > 0.0, "tick length must be positive");
     // Cache squeeze: total active footprint vs. LLC capacity. A VM's
     // eviction pressure is bounded by the bytes it can actually touch within
@@ -81,39 +80,46 @@ pub fn model(requests: &[MemRequest], cfg: &MemoryConfig, dt: f64) -> MemTick {
         .sum();
     let adequacy = if total_ws > 0.0 { (cfg.llc_bytes / total_ws).min(1.0) } else { 1.0 };
 
-    let miss_rates: Vec<f64> = requests
-        .iter()
-        .map(|r| (1.0 - r.cache_reuse.clamp(0.0, 1.0) * adequacy).clamp(0.0, 1.0))
-        .collect();
+    // Miss rates first; the CPI needs the bandwidth queue they imply.
+    outcomes.clear();
+    outcomes.extend(requests.iter().map(|r| MemOutcome {
+        cpi: r.base_cpi,
+        miss_rate: (1.0 - r.cache_reuse.clamp(0.0, 1.0) * adequacy).clamp(0.0, 1.0),
+    }));
 
     // Offered DRAM bandwidth demand.
     let demand_bytes: f64 = requests
         .iter()
-        .zip(&miss_rates)
-        .map(|(r, &m)| r.instr_demand.max(0.0) * r.refs_per_instr * m * BYTES_PER_MISS)
+        .zip(outcomes.iter())
+        .map(|(r, o)| r.instr_demand.max(0.0) * r.refs_per_instr * o.miss_rate * BYTES_PER_MISS)
         .sum();
     let offered = demand_bytes / (cfg.bandwidth_bps * dt);
 
     let rho = offered.min(0.999);
     let queue = (1.0 / (1.0 - rho)).min(cfg.max_queue_factor);
+    // For a finite `queue` with a clear sign bit, `queue^s` is finite and
+    // non-negative for every non-NaN `s` in [0, 1]; the shortcut below
+    // relies on it.
+    let queue_is_plain = queue.is_finite() && queue.is_sign_positive();
 
-    let outcomes = requests
-        .iter()
-        .zip(&miss_rates)
-        .map(|(r, &m)| {
-            // Latency sensitivity scales with reuse: demand (pointer-chasing,
-            // reuse-heavy) loads stall for the full queueing delay, while
-            // streaming access (reuse ≈ 0) is prefetch-covered and
-            // bandwidth-bound, feeling queueing only weakly.
-            let sensitivity = r.cache_reuse.clamp(0.0, 1.0);
-            let effective_queue = queue.powf(sensitivity);
-            let stall =
-                r.refs_per_instr * m * cfg.miss_penalty_cycles * effective_queue * r.luck.max(0.0);
-            MemOutcome { cpi: r.base_cpi + stall, miss_rate: m }
-        })
-        .collect();
-
-    MemTick { outcomes, offered_utilization: offered }
+    for (r, o) in requests.iter().zip(outcomes.iter_mut()) {
+        // Latency sensitivity scales with reuse: demand (pointer-chasing,
+        // reuse-heavy) loads stall for the full queueing delay, while
+        // streaming access (reuse ≈ 0) is prefetch-covered and
+        // bandwidth-bound, feeling queueing only weakly.
+        let sensitivity = r.cache_reuse.clamp(0.0, 1.0);
+        let scaled_misses = r.refs_per_instr * o.miss_rate * cfg.miss_penalty_cycles;
+        // A ±0 prefix times any finite non-negative factor is that same
+        // ±0, so where no miss can stall (idle VMs) `powf` is skipped.
+        let effective_queue = if scaled_misses == 0.0 && queue_is_plain && !sensitivity.is_nan() {
+            1.0
+        } else {
+            queue.powf(sensitivity)
+        };
+        let stall = scaled_misses * effective_queue * r.luck.max(0.0);
+        o.cpi = r.base_cpi + stall;
+    }
+    offered
 }
 
 #[cfg(test)]
@@ -122,6 +128,17 @@ mod tests {
 
     fn cfg() -> MemoryConfig {
         MemoryConfig::default()
+    }
+
+    struct Tick {
+        outcomes: Vec<MemOutcome>,
+        offered_utilization: f64,
+    }
+
+    fn model(requests: &[MemRequest], cfg: &MemoryConfig, dt: f64) -> Tick {
+        let mut outcomes = Vec::new();
+        let offered_utilization = super::model(requests, cfg, dt, &mut outcomes);
+        Tick { outcomes, offered_utilization }
     }
 
     fn victim(instr: f64) -> MemRequest {
@@ -226,6 +243,53 @@ mod tests {
                 assert!((0.0..=1.0).contains(&m), "miss {m}");
             }
         }
+    }
+
+    /// Runs the model and checks every CPI bit-for-bit against the stall
+    /// evaluated through `powf`, returning the bandwidth queue factor.
+    fn assert_matches_unskipped(requests: &[MemRequest]) -> f64 {
+        let cfg = cfg();
+        let t = model(requests, &cfg, 0.1);
+        let queue = (1.0 / (1.0 - t.offered_utilization.min(0.999))).min(cfg.max_queue_factor);
+        for (o, r) in t.outcomes.iter().zip(requests) {
+            let effective_queue = queue.powf(r.cache_reuse.clamp(0.0, 1.0));
+            let stall = r.refs_per_instr
+                * o.miss_rate
+                * cfg.miss_penalty_cycles
+                * effective_queue
+                * r.luck.max(0.0);
+            assert_eq!(o.cpi.to_bits(), (r.base_cpi + stall).to_bits(), "{r:?}");
+        }
+        queue
+    }
+
+    #[test]
+    fn skipped_powf_is_bit_exact() {
+        let subnormal = f64::MIN_POSITIVE / 8.0;
+        let lucks = [1.0, 0.0, -0.0, -2.0, subnormal, 1e300, f64::INFINITY, f64::NAN];
+        // Two saturating streamers keep the bandwidth queue well above 1,
+        // so `queue^s` differs from 1 wherever it is really evaluated.
+        let mut requests = vec![stream(2e9), stream(2e9)];
+        for refs in [0.0, -0.0, 0.02] {
+            for reuse in [0.0, -0.0, 0.5, 1.0, f64::NAN] {
+                for luck in lucks {
+                    for base_cpi in [1.0, -0.0] {
+                        requests.push(MemRequest {
+                            refs_per_instr: refs,
+                            cache_reuse: reuse,
+                            luck,
+                            base_cpi,
+                            ..victim(1e8)
+                        });
+                    }
+                }
+            }
+        }
+        // A NaN reuse poisons the offered bandwidth, which pins the queue at
+        // its cap; without those rows the queue comes from real traffic.
+        assert!(assert_matches_unskipped(&requests) > 1.0);
+        requests.retain(|r| !r.cache_reuse.is_nan());
+        assert!(assert_matches_unskipped(&requests) > 1.0);
     }
 
     #[test]

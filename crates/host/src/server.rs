@@ -12,13 +12,13 @@
 
 use crate::config::{Priority, ServerConfig, VmConfig};
 use crate::counters::{CounterSnapshot, VmCounters};
-use crate::cpu::{allocate as cpu_allocate, CpuRequest};
-use crate::demand::{Achieved, Process, ProcessId};
-use crate::disk::{allocate as disk_allocate, DiskRequest};
+use crate::cpu::{allocate as cpu_allocate, CpuRequest, Waterfill};
+use crate::demand::{Achieved, Process, ProcessId, ResourceDemand};
+use crate::disk::{allocate as disk_allocate, DiskOutcome, DiskRequest};
 use crate::jitter::{amplitude, luck_multiplier, Ar1};
-use crate::memory::{model as mem_model, MemRequest};
+use crate::memory::{model as mem_model, MemOutcome, MemRequest};
 use crate::throttle::{CpuCap, IoThrottle};
-use crate::vm::{Vm, VmId};
+use crate::vm::{Vm, VmDemand, VmId};
 use perfcloud_sim::{RngFactory, SimDuration};
 use std::collections::HashMap;
 
@@ -39,8 +39,6 @@ pub struct FinishedProcess {
     pub vm: VmId,
     /// Server-local process id.
     pub pid: ProcessId,
-    /// The process's label.
-    pub label: String,
 }
 
 /// Summary of one tick.
@@ -72,6 +70,35 @@ pub struct PhysicalServer {
     /// Cores reserved by in-flight live migrations (source or destination
     /// pre-copy tax). Subtracted from the CPU capacity offered to VMs.
     migration_load: f64,
+    scratch: TickScratch,
+}
+
+/// Working columns of [`PhysicalServer::tick`], one row per VM (per
+/// process for `proc_demands`). Every column is cleared before it is
+/// filled, so no value outlives its tick: the columns are kept only for
+/// their capacity, which is what makes a steady-state tick allocation-free.
+/// Being derived state, they clone empty, like the other scratch buffers
+/// a fork rebuilds.
+#[derive(Default)]
+struct TickScratch {
+    demands: Vec<VmDemand>,
+    /// Every process's demand, VM after VM in tick order.
+    proc_demands: Vec<ResourceDemand>,
+    /// Where each VM's rows start in `proc_demands`, plus the end.
+    proc_start: Vec<usize>,
+    disk_reqs: Vec<DiskRequest>,
+    disk_out: Vec<DiskOutcome>,
+    mem_reqs: Vec<MemRequest>,
+    mem_out: Vec<MemOutcome>,
+    cpu_reqs: Vec<CpuRequest>,
+    /// Fair-share working space of the disk and then the CPU arbitration.
+    fill: Waterfill,
+}
+
+impl Clone for TickScratch {
+    fn clone(&self) -> Self {
+        TickScratch::default()
+    }
 }
 
 /// Time constant (seconds) of per-VM luck processes; a few seconds so luck
@@ -95,6 +122,7 @@ impl PhysicalServer {
             last_mem_rho: 0.0,
             ar1_dt: tick_dt.as_secs_f64(),
             migration_load: 0.0,
+            scratch: TickScratch::default(),
         }
     }
 
@@ -271,11 +299,14 @@ impl PhysicalServer {
         self.vm(vm).map(|v| v.cpu_cap)
     }
 
-    /// Advances the server by one tick of length `dt`.
+    /// Advances the server by one tick of length `dt`. Allocation-free
+    /// unless a process finishes or the VM or process count outgrows every
+    /// earlier tick.
     pub fn tick(&mut self, dt: SimDuration) -> TickReport {
         let dt_s = dt.as_secs_f64();
         assert!(dt_s > 0.0, "tick length must be positive");
-        let n = self.vms.len();
+        let s = &mut self.scratch;
+        let freq = self.config.effective_frequency();
 
         // 1. Step luck processes; amplitude from last tick's utilization.
         let io_amp = amplitude(
@@ -290,113 +321,98 @@ impl PhysicalServer {
             self.config.memory.jitter_amplitude,
             self.config.memory.jitter_floor,
         );
-        let mut io_luck = Vec::with_capacity(n);
-        let mut cpi_luck = Vec::with_capacity(n);
+        s.demands.clear();
+        s.proc_demands.clear();
+        s.proc_start.clear();
+        s.disk_reqs.clear();
+        s.mem_reqs.clear();
         for vm in &mut self.vms {
-            let x = {
-                let rng = &mut vm.io_rng;
-                vm.io_luck.step(rng)
-            };
-            io_luck.push(luck_multiplier(x, io_amp));
-            let y = {
-                let rng = &mut vm.cpi_rng;
-                vm.cpi_luck.step(rng)
-            };
-            cpi_luck.push(luck_multiplier(y, cpi_amp));
+            let io_luck = luck_multiplier(vm.io_luck.step(&mut vm.io_rng), io_amp);
+            let cpi_luck = luck_multiplier(vm.cpi_luck.step(&mut vm.cpi_rng), cpi_amp);
+
+            // 2. Aggregate demand, recording every process's share of it.
+            s.proc_start.push(s.proc_demands.len());
+            let d = vm.aggregate_demand(dt, &mut s.proc_demands);
+            s.demands.push(d);
+
+            // 3. Throttle the block-device request.
+            let total_ops = d.rand_ops + d.seq_ops;
+            let total_bytes = d.rand_bytes + d.seq_bytes;
+            let (ops_ok, bytes_ok) = vm.io_throttle.clamp(total_ops, total_bytes, dt_s);
+            let ops_scale = if total_ops > 0.0 { ops_ok / total_ops } else { 0.0 };
+            let bytes_scale = if total_bytes > 0.0 { bytes_ok / total_bytes } else { 0.0 };
+            s.disk_reqs.push(DiskRequest {
+                rand_ops: d.rand_ops * ops_scale,
+                rand_bytes: d.rand_bytes * bytes_scale,
+                seq_ops: d.seq_ops * ops_scale,
+                seq_bytes: d.seq_bytes * bytes_scale,
+                luck: io_luck,
+                queue_depth: d.io_queue_depth,
+            });
+
+            // CPU hard caps bound how many instructions the VM can actually
+            // issue, and with them its memory pressure — this is what makes
+            // `vcpu_quota` capping effective against LLC/bandwidth
+            // antagonists (§III-C).
+            let cores = vm.cpu_cap.effective_cores(vm.config.vcpus);
+            let issue_limit = cores * dt_s * freq / d.base_cpi.max(0.1);
+            let full_rate = vm.config.vcpus as f64 * dt_s * freq / d.base_cpi.max(0.1);
+            let instr_demand = d.instructions.min(issue_limit);
+            s.mem_reqs.push(MemRequest {
+                instr_demand,
+                activity: if full_rate > 0.0 {
+                    (instr_demand / full_rate).clamp(0.0, 1.0)
+                } else {
+                    0.0
+                },
+                refs_per_instr: d.refs_per_instr,
+                working_set: d.working_set,
+                cache_reuse: d.cache_reuse,
+                base_cpi: d.base_cpi,
+                luck: cpi_luck,
+            });
         }
+        s.proc_start.push(s.proc_demands.len());
 
-        // 2. Aggregate demand per VM.
-        let demands: Vec<_> = self.vms.iter().map(|v| v.aggregate_demand(dt)).collect();
-
-        // 3+4. Throttle and arbitrate the block device.
-        let disk_reqs: Vec<DiskRequest> = self
-            .vms
-            .iter()
-            .zip(&demands)
-            .zip(&io_luck)
-            .map(|((vm, d), &luck)| {
-                let total_ops = d.rand_ops + d.seq_ops;
-                let total_bytes = d.rand_bytes + d.seq_bytes;
-                let (ops_ok, bytes_ok) = vm.io_throttle.clamp(total_ops, total_bytes, dt_s);
-                let ops_scale = if total_ops > 0.0 { ops_ok / total_ops } else { 0.0 };
-                let bytes_scale = if total_bytes > 0.0 { bytes_ok / total_bytes } else { 0.0 };
-                DiskRequest {
-                    rand_ops: d.rand_ops * ops_scale,
-                    rand_bytes: d.rand_bytes * bytes_scale,
-                    seq_ops: d.seq_ops * ops_scale,
-                    seq_bytes: d.seq_bytes * bytes_scale,
-                    luck,
-                    queue_depth: d.io_queue_depth,
-                }
-            })
-            .collect();
-        let disk = disk_allocate(&disk_reqs, &self.config.disk, self.config.speed_factor, dt_s);
+        // 4. Arbitrate the block device.
+        let disk_rho = disk_allocate(
+            &s.disk_reqs,
+            &self.config.disk,
+            self.config.speed_factor,
+            dt_s,
+            &mut s.fill,
+            &mut s.disk_out,
+        );
 
         // 5. Memory model: per-VM CPI and miss rate.
-        let freq_for_mem = self.config.effective_frequency();
-        let mem_reqs: Vec<MemRequest> = self
-            .vms
-            .iter()
-            .zip(&demands)
-            .zip(&cpi_luck)
-            .map(|((vm, d), &luck)| {
-                // CPU hard caps bound how many instructions the VM can
-                // actually issue, and with them its memory pressure — this
-                // is what makes `vcpu_quota` capping effective against
-                // LLC/bandwidth antagonists (§III-C).
-                let cores = vm.cpu_cap.effective_cores(vm.config.vcpus);
-                let issue_limit = cores * dt_s * freq_for_mem / d.base_cpi.max(0.1);
-                let full_rate = vm.config.vcpus as f64 * dt_s * freq_for_mem / d.base_cpi.max(0.1);
-                let instr_demand = d.instructions.min(issue_limit);
-                MemRequest {
-                    instr_demand,
-                    activity: if full_rate > 0.0 {
-                        (instr_demand / full_rate).clamp(0.0, 1.0)
-                    } else {
-                        0.0
-                    },
-                    refs_per_instr: d.refs_per_instr,
-                    working_set: d.working_set,
-                    cache_reuse: d.cache_reuse,
-                    base_cpi: d.base_cpi,
-                    luck,
-                }
-            })
-            .collect();
-        let mem = mem_model(&mem_reqs, &self.config.memory, dt_s);
+        let mem_rho = mem_model(&s.mem_reqs, &self.config.memory, dt_s, &mut s.mem_out);
 
         // 6. CPU allocation.
-        let freq = self.config.effective_frequency();
-        let cpu_reqs: Vec<CpuRequest> = self
-            .vms
-            .iter()
-            .zip(&demands)
-            .zip(&mem.outcomes)
-            .map(|((vm, d), m)| {
-                let cores = vm.cpu_cap.effective_cores(vm.config.vcpus);
-                let par = d.parallelism.min(cores);
-                // Time needed to retire the demanded instructions at this CPI.
-                let needed = d.instructions * m.cpi / freq;
-                CpuRequest {
-                    demand: needed.min(par * dt_s),
-                    limit: cores * dt_s,
-                    weight: vm.config.vcpus as f64,
-                }
-            })
-            .collect();
+        s.cpu_reqs.clear();
+        s.cpu_reqs.extend(self.vms.iter().zip(&s.demands).zip(&s.mem_out).map(|((vm, d), m)| {
+            let cores = vm.cpu_cap.effective_cores(vm.config.vcpus);
+            let par = d.parallelism.min(cores);
+            // Time needed to retire the demanded instructions at this CPI.
+            let needed = d.instructions * m.cpi / freq;
+            CpuRequest {
+                demand: needed.min(par * dt_s),
+                limit: cores * dt_s,
+                weight: vm.config.vcpus as f64,
+            }
+        }));
         // Live migrations steal hypervisor cores for the copy streams;
         // with no migration in flight this is byte-identical to the
         // untaxed capacity.
         let cpu_capacity = (self.config.cores as f64 - self.migration_load).max(0.0) * dt_s;
-        let cpu_alloc = cpu_allocate(&cpu_reqs, cpu_capacity);
+        let cpu_alloc = cpu_allocate(&s.cpu_reqs, cpu_capacity, &mut s.fill);
         let cpu_used: f64 = cpu_alloc.iter().sum();
 
         // 7+8. Account counters, distribute achievements, reap finished.
         let mut finished = Vec::new();
-        for i in 0..n {
-            let d = &demands[i];
-            let m = &mem.outcomes[i];
-            let dsk = &disk.outcomes[i];
+        for (i, vm) in self.vms.iter_mut().enumerate() {
+            let d = &s.demands[i];
+            let m = &s.mem_out[i];
+            let dsk = &s.disk_out[i];
             let cpu_time = cpu_alloc[i];
             let cycles = cpu_time * freq;
             let instructions = (cycles / m.cpi).min(d.instructions.max(0.0));
@@ -413,13 +429,13 @@ impl PhysicalServer {
                 llc_references: llc_refs,
                 llc_misses,
             };
-            self.vms[i].counters.accumulate(&delta);
+            vm.counters.accumulate(&delta);
 
             // A paused VM's processes are frozen mid-flight: no demand was
             // aggregated above, and skipping `advance` here keeps even
             // wall-clock-driven processes (duration-based antagonists)
             // from progressing through the stop-and-copy window.
-            if self.vms[i].paused {
+            if vm.paused {
                 continue;
             }
 
@@ -430,9 +446,9 @@ impl PhysicalServer {
             let ops_frac = if ops_demand > 0.0 { dsk.ops / ops_demand } else { 0.0 };
             let bytes_frac = if bytes_demand > 0.0 { dsk.bytes / bytes_demand } else { 0.0 };
 
-            let proc_demands = self.vms[i].process_demands(dt);
-            let vm = &mut self.vms[i];
-            for ((pid, proc_), pd) in vm.processes.iter_mut().zip(&proc_demands) {
+            let proc_demands = &s.proc_demands[s.proc_start[i]..s.proc_start[i + 1]];
+            let mut any_done = false;
+            for ((pid, proc_), pd) in vm.processes.iter_mut().zip(proc_demands) {
                 let p_instr = pd.cpu_instructions * instr_frac;
                 let achieved = Achieved {
                     cpu_time: if d.instructions > 0.0 {
@@ -450,23 +466,22 @@ impl PhysicalServer {
                 };
                 proc_.advance(&achieved, dt);
                 if proc_.is_done() {
-                    finished.push(FinishedProcess {
-                        vm: vm.id,
-                        pid: *pid,
-                        label: proc_.label().to_string(),
-                    });
+                    any_done = true;
+                    finished.push(FinishedProcess { vm: vm.id, pid: *pid });
                 }
             }
-            vm.processes.retain(|(_, p)| !p.is_done());
+            if any_done {
+                vm.processes.retain(|(_, p)| !p.is_done());
+            }
         }
 
-        self.last_disk_rho = disk.offered_utilization;
-        self.last_mem_rho = mem.offered_utilization;
+        self.last_disk_rho = disk_rho;
+        self.last_mem_rho = mem_rho;
 
         TickReport {
             finished,
-            disk_utilization: disk.offered_utilization,
-            memory_utilization: mem.offered_utilization,
+            disk_utilization: disk_rho,
+            memory_utilization: mem_rho,
             cpu_utilization: cpu_used / (self.config.cores as f64 * dt_s),
         }
     }
@@ -475,7 +490,7 @@ impl PhysicalServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::demand::{IoPattern, ResourceDemand};
+    use crate::demand::IoPattern;
 
     /// A process that wants `instr` instructions and `bytes` of I/O total.
     #[derive(Clone)]

@@ -98,10 +98,16 @@ impl Vm {
         self.processes.len()
     }
 
-    /// Aggregates all process demands for a tick of length `dt`. A paused
-    /// VM demands nothing — identical to a VM with no processes — so the
-    /// stop-and-copy stall is a pure progress freeze.
-    pub(crate) fn aggregate_demand(&self, dt: perfcloud_sim::SimDuration) -> VmDemand {
+    /// Aggregates all process demands for a tick of length `dt`, appending
+    /// each process's demand to `demands` in process-list order so the
+    /// caller can distribute achievements without asking again. A paused VM
+    /// demands nothing and appends nothing — identical to a VM with no
+    /// processes — so the stop-and-copy stall is a pure progress freeze.
+    pub(crate) fn aggregate_demand(
+        &self,
+        dt: perfcloud_sim::SimDuration,
+        demands: &mut Vec<ResourceDemand>,
+    ) -> VmDemand {
         let mut agg = VmDemand::default();
         let mut w_refs = 0.0;
         let mut w_reuse = 0.0;
@@ -110,6 +116,7 @@ impl Vm {
         let processes: &[_] = if self.paused { &[] } else { &self.processes };
         for (_, p) in processes {
             let d = p.demand(dt);
+            demands.push(d);
             agg.instructions += d.cpu_instructions;
             agg.parallelism += d.cpu_parallelism;
             w_depth += d.io_queue_depth * d.io_ops;
@@ -138,11 +145,6 @@ impl Vm {
         let total_ops = agg.rand_ops + agg.seq_ops;
         agg.io_queue_depth = if total_ops > 0.0 { w_depth / total_ops } else { 32.0 };
         agg
-    }
-
-    /// Per-process demands (same order as the internal process list).
-    pub(crate) fn process_demands(&self, dt: perfcloud_sim::SimDuration) -> Vec<ResourceDemand> {
-        self.processes.iter().map(|(_, p)| p.demand(dt)).collect()
     }
 }
 
@@ -191,7 +193,7 @@ mod tests {
     #[test]
     fn empty_vm_has_idle_demand() {
         let vm = make_vm();
-        let d = vm.aggregate_demand(SimDuration::from_millis(100));
+        let d = vm.aggregate_demand(SimDuration::from_millis(100), &mut Vec::new());
         assert_eq!(d.instructions, 0.0);
         assert_eq!(d.rand_ops, 0.0);
         assert_eq!(d.base_cpi, 1.0);
@@ -212,7 +214,7 @@ mod tests {
             io_pattern: IoPattern::Sequential,
             ..ResourceDemand::idle()
         }));
-        let d = vm.aggregate_demand(SimDuration::from_millis(100));
+        let d = vm.aggregate_demand(SimDuration::from_millis(100), &mut Vec::new());
         assert_eq!(d.rand_ops, 10.0);
         assert_eq!(d.rand_bytes, 100.0);
         assert_eq!(d.seq_ops, 3.0);
@@ -238,7 +240,7 @@ mod tests {
             working_set: 30.0,
             ..ResourceDemand::idle()
         }));
-        let d = vm.aggregate_demand(SimDuration::from_millis(100));
+        let d = vm.aggregate_demand(SimDuration::from_millis(100), &mut Vec::new());
         assert_eq!(d.instructions, 4e6);
         assert_eq!(d.parallelism, 2.0);
         assert!((d.refs_per_instr - 0.25).abs() < 1e-12);
@@ -254,7 +256,23 @@ mod tests {
             working_set: 1e9,
             ..ResourceDemand::idle()
         }));
-        let d = vm.aggregate_demand(SimDuration::from_millis(100));
+        let d = vm.aggregate_demand(SimDuration::from_millis(100), &mut Vec::new());
         assert_eq!(d.working_set, 0.0);
+    }
+
+    #[test]
+    fn demands_are_recorded_in_process_order_unless_paused() {
+        let mut vm = make_vm();
+        let a = ResourceDemand { cpu_instructions: 1e6, ..ResourceDemand::idle() };
+        let b = ResourceDemand { io_ops: 5.0, ..ResourceDemand::idle() };
+        vm.processes.push(proc_with(a));
+        vm.processes.push(proc_with(b));
+        let mut demands = vec![ResourceDemand::idle()];
+        vm.aggregate_demand(SimDuration::from_millis(100), &mut demands);
+        assert_eq!(demands, vec![ResourceDemand::idle(), a, b], "appended after existing rows");
+        vm.paused = true;
+        let d = vm.aggregate_demand(SimDuration::from_millis(100), &mut demands);
+        assert_eq!(demands.len(), 3, "a paused VM records nothing");
+        assert_eq!(d.instructions, 0.0);
     }
 }
