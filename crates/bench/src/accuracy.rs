@@ -30,13 +30,15 @@
 use crate::report::Table;
 use crate::scenarios::JOB_START;
 use crate::sweep;
-use perfcloud_cluster::labels::{parse_trace, GroundTruth, StepObservation, TruthEntry};
+use perfcloud_cluster::labels::GroundTruth;
 use perfcloud_cluster::{
-    AntagonistKind, AntagonistPlacement, ClusterSpec, Experiment, ExperimentConfig, Mitigation,
+    AntagonistKind, AntagonistPlacement, ClusterSpec, DecisionTrace, Experiment, ExperimentConfig,
+    Mitigation,
 };
 use perfcloud_core::antagonist::Resource;
 use perfcloud_core::{DetectorKind, IdentifierKind, PerfCloudConfig, PipelineSpec};
 use perfcloud_frameworks::Benchmark;
+use perfcloud_host::VmId;
 use perfcloud_sim::{FaultKind, FaultRule, FaultScenario, SimDuration, SimTime};
 use perfcloud_stats::median;
 use std::fmt::Write as _;
@@ -271,62 +273,35 @@ fn precision_of(tp: u64, flagged: u64) -> f64 {
     }
 }
 
-fn entry_active_with_grace(e: &TruthEntry, t: f64, grace: f64) -> bool {
-    t >= e.active_from && e.active_until.is_none_or(|end| t <= end + grace)
-}
-
-/// Whether any truth entry makes `(server, resource)` genuinely contended
-/// at `t`, within `grace` seconds of signal decay.
-fn truth_contended(truth: &GroundTruth, server: usize, resource: Resource, t: f64) -> bool {
-    truth.entries.iter().any(|e| {
-        e.server == server
-            && e.resource == Some(resource)
-            && entry_active_with_grace(e, t, DETECT_GRACE_S)
-    })
-}
-
-/// Whether naming `vm` for `resource` at `t` on `server` is correct, within
-/// the identification window's retention grace.
-fn truth_culprit(truth: &GroundTruth, server: usize, vm: u64, resource: Resource, t: f64) -> bool {
-    truth.entries.iter().any(|e| {
-        u64::from(e.vm.0) == vm
-            && e.server == server
-            && e.resource == Some(resource)
-            && entry_active_with_grace(e, t, IDENT_GRACE_S)
-    })
-}
-
 /// Whether `vm` is ever guilty of `resource` on `server` at any time — the
 /// false-throttle criterion (capping a true antagonist after its episode is
 /// persistent control, not a false throttle).
-fn ever_culprit(truth: &GroundTruth, server: usize, vm: u64, resource: Resource) -> bool {
-    truth
-        .entries
-        .iter()
-        .any(|e| u64::from(e.vm.0) == vm && e.server == server && e.resource == Some(resource))
+fn ever_culprit(truth: &GroundTruth, server: usize, vm: VmId, resource: Resource) -> bool {
+    truth.entries.iter().any(|e| e.vm == vm && e.server == server && e.resource == Some(resource))
 }
 
-/// Scores one run's parsed decision trace against its injected truth.
+/// Scores one run's decision-trace steps against its injected truth.
 /// Public and pure so the scorer itself is testable on hand-built fixtures
 /// with analytically known answers.
-pub fn score_steps(truth: &GroundTruth, steps: &[StepObservation]) -> CellScore {
+pub fn score_steps(truth: &GroundTruth, trace: &DecisionTrace) -> CellScore {
     const RESOURCES: [Resource; 2] = [Resource::Io, Resource::Cpu];
 
     // Step-wise precision tallies.
     let (mut det_flagged, mut det_tp) = (0u64, 0u64);
     let (mut id_named, mut id_tp) = (0u64, 0u64);
     let (mut cap_steps, mut cap_false) = (0u64, 0u64);
-    for s in steps.iter().filter(|s| s.decided) {
+    for s in trace.steps().filter(|s| s.decided()) {
+        let t = s.t();
         for r in RESOURCES {
             if s.contended(r) {
                 det_flagged += 1;
-                if truth_contended(truth, s.server, r, s.t) {
+                if truth.server_contended(s.server, r, t, DETECT_GRACE_S) {
                     det_tp += 1;
                 }
             }
             for &vm in s.antagonists(r) {
                 id_named += 1;
-                if truth_culprit(truth, s.server, vm, r, s.t) {
+                if truth.is_culprit(s.server, vm, r, t, IDENT_GRACE_S) {
                     id_tp += 1;
                 }
             }
@@ -346,21 +321,21 @@ pub fn score_steps(truth: &GroundTruth, steps: &[StepObservation]) -> CellScore 
     for e in truth.culprits() {
         let r = e.resource.expect("culprits have a resource");
         events += 1;
-        let first_detect = steps.iter().find(|s| {
-            s.decided
+        let first_detect = trace.steps().find(|s| {
+            s.decided()
                 && s.server == e.server
                 && s.contended(r)
-                && entry_active_with_grace(e, s.t, DETECT_GRACE_S)
+                && e.active_at(s.t(), DETECT_GRACE_S)
         });
         if let Some(s) = first_detect {
             detected += 1;
-            ttds.push(s.t - e.active_from);
+            ttds.push(s.t() - e.active_from);
         }
-        let named = steps.iter().any(|s| {
-            s.decided
+        let named = trace.steps().any(|s| {
+            s.decided()
                 && s.server == e.server
-                && s.antagonists(r).contains(&u64::from(e.vm.0))
-                && entry_active_with_grace(e, s.t, IDENT_GRACE_S)
+                && s.antagonists(r).contains(&e.vm)
+                && e.active_at(s.t(), IDENT_GRACE_S)
         });
         if named {
             identified += 1;
@@ -386,6 +361,15 @@ pub fn score_steps(truth: &GroundTruth, steps: &[StepObservation]) -> CellScore 
     }
 }
 
+/// Scores a finished, traced run of one (scenario × pipeline) cell.
+pub fn score_run(e: &Experiment, scenario: &ScenarioSpec, pipeline: PipelineSpec) -> CellScore {
+    let truth = GroundTruth::from_experiment(e);
+    let mut score = score_steps(&truth, e.decision_trace().expect("trace enabled"));
+    score.pipeline = pipeline.name();
+    score.scenario = scenario.name.to_string();
+    score
+}
+
 /// Runs one (scenario × pipeline) cell and scores it.
 pub fn run_cell(scenario: &ScenarioSpec, pipeline: PipelineSpec) -> CellScore {
     let mut cfg = (scenario.build)();
@@ -393,12 +377,7 @@ pub fn run_cell(scenario: &ScenarioSpec, pipeline: PipelineSpec) -> CellScore {
     let mut e = Experiment::build(cfg);
     e.enable_decision_trace();
     e.run();
-    let truth = GroundTruth::from_experiment(&e);
-    let steps = parse_trace(&e.decision_trace().expect("trace enabled").canonical());
-    let mut score = score_steps(&truth, &steps);
-    score.pipeline = pipeline.name();
-    score.scenario = scenario.name.to_string();
-    score
+    score_run(&e, scenario, pipeline)
 }
 
 /// Runs the full matrix — every pipeline over every scenario — in parallel
@@ -546,10 +525,27 @@ pub fn gate(rows: &[CellScore]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfcloud_host::VmId;
+    use perfcloud_cluster::labels::TruthEntry;
+    use perfcloud_core::{ContentionSignal, StepReport};
 
-    fn step(t: f64, server: usize) -> StepObservation {
-        StepObservation { t, server, decided: true, ..Default::default() }
+    /// A step that decided: a signal with the given verdicts.
+    fn step(io_contended: bool) -> StepReport {
+        let signal = ContentionSignal {
+            io_deviation: None,
+            cpi_deviation: None,
+            io_contended,
+            cpu_contended: false,
+        };
+        StepReport { signal: Some(signal), ..StepReport::default() }
+    }
+
+    /// A trace of one step per `(seconds, server, report)`.
+    fn trace_of(steps: impl IntoIterator<Item = (u64, usize, StepReport)>) -> DecisionTrace {
+        let mut trace = DecisionTrace::new();
+        for (t, server, report) in steps {
+            trace.record(SimTime::from_secs(t), server, &report);
+        }
+        trace
     }
 
     fn truth_one(resource: Resource, from: f64, until: Option<f64>) -> GroundTruth {
@@ -572,18 +568,16 @@ mod tests {
     #[test]
     fn micro_ideal_pipeline_scores_perfectly() {
         let truth = truth_one(Resource::Io, 15.0, Some(165.0));
-        let steps: Vec<StepObservation> = (1..=40)
-            .map(|k| {
-                let t = 5.0 * k as f64;
-                let mut s = step(t, 0);
-                if (15.0..=165.0).contains(&t) {
-                    s.io_contended = true;
-                    s.io_antagonists = vec![10];
-                    s.io_caps = vec![(10, 0.5)];
-                }
-                s
-            })
-            .collect();
+        let steps = trace_of((1..=40).map(|k| {
+            let t = 5 * k;
+            let active = (15..=165).contains(&t);
+            let mut s = step(active);
+            if active {
+                s.io_antagonists = vec![VmId(10)];
+                s.io_caps = vec![(VmId(10), 0.5)];
+            }
+            (t, 0, s)
+        }));
         let score = score_steps(&truth, &steps);
         assert_eq!(score.precision, 1.0);
         assert_eq!(score.recall, 1.0);
@@ -604,15 +598,10 @@ mod tests {
     #[test]
     fn micro_late_noisy_detector_scores_exactly() {
         let truth = truth_one(Resource::Io, 15.0, Some(165.0));
-        let mut steps = Vec::new();
-        for k in 1..=100 {
-            let t = 5.0 * k as f64;
-            let mut s = step(t, 0);
-            if (35.0..=180.0).contains(&t) || (400.0..=440.0).contains(&t) {
-                s.io_contended = true;
-            }
-            steps.push(s);
-        }
+        let steps = trace_of((1..=100).map(|k| {
+            let t = 5 * k;
+            (t, 0, step((35..=180).contains(&t) || (400..=440).contains(&t)))
+        }));
         let score = score_steps(&truth, &steps);
         let true_flags = ((180.0f64 - 35.0) / 5.0) as u64 + 1; // 30
         assert_eq!(true_flags, 30);
@@ -632,20 +621,16 @@ mod tests {
     #[test]
     fn micro_false_throttler_scores_exactly() {
         let truth = truth_one(Resource::Io, 15.0, None);
-        let steps: Vec<StepObservation> = (3..=32)
-            .map(|k| {
-                let t = 5.0 * k as f64;
-                let mut s = step(t, 0);
-                s.io_contended = true;
-                s.io_antagonists = vec![10];
-                s.io_caps = vec![(10, 0.4)];
-                if k % 2 == 0 {
-                    s.io_antagonists.push(11);
-                    s.io_caps.push((11, 0.4));
-                }
-                s
-            })
-            .collect();
+        let steps = trace_of((3..=32).map(|k| {
+            let mut s = step(true);
+            s.io_antagonists = vec![VmId(10)];
+            s.io_caps = vec![(VmId(10), 0.4)];
+            if k % 2 == 0 {
+                s.io_antagonists.push(VmId(11));
+                s.io_caps.push((VmId(11), 0.4));
+            }
+            (5 * k, 0, s)
+        }));
         let score = score_steps(&truth, &steps);
         // 30 steps name VM 10 (all true), 15 also name VM 11 (all false):
         // precision 30/45 = 2/3.
@@ -661,7 +646,7 @@ mod tests {
     #[test]
     fn undetected_event_yields_sentinel_ttd_and_zero_recall() {
         let truth = truth_one(Resource::Io, 15.0, Some(165.0));
-        let steps: Vec<StepObservation> = (1..=40).map(|k| step(5.0 * k as f64, 0)).collect();
+        let steps = trace_of((1..=40).map(|k| (5 * k, 0, step(false))));
         let score = score_steps(&truth, &steps);
         assert_eq!(score.detect_recall, 0.0);
         assert_eq!(score.detect_f1, 0.0);
@@ -673,15 +658,11 @@ mod tests {
         let truth = truth_one(Resource::Io, 15.0, Some(165.0));
         // Flags on the right times but wrong server; names on the wrong
         // resource.
-        let steps: Vec<StepObservation> = (4..=20)
-            .map(|k| {
-                let t = 5.0 * k as f64;
-                let mut s = step(t, 1);
-                s.io_contended = true;
-                s.cpu_antagonists = vec![10];
-                s
-            })
-            .collect();
+        let steps = trace_of((4..=20).map(|k| {
+            let mut s = step(true);
+            s.cpu_antagonists = vec![VmId(10)];
+            (5 * k, 1, s)
+        }));
         let score = score_steps(&truth, &steps);
         assert_eq!(score.detect_precision, 0.0);
         assert_eq!(score.detect_recall, 0.0);

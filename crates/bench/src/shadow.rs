@@ -18,9 +18,8 @@
 //! scoreboard must be byte-identical to the live one — which `--check`
 //! then pins against the committed `accuracy_scoreboard.trace` golden.
 
-use crate::accuracy::{score_steps, CellScore, ScenarioSpec};
+use crate::accuracy::{score_run, CellScore, ScenarioSpec};
 use crate::sweep;
-use perfcloud_cluster::labels::{parse_trace, GroundTruth};
 use perfcloud_cluster::Experiment;
 use perfcloud_core::PipelineSpec;
 use perfcloud_telemetry::{RecordingFormat, TelemetryReader};
@@ -47,15 +46,6 @@ impl ShadowCell {
     }
 }
 
-fn score(e: &Experiment, scenario: &ScenarioSpec, pipeline: PipelineSpec) -> CellScore {
-    let truth = GroundTruth::from_experiment(e);
-    let steps = parse_trace(&e.decision_trace().expect("trace enabled").canonical());
-    let mut s = score_steps(&truth, &steps);
-    s.pipeline = pipeline.name();
-    s.scenario = scenario.name.to_string();
-    s
-}
-
 /// Runs one (scenario × pipeline) cell in shadow mode: live run with a
 /// binary tee, then a replay of the serialized recording through a fresh
 /// build of the same cell.
@@ -66,7 +56,7 @@ pub fn run_shadow_cell(scenario: &ScenarioSpec, pipeline: PipelineSpec) -> Shado
     let mut live_e = Experiment::build(cfg);
     live_e.enable_decision_trace();
     live_e.run();
-    let live = score(&live_e, scenario, pipeline);
+    let live = score_run(&live_e, scenario, pipeline);
     let bytes = live_e.take_recording().expect("tee armed");
     let recording = TelemetryReader::parse(&bytes).expect("own recording parses");
     let samples = recording.samples.len();
@@ -77,7 +67,7 @@ pub fn run_shadow_cell(scenario: &ScenarioSpec, pipeline: PipelineSpec) -> Shado
     let mut replay_e = Experiment::build(cfg);
     replay_e.enable_decision_trace();
     replay_e.run();
-    let replayed = score(&replay_e, scenario, pipeline);
+    let replayed = score_run(&replay_e, scenario, pipeline);
 
     ShadowCell { live, replayed, samples, bytes: bytes.len() }
 }

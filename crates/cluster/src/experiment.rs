@@ -775,8 +775,8 @@ impl Experiment {
         }
 
         if let Some(trace) = self.trace.as_mut() {
-            for (at, text) in self.plane.drain_events() {
-                trace.record_ctrl(at, &text);
+            for (at, event) in self.plane.drain_events() {
+                trace.record_ctrl(at, &event);
             }
         } else {
             self.plane.drain_events();

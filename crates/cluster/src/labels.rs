@@ -1,12 +1,11 @@
-//! Ground-truth labels and decision-trace observations for accuracy scoring.
+//! Ground-truth labels for accuracy scoring.
 //!
 //! Antagonists and faults are *injected*, so the true answer to every
 //! question a pipeline faces — which server was contended, on which
 //! resource, by which VM, over which interval — is known exactly. This
 //! module derives those labels from an experiment's antagonist placements
-//! ([`GroundTruth`]) and parses the canonical [`DecisionTrace`] lines back
-//! into structured per-step observations ([`StepObservation`]), giving the
-//! accuracy harness in `perfcloud-bench` both sides of the comparison.
+//! ([`GroundTruth`]); the accuracy harness in `perfcloud-bench` scores the
+//! typed step rows of the run's [`DecisionTrace`] against them.
 //!
 //! [`DecisionTrace`]: crate::trace::DecisionTrace
 
@@ -50,9 +49,10 @@ pub struct TruthEntry {
 }
 
 impl TruthEntry {
-    /// Whether the antagonist was active at `t` (seconds).
-    pub fn active_at(&self, t: f64) -> bool {
-        t >= self.active_from && self.active_until.is_none_or(|end| t <= end)
+    /// Whether the antagonist was active at `t` (seconds), counting `grace`
+    /// seconds past its end as still active.
+    pub fn active_at(&self, t: f64, grace: f64) -> bool {
+        t >= self.active_from && self.active_until.is_none_or(|end| t <= end + grace)
     }
 }
 
@@ -88,133 +88,31 @@ impl GroundTruth {
     }
 
     /// Whether `vm` is a true antagonist for `resource` at time `t` on
-    /// `server`.
-    pub fn is_culprit(&self, server: usize, vm: u64, resource: Resource, t: f64) -> bool {
+    /// `server`, within `grace` seconds of its end.
+    pub fn is_culprit(
+        &self,
+        server: usize,
+        vm: VmId,
+        resource: Resource,
+        t: f64,
+        grace: f64,
+    ) -> bool {
         self.entries.iter().any(|e| {
-            u64::from(e.vm.0) == vm
+            e.vm == vm
                 && e.server == server
                 && e.resource == Some(resource)
-                && e.active_at(t)
+                && e.active_at(t, grace)
         })
     }
 
     /// Whether *any* antagonist truly contends `resource` on `server` at
-    /// time `t` — the detection-level truth.
-    pub fn server_contended(&self, server: usize, resource: Resource, t: f64) -> bool {
+    /// time `t`, within `grace` seconds of its end — the detection-level
+    /// truth.
+    pub fn server_contended(&self, server: usize, resource: Resource, t: f64, grace: f64) -> bool {
         self.entries
             .iter()
-            .any(|e| e.server == server && e.resource == Some(resource) && e.active_at(t))
+            .any(|e| e.server == server && e.resource == Some(resource) && e.active_at(t, grace))
     }
-}
-
-/// One decision-trace line parsed back into structure. `ctrl` lines (control
-/// plane events) are not step observations and parse to `None`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StepObservation {
-    /// Simulated time of the step, seconds.
-    pub t: f64,
-    /// Server index the report came from.
-    pub server: usize,
-    /// Whether the manager made a decision this step (idle, stalled, and
-    /// placement-refused steps record no signal).
-    pub decided: bool,
-    /// The detector's I/O verdict.
-    pub io_contended: bool,
-    /// The detector's processor verdict.
-    pub cpu_contended: bool,
-    /// VMs identified as I/O antagonists.
-    pub io_antagonists: Vec<u64>,
-    /// VMs identified as processor antagonists.
-    pub cpu_antagonists: Vec<u64>,
-    /// Applied I/O caps (VM, normalized cap).
-    pub io_caps: Vec<(u64, f64)>,
-    /// Applied CPU caps (VM, normalized cap).
-    pub cpu_caps: Vec<(u64, f64)>,
-}
-
-impl StepObservation {
-    /// The identification list for `resource`.
-    pub fn antagonists(&self, resource: Resource) -> &[u64] {
-        match resource {
-            Resource::Io => &self.io_antagonists,
-            Resource::Cpu => &self.cpu_antagonists,
-        }
-    }
-
-    /// The applied caps for `resource`.
-    pub fn caps(&self, resource: Resource) -> &[(u64, f64)] {
-        match resource {
-            Resource::Io => &self.io_caps,
-            Resource::Cpu => &self.cpu_caps,
-        }
-    }
-
-    /// The detector verdict for `resource`.
-    pub fn contended(&self, resource: Resource) -> bool {
-        match resource {
-            Resource::Io => self.io_contended,
-            Resource::Cpu => self.cpu_contended,
-        }
-    }
-}
-
-fn field<'a>(token: &'a str, key: &str) -> Option<&'a str> {
-    token.strip_prefix(key)?.strip_prefix('=')
-}
-
-fn parse_vm_list(s: &str) -> Vec<u64> {
-    if s == "-" {
-        return Vec::new();
-    }
-    s.split(',').filter_map(|v| v.parse().ok()).collect()
-}
-
-fn parse_cap_list(s: &str) -> Vec<(u64, f64)> {
-    if s == "-" {
-        return Vec::new();
-    }
-    s.split(',')
-        .filter_map(|pair| {
-            let (vm, cap) = pair.split_once(':')?;
-            Some((vm.parse().ok()?, cap.parse().ok()?))
-        })
-        .collect()
-}
-
-/// Parses one canonical decision-trace line. Returns `None` for `ctrl`
-/// lines, comment (`#`) headers, and anything else that is not a step.
-pub fn parse_step_line(line: &str) -> Option<StepObservation> {
-    let mut tokens = line.split_ascii_whitespace();
-    let t = field(tokens.next()?, "t")?.parse().ok()?;
-    let second = tokens.next()?;
-    if second == "ctrl" {
-        return None;
-    }
-    let server = field(second, "s")?.parse().ok()?;
-    let mut obs = StepObservation { t, server, ..Default::default() };
-    for token in tokens {
-        if let Some(v) = field(token, "io") {
-            obs.decided = v != "-";
-            obs.io_contended = v == "1";
-        } else if let Some(v) = field(token, "cpu") {
-            obs.cpu_contended = v == "1";
-        } else if let Some(v) = field(token, "aio") {
-            obs.io_antagonists = parse_vm_list(v);
-        } else if let Some(v) = field(token, "acpu") {
-            obs.cpu_antagonists = parse_vm_list(v);
-        } else if let Some(v) = field(token, "cio") {
-            obs.io_caps = parse_cap_list(v);
-        } else if let Some(v) = field(token, "ccpu") {
-            obs.cpu_caps = parse_cap_list(v);
-        }
-    }
-    Some(obs)
-}
-
-/// Parses every step line of a canonical trace, skipping `ctrl` lines and
-/// `#` headers.
-pub fn parse_trace(canonical: &str) -> Vec<StepObservation> {
-    canonical.lines().filter_map(parse_step_line).collect()
 }
 
 #[cfg(test)]
@@ -240,41 +138,14 @@ mod tests {
             active_from: 15.0,
             active_until: Some(165.0),
         };
-        assert!(!e.active_at(10.0));
-        assert!(e.active_at(15.0));
-        assert!(e.active_at(165.0));
-        assert!(!e.active_at(170.0));
+        assert!(!e.active_at(10.0, 0.0));
+        assert!(e.active_at(15.0, 0.0));
+        assert!(e.active_at(165.0, 0.0));
+        assert!(!e.active_at(170.0, 0.0));
+        assert!(e.active_at(170.0, 5.0));
+        assert!(!e.active_at(10.0, 100.0), "grace extends the end, not the onset");
         let forever = TruthEntry { active_until: None, ..e };
-        assert!(forever.active_at(1.0e9));
-    }
-
-    #[test]
-    fn parses_idle_and_busy_lines() {
-        let idle = parse_step_line("t=5 s=0 dio=- dcpi=- io=- cpu=- aio=- acpu=- cio=- ccpu=- f=-")
-            .unwrap();
-        assert_eq!(idle.t, 5.0);
-        assert_eq!(idle.server, 0);
-        assert!(!idle.decided);
-        assert!(!idle.io_contended);
-
-        let busy = parse_step_line(
-            "t=10 s=3 dio=12.5 dcpi=- io=1 cpu=0 aio=10 acpu=- cio=10:0.2,11:0.5 ccpu=- f=R",
-        )
-        .unwrap();
-        assert_eq!(busy.server, 3);
-        assert!(busy.decided);
-        assert!(busy.io_contended);
-        assert!(!busy.cpu_contended);
-        assert_eq!(busy.io_antagonists, vec![10]);
-        assert_eq!(busy.io_caps, vec![(10, 0.2), (11, 0.5)]);
-    }
-
-    #[test]
-    fn ctrl_lines_and_headers_are_skipped() {
-        assert_eq!(parse_step_line("t=20 ctrl elected mgr=1"), None);
-        assert_eq!(parse_step_line("# jct=431.5"), None);
-        let trace = "# jct=1\nt=5 s=0 dio=- dcpi=- io=- cpu=- aio=- acpu=- cio=- ccpu=- f=-\nt=20 ctrl elected mgr=1\n";
-        assert_eq!(parse_trace(trace).len(), 1);
+        assert!(forever.active_at(1.0e9, 0.0));
     }
 
     #[test]
@@ -297,13 +168,13 @@ mod tests {
                 },
             ],
         };
-        assert!(truth.is_culprit(0, 10, Resource::Io, 20.0));
-        assert!(!truth.is_culprit(0, 10, Resource::Io, 10.0));
-        assert!(!truth.is_culprit(0, 10, Resource::Cpu, 20.0));
-        assert!(!truth.is_culprit(1, 10, Resource::Io, 20.0));
-        assert!(!truth.is_culprit(0, 11, Resource::Io, 20.0));
-        assert!(truth.server_contended(0, Resource::Io, 20.0));
-        assert!(!truth.server_contended(0, Resource::Cpu, 20.0));
+        assert!(truth.is_culprit(0, VmId(10), Resource::Io, 20.0, 0.0));
+        assert!(!truth.is_culprit(0, VmId(10), Resource::Io, 10.0, 0.0));
+        assert!(!truth.is_culprit(0, VmId(10), Resource::Cpu, 20.0, 0.0));
+        assert!(!truth.is_culprit(1, VmId(10), Resource::Io, 20.0, 0.0));
+        assert!(!truth.is_culprit(0, VmId(11), Resource::Io, 20.0, 0.0));
+        assert!(truth.server_contended(0, Resource::Io, 20.0, 0.0));
+        assert!(!truth.server_contended(0, Resource::Cpu, 20.0, 0.0));
         assert_eq!(truth.culprits().count(), 1);
     }
 }

@@ -30,9 +30,9 @@ pub mod trace;
 
 pub use antagonists::{AntagonistKind, AntagonistPlacement};
 pub use experiment::{Experiment, ExperimentConfig, ExperimentResult, Mitigation, TelemetrySpec};
-pub use labels::{parse_trace, GroundTruth, StepObservation, TruthEntry};
+pub use labels::{GroundTruth, TruthEntry};
 pub use metrics::{mean_efficiency, normalize_jcts, DegradationBreakdown};
 pub use mix::{MixConfig, WorkloadMix};
 pub use placement::PlacementRuntime;
 pub use topology::{ClusterSpec, Testbed};
-pub use trace::DecisionTrace;
+pub use trace::{DecisionTrace, StepView, TraceEntry};

@@ -18,8 +18,9 @@
 //! sampling interval, exactly like any other placement change.
 
 use perfcloud_core::{CloudManager, NodeManager};
-use perfcloud_ctrl::{ControlPlane, MigrationAnnouncement};
+use perfcloud_ctrl::ControlPlane;
 use perfcloud_host::{PhysicalServer, Priority, ServerId, VmId};
+use perfcloud_obs::FlightEvent;
 use perfcloud_place::{
     ActiveMigration, InterferenceHistory, MigrationCandidate, MigrationModel, PlacementConfig,
     PlacementCtx, PlacementPolicy, ServerLoad, UsageVector,
@@ -126,24 +127,25 @@ impl PlacementRuntime {
         let mut k = 0;
         while k < self.active.len() {
             let m = self.active[k].migration;
+            let (vm, from, to) = (u64::from(m.vm.0), m.from.0, m.to.0);
             if now >= m.done_at {
-                let vm = servers[m.from.0 as usize]
+                let moving = servers[m.from.0 as usize]
                     .extract_vm(m.vm)
                     .expect("migrating VM hosted on source");
-                servers[m.to.0 as usize].insert_vm(vm);
+                servers[m.to.0 as usize].insert_vm(moving);
                 servers[m.to.0 as usize].set_paused(m.vm, false);
                 cloud.migrate(m.vm, m.to);
                 // The VM's verdict history belonged to the old colocation;
                 // it must re-earn a penalty before it can be moved again.
                 self.history.forget(m.vm);
-                plane.announce_migration(now, m.vm, m.from, m.to, MigrationAnnouncement::Complete);
+                plane.announce_migration(now, FlightEvent::MigrationComplete { vm, from, to });
                 self.active.remove(k);
                 changed = true;
                 continue;
             }
             if now >= m.stop_at && !self.active[k].stopped {
                 servers[m.from.0 as usize].set_paused(m.vm, true);
-                plane.announce_migration(now, m.vm, m.from, m.to, MigrationAnnouncement::StopCopy);
+                plane.announce_migration(now, FlightEvent::MigrationStopCopy { vm, from, to });
                 self.active[k].stopped = true;
             }
             k += 1;
@@ -235,7 +237,8 @@ impl PlacementRuntime {
         debug_assert_eq!(source.priority(best.vm), Some(Priority::Low));
         let mem = source.vm_config(best.vm).expect("candidate hosted on source").memory_bytes;
         let migration = ActiveMigration::begin(best.vm, best.from, best.to, now, &self.model, mem);
-        plane.announce_migration(now, best.vm, best.from, best.to, MigrationAnnouncement::Start);
+        let (vm, from, to) = (u64::from(best.vm.0), best.from.0, best.to.0);
+        plane.announce_migration(now, FlightEvent::MigrationStart { vm, from, to });
         self.last_start.insert(best.vm, now);
         *self.starts.entry(best.vm).or_insert(0) += 1;
         self.active.push(Inflight { migration, stopped: false });

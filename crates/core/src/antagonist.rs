@@ -10,6 +10,7 @@
 
 use crate::config::PerfCloudConfig;
 use crate::monitor::{PerformanceMonitor, VmMetricKind};
+use crate::pipeline::Identifier;
 use perfcloud_host::VmId;
 use perfcloud_sim::SimTime;
 use perfcloud_stats::timeseries::align_tail;
@@ -74,26 +75,6 @@ impl AntagonistIdentifier {
         }
     }
 
-    /// Appends the victim's deviations observed at `now` and advances each
-    /// suspect's correlation window with its latest usage sample. Call once
-    /// per sampling interval, after `monitor.sample(now, …)`, so the
-    /// suspect series' freshest entries line up with the deviations.
-    pub fn observe(
-        &mut self,
-        now: SimTime,
-        io_dev: Option<f64>,
-        cpi_dev: Option<f64>,
-        monitor: &PerformanceMonitor,
-        suspects: &[VmId],
-    ) {
-        self.io_deviation.push(now, io_dev);
-        self.cpi_deviation.push(now, cpi_dev);
-        self.io_deviation.retain_last(self.window * 8);
-        self.cpi_deviation.retain_last(self.window * 8);
-        self.advance(Resource::Io, io_dev, monitor, suspects);
-        self.advance(Resource::Cpu, cpi_dev, monitor, suspects);
-    }
-
     fn advance(
         &mut self,
         resource: Resource,
@@ -140,16 +121,6 @@ impl AntagonistIdentifier {
         }
     }
 
-    /// Drops every deviation sample and correlation window, keeping buffer
-    /// capacity — the state a freshly constructed identifier has. Used by
-    /// the crash-restart path, where the agent process loses its memory.
-    pub fn reset(&mut self) {
-        self.io_deviation = TimeSeries::new();
-        self.cpi_deviation = TimeSeries::new();
-        self.io_windows.clear();
-        self.cpu_windows.clear();
-    }
-
     /// Number of live correlation windows for `resource` — one per suspect
     /// currently accumulating evidence. Bounded by the suspect set:
     /// [`observe`](Self::observe) evicts windows of departed suspects, so a
@@ -159,39 +130,6 @@ impl AntagonistIdentifier {
             Resource::Io => self.io_windows.len(),
             Resource::Cpu => self.cpu_windows.len(),
         }
-    }
-
-    /// The victim deviation series for `resource`.
-    pub fn deviation_series(&self, resource: Resource) -> &TimeSeries {
-        match resource {
-            Resource::Io => &self.io_deviation,
-            Resource::Cpu => &self.cpi_deviation,
-        }
-    }
-
-    /// Cross-correlation between the victim deviation and one suspect's
-    /// usage series, over the sliding window: the best Pearson coefficient
-    /// across victim-delay alignments `0..=corr_max_lag`, each requiring at
-    /// least `min_corr_samples` contributing pairs. `None` until enough
-    /// contributing samples exist (intervals where the victim was idle carry
-    /// no evidence about suspects) or when either series is constant.
-    ///
-    /// The lag scan matters at contention onset: the antagonist's usage
-    /// steps up a full sampling interval before the victim's EWMA-smoothed
-    /// deviation reflects it, so the same-interval alignment blends the
-    /// clean step with post-onset execution noise and can stay below the
-    /// threshold for the whole episode. Scanning small victim delays
-    /// recovers the step.
-    pub fn correlation(&self, suspect: VmId, resource: Resource) -> Option<f64> {
-        let windows = match resource {
-            Resource::Io => &self.io_windows,
-            Resource::Cpu => &self.cpu_windows,
-        };
-        let w = windows.get(&suspect)?;
-        if w.contributing() < self.min_samples {
-            return None;
-        }
-        w.correlation_lagged(self.max_lag, self.min_samples)
     }
 
     /// The suspects whose correlation meets the threshold.
@@ -208,6 +146,91 @@ impl AntagonistIdentifier {
         out.extend(suspects.iter().copied().filter(|&vm| {
             self.correlation(vm, resource).is_some_and(|r| r >= self.corr_threshold)
         }));
+    }
+}
+
+/// The paper's identifier is its own [`Identifier`]: the seam's methods are
+/// its implementation. `identify_into` thresholds [`correlation`] through
+/// the inherent form, which needs no monitor because `observe` already
+/// windowed the suspects' usage.
+///
+/// [`correlation`]: Identifier::correlation
+impl Identifier for AntagonistIdentifier {
+    /// Appends the victim's deviations observed at `now` and advances each
+    /// suspect's correlation window with its latest usage sample. Call once
+    /// per sampling interval, after `monitor.sample(now, …)`, so the
+    /// suspect series' freshest entries line up with the deviations.
+    fn observe(
+        &mut self,
+        now: SimTime,
+        io_dev: Option<f64>,
+        cpi_dev: Option<f64>,
+        monitor: &PerformanceMonitor,
+        suspects: &[VmId],
+    ) {
+        self.io_deviation.push(now, io_dev);
+        self.cpi_deviation.push(now, cpi_dev);
+        self.io_deviation.retain_last(self.window * 8);
+        self.cpi_deviation.retain_last(self.window * 8);
+        self.advance(Resource::Io, io_dev, monitor, suspects);
+        self.advance(Resource::Cpu, cpi_dev, monitor, suspects);
+    }
+
+    fn identify_into(
+        &mut self,
+        suspects: &[VmId],
+        resource: Resource,
+        _monitor: &PerformanceMonitor,
+        out: &mut Vec<VmId>,
+    ) {
+        AntagonistIdentifier::identify_into(self, suspects, resource, out);
+    }
+
+    /// Cross-correlation between the victim deviation and one suspect's
+    /// usage series, over the sliding window: the best Pearson coefficient
+    /// across victim-delay alignments `0..=corr_max_lag`, each requiring at
+    /// least `min_corr_samples` contributing pairs. `None` until enough
+    /// contributing samples exist (intervals where the victim was idle carry
+    /// no evidence about suspects) or when either series is constant.
+    ///
+    /// The lag scan matters at contention onset: the antagonist's usage
+    /// steps up a full sampling interval before the victim's EWMA-smoothed
+    /// deviation reflects it, so the same-interval alignment blends the
+    /// clean step with post-onset execution noise and can stay below the
+    /// threshold for the whole episode. Scanning small victim delays
+    /// recovers the step.
+    fn correlation(&self, suspect: VmId, resource: Resource) -> Option<f64> {
+        let windows = match resource {
+            Resource::Io => &self.io_windows,
+            Resource::Cpu => &self.cpu_windows,
+        };
+        let w = windows.get(&suspect)?;
+        if w.contributing() < self.min_samples {
+            return None;
+        }
+        w.correlation_lagged(self.max_lag, self.min_samples)
+    }
+
+    /// The victim deviation series for `resource`.
+    fn deviation_series(&self, resource: Resource) -> &TimeSeries {
+        match resource {
+            Resource::Io => &self.io_deviation,
+            Resource::Cpu => &self.cpi_deviation,
+        }
+    }
+
+    /// Drops every deviation sample and correlation window, keeping buffer
+    /// capacity — the state a freshly constructed identifier has. Used by
+    /// the crash-restart path, where the agent process loses its memory.
+    fn reset(&mut self) {
+        self.io_deviation = TimeSeries::new();
+        self.cpi_deviation = TimeSeries::new();
+        self.io_windows.clear();
+        self.cpu_windows.clear();
+    }
+
+    fn name(&self) -> &'static str {
+        "paper"
     }
 }
 

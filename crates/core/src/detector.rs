@@ -8,7 +8,9 @@
 //! The deviation exceeding threshold ℋ (10 for the iowait ratio, 1 for CPI)
 //! *is* the contention signal `I(t)` of Eq. 1.
 
+use crate::config::PerfCloudConfig;
 use crate::monitor::{PerformanceMonitor, VmMetricKind};
+use crate::pipeline::Detector;
 use perfcloud_host::VmId;
 use perfcloud_stats::population_stddev_stable;
 
@@ -61,10 +63,37 @@ pub fn detect(
     }
 }
 
+/// The paper's detector behind the [`Detector`] seam: [`detect`] with the
+/// thresholds ℋ from the pipeline configuration.
+#[derive(Debug, Clone)]
+pub struct PaperDetector {
+    h_io: f64,
+    h_cpi: f64,
+}
+
+impl PaperDetector {
+    /// Creates the detector with the paper's thresholds from `config`.
+    pub fn new(config: &PerfCloudConfig) -> Self {
+        config.validate();
+        PaperDetector { h_io: config.h_io, h_cpi: config.h_cpi }
+    }
+}
+
+impl Detector for PaperDetector {
+    fn detect(&mut self, monitor: &PerformanceMonitor, app_vms: &[VmId]) -> ContentionSignal {
+        detect(monitor, app_vms, self.h_io, self.h_cpi)
+    }
+
+    fn reset(&mut self) {}
+
+    fn name(&self) -> &'static str {
+        "paper"
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PerfCloudConfig;
     use perfcloud_host::{PhysicalServer, ServerConfig, ServerId, VmConfig};
     use perfcloud_sim::{RngFactory, SimDuration, SimTime};
     use perfcloud_workloads::FioRandRead;

@@ -5,18 +5,19 @@
 //! lift both behind seams so the node manager can run alternatives over the
 //! *same* monitor, controller, and actuators — and the accuracy harness in
 //! `perfcloud-bench` can score every (detector × identifier) combination
-//! against injected ground truth. The [`paper`] implementations reproduce
-//! the inlined originals byte-for-byte (the golden-trace suite pins this);
+//! against injected ground truth. The paper's own pipeline implements the
+//! traits directly — [`PaperDetector`] calls [`crate::detector::detect`] and
+//! [`AntagonistIdentifier`] is its own [`Identifier`] — and reproduces the
+//! inlined originals byte-for-byte (the golden-trace suite pins this);
 //! [`panda`] and [`alioth`] are deterministic pure-Rust reconstructions of
 //! the noise-resilient alternatives from the related work.
 
 pub mod alioth;
 pub mod panda;
-pub mod paper;
 
-use crate::antagonist::Resource;
+use crate::antagonist::{AntagonistIdentifier, Resource};
 use crate::config::PerfCloudConfig;
-use crate::detector::ContentionSignal;
+use crate::detector::{ContentionSignal, PaperDetector};
 use crate::monitor::PerformanceMonitor;
 use perfcloud_host::VmId;
 use perfcloud_sim::SimTime;
@@ -190,7 +191,7 @@ impl PipelineSpec {
     /// Instantiates the detector with the pipeline configuration.
     pub fn build_detector(&self, config: &PerfCloudConfig) -> Box<dyn Detector> {
         match self.detector {
-            DetectorKind::Paper => Box::new(paper::PaperDetector::new(config)),
+            DetectorKind::Paper => Box::new(PaperDetector::new(config)),
             DetectorKind::Alioth => Box::new(alioth::AliothDetector::new(config)),
         }
     }
@@ -198,7 +199,7 @@ impl PipelineSpec {
     /// Instantiates the identifier with the pipeline configuration.
     pub fn build_identifier(&self, config: &PerfCloudConfig) -> Box<dyn Identifier> {
         match self.identifier {
-            IdentifierKind::Paper => Box::new(paper::PaperIdentifier::new(config)),
+            IdentifierKind::Paper => Box::new(AntagonistIdentifier::new(config)),
             IdentifierKind::Panda => Box::new(panda::PandaIdentifier::new(config)),
         }
     }

@@ -9,7 +9,9 @@
 //! *arbitrary* membership schedules and arbitrary garbage in both streams.
 
 use perfcloud_core::antagonist::Resource;
-use perfcloud_core::{AntagonistIdentifier, PerfCloudConfig, PerformanceMonitor, VmMetricKind};
+use perfcloud_core::{
+    AntagonistIdentifier, Identifier, PerfCloudConfig, PerformanceMonitor, VmMetricKind,
+};
 use perfcloud_host::VmId;
 use perfcloud_sim::{SimDuration, SimTime};
 use perfcloud_stats::pearson::pearson_victim_aware_lagged;

@@ -1,10 +1,10 @@
 //! The pipeline seam must be invisible for the paper configuration.
 //!
 //! The [`Detector`]/[`Identifier`] traits lifted the paper's inlined
-//! detection and identification behind seams. The adapters in
-//! `pipeline::paper` must be *step-identical* to the pre-refactor code they
-//! wrap — the free function [`detector::detect`] and the concrete
-//! [`AntagonistIdentifier`] — for arbitrary telemetry, including the chaos
+//! detection and identification behind seams. The `DetectorKind::Paper` and
+//! `IdentifierKind::Paper` trait objects must be *step-identical* to the
+//! direct calls — the free function [`detector::detect`] and the concrete
+//! [`AntagonistIdentifier`]'s inherent methods — for arbitrary telemetry, including the chaos
 //! layer's garbage (missing samples, NaN/±inf, suspect churn). The golden
 //! suite pins this end-to-end at the experiment level; these properties pin
 //! it at the per-step level where a divergence would originate.
@@ -15,9 +15,11 @@
 
 use perfcloud_core::antagonist::Resource;
 use perfcloud_core::detector;
-use perfcloud_core::pipeline::paper::{PaperDetector, PaperIdentifier};
 use perfcloud_core::pipeline::{Detector, Identifier};
-use perfcloud_core::{AntagonistIdentifier, PerfCloudConfig, PerformanceMonitor, VmMetricKind};
+use perfcloud_core::{
+    AntagonistIdentifier, DetectorKind, IdentifierKind, PerfCloudConfig, PerformanceMonitor,
+    PipelineSpec, VmMetricKind,
+};
 use perfcloud_host::VmId;
 use perfcloud_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -58,7 +60,7 @@ fn push_interval(mon: &mut PerformanceMonitor, now: SimTime, vms: &[VmId], slots
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `PaperDetector` (behind the trait) and the pre-seam free function
+    /// The `DetectorKind::Paper` trait object and the pre-seam free function
     /// agree exactly — same deviations, same verdicts — on arbitrary
     /// monitor states.
     #[test]
@@ -71,7 +73,8 @@ proptest! {
         let cfg = PerfCloudConfig::default();
         let vms: Vec<VmId> = (0..4).map(VmId).collect();
         let mut mon = PerformanceMonitor::new(&cfg);
-        let mut adapter = PaperDetector::new(&cfg);
+        let spec = PipelineSpec { detector: DetectorKind::Paper, ..PipelineSpec::default() };
+        let mut adapter = spec.build_detector(&cfg);
         let mut now = SimTime::ZERO;
         for slots in &intervals {
             now = now.saturating_add(SimDuration::from_secs(5.0));
@@ -85,8 +88,8 @@ proptest! {
         }
     }
 
-    /// `PaperIdentifier` (behind the trait) and the concrete
-    /// `AntagonistIdentifier` agree exactly — same correlations, same
+    /// The `IdentifierKind::Paper` trait object and the concrete
+    /// `AntagonistIdentifier`'s inherent methods agree exactly — same correlations, same
     /// identified sets, same deviation series — under fuzzed deviations,
     /// usage garbage, and suspect churn.
     #[test]
@@ -100,7 +103,8 @@ proptest! {
         let cfg = PerfCloudConfig { min_corr_samples: 2, ..Default::default() };
         let all: [VmId; 2] = [VmId(10), VmId(11)];
         let mut mon = PerformanceMonitor::new(&cfg);
-        let mut adapter = PaperIdentifier::new(&cfg);
+        let spec = PipelineSpec { identifier: IdentifierKind::Paper, ..PipelineSpec::default() };
+        let mut adapter = spec.build_identifier(&cfg);
         let mut concrete = AntagonistIdentifier::new(&cfg);
         let mut now = SimTime::ZERO;
         let mut out_a = Vec::new();

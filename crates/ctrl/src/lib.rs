@@ -31,5 +31,5 @@ pub mod proto;
 
 pub use election::{ElectionConfig, Replica, Role};
 pub use net::{DropReason, LinkSpec, NetStats, Partition, SendOutcome, SimNet};
-pub use plane::{ControlPlane, ControlPlaneSpec, MigrationAnnouncement};
+pub use plane::{ControlPlane, ControlPlaneSpec};
 pub use proto::{Message, NodeId, Payload, Term, SERVER_BASE};

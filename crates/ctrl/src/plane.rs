@@ -32,7 +32,7 @@ use crate::election::{ElectionConfig, Replica, Role};
 use crate::net::{LinkSpec, NetStats, Partition, SimNet};
 use crate::proto::{Message, NodeId, Payload, Term};
 use perfcloud_core::{CloudManager, NodeManager, Placement, PlacementApplyOutcome, PlacementEpoch};
-use perfcloud_host::{ServerId, VmId};
+use perfcloud_host::ServerId;
 use perfcloud_obs::{FlightEvent, FlightRecorder};
 use perfcloud_sim::faults::{FaultKind, FaultScenario};
 use perfcloud_sim::{FaultInjector, SimDuration, SimTime};
@@ -54,7 +54,9 @@ pub struct ControlPlaneSpec {
     pub priorities: Vec<u64>,
     /// Named partition windows.
     pub partitions: Vec<Partition>,
-    /// Emit control-plane trace events (elections, publishes, rejects).
+    /// Queue control-plane decisions (elections, publishes that could not
+    /// reach every server, rejects, replica outages, reconciliations) for
+    /// the decision trace. Migrations are queued regardless.
     pub trace_events: bool,
 }
 
@@ -71,18 +73,6 @@ impl Default for ControlPlaneSpec {
             trace_events: false,
         }
     }
-}
-
-/// Phase transition of a live migration, announced through the plane by
-/// the experiment driver (see [`ControlPlane::announce_migration`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationAnnouncement {
-    /// Pre-copy began: memory streams while the VM keeps running.
-    Start,
-    /// The VM froze for the final dirty-set copy.
-    StopCopy,
-    /// The VM resumed on the destination.
-    Complete,
 }
 
 /// Per-server endpoint bookkeeping.
@@ -108,11 +98,12 @@ pub struct ControlPlane {
     stalled_until: Vec<Option<SimTime>>,
     /// Placement-link-down windows per server (the old desync windows).
     link_down_until: Vec<Option<SimTime>>,
-    events: Vec<(SimTime, String)>,
+    /// Decisions queued for the decision trace (see [`Self::emit`]).
+    events: Vec<(SimTime, FlightEvent)>,
     inbox: Vec<(SimTime, Message)>,
     outbox: Vec<(NodeId, Payload)>,
-    /// Optional flight recorder for coordination events (elections,
-    /// epoch publish/reject, replica up/down). Pure observation.
+    /// Optional flight recorder for every control-plane decision (see
+    /// [`Self::emit`]). Pure observation.
     flight: Option<FlightRecorder>,
 }
 
@@ -182,13 +173,6 @@ impl ControlPlane {
         self.net.flight()
     }
 
-    #[inline]
-    fn flight_record(&mut self, now: SimTime, event: FlightEvent) {
-        if let Some(fl) = self.flight.as_mut() {
-            fl.record(now.as_micros(), event);
-        }
-    }
-
     /// The bound spec.
     pub fn spec(&self) -> &ControlPlaneSpec {
         &self.spec
@@ -245,45 +229,37 @@ impl ControlPlane {
         self.link_down_until[server].is_some_and(|until| now < until)
     }
 
-    /// Drains accumulated trace events (time-ordered).
-    pub fn drain_events(&mut self) -> std::vec::Drain<'_, (SimTime, String)> {
+    /// Drains the decisions queued for the decision trace (time-ordered).
+    pub fn drain_events(&mut self) -> std::vec::Drain<'_, (SimTime, FlightEvent)> {
         self.events.drain(..)
     }
 
-    fn event(&mut self, now: SimTime, make: impl FnOnce() -> String) {
-        if self.spec.trace_events {
-            self.events.push((now, make()));
+    /// The single sink for every control-plane decision. The event goes to
+    /// the flight recorder when one is attached, and onto the decision-trace
+    /// queue when `trace_events` is set — publishes only when some server
+    /// was cut off. Migrations are mitigation actions, on par with throttle
+    /// commands, so they are queued regardless of `trace_events`; they only
+    /// occur when a placement runtime drives the experiment.
+    fn emit(&mut self, now: SimTime, event: FlightEvent) {
+        if let Some(fl) = self.flight.as_mut() {
+            fl.record(now.as_micros(), event);
+        }
+        let traced = match event {
+            FlightEvent::MigrationStart { .. }
+            | FlightEvent::MigrationStopCopy { .. }
+            | FlightEvent::MigrationComplete { .. } => true,
+            FlightEvent::EpochPublished { cut, .. } => self.spec.trace_events && cut > 0,
+            _ => self.spec.trace_events,
+        };
+        if traced {
+            self.events.push((now, event));
         }
     }
 
-    /// Announces a live-migration phase transition through the plane: the
-    /// line lands in the decision trace and, when a flight recorder is
-    /// attached, the matching [`FlightEvent`] is captured. Unlike the
-    /// plane's own chatter this is *not* gated on `trace_events` —
-    /// migrations are mitigation actions, on par with throttle commands,
-    /// and only occur when a placement runtime drives the experiment.
-    pub fn announce_migration(
-        &mut self,
-        now: SimTime,
-        vm: VmId,
-        from: ServerId,
-        to: ServerId,
-        phase: MigrationAnnouncement,
-    ) {
-        let (word, event) = match phase {
-            MigrationAnnouncement::Start => {
-                ("start", FlightEvent::MigrationStart { vm: vm.0 as u64, from: from.0, to: to.0 })
-            }
-            MigrationAnnouncement::StopCopy => (
-                "stopcopy",
-                FlightEvent::MigrationStopCopy { vm: vm.0 as u64, from: from.0, to: to.0 },
-            ),
-            MigrationAnnouncement::Complete => {
-                ("done", FlightEvent::MigrationComplete { vm: vm.0 as u64, from: from.0, to: to.0 })
-            }
-        };
-        self.events.push((now, format!("migrate-{word} vm{} s{}->s{}", vm.0, from.0, to.0)));
-        self.flight_record(now, event);
+    /// Announces a live-migration phase transition — one of the
+    /// `FlightEvent::Migration*` variants — through the plane.
+    pub fn announce_migration(&mut self, now: SimTime, event: FlightEvent) {
+        self.emit(now, event);
     }
 
     /// Re-evaluates `DownReplica` windows; a heal restarts the replica with
@@ -298,13 +274,12 @@ impl ControlPlane {
                 continue;
             }
             self.down[k] = is_down;
+            let replica = k as u32;
             if is_down {
-                self.event(now, || format!("down m{k}"));
-                self.flight_record(now, FlightEvent::ReplicaDown { replica: k as u32 });
+                self.emit(now, FlightEvent::ReplicaDown { replica });
             } else {
                 self.replicas[k].on_restart(now);
-                self.event(now, || format!("up m{k}"));
-                self.flight_record(now, FlightEvent::ReplicaUp { replica: k as u32 });
+                self.emit(now, FlightEvent::ReplicaUp { replica });
             }
         }
     }
@@ -369,12 +344,15 @@ impl ControlPlane {
                     crate::net::SendOutcome::Dropped(_) => cut += 1,
                 }
             }
-            if cut > 0 {
-                self.event(now, || format!("pub m{k} e={term}:{} ok={sent} cut={cut}", epoch.seq));
-            }
-            self.flight_record(
+            self.emit(
                 now,
-                FlightEvent::EpochPublished { replica: k as u32, term: epoch.term, seq: epoch.seq },
+                FlightEvent::EpochPublished {
+                    replica: k as u32,
+                    term: epoch.term,
+                    seq: epoch.seq,
+                    ok: sent,
+                    cut,
+                },
             );
         }
     }
@@ -429,32 +407,22 @@ impl ControlPlane {
         if before == after {
             return;
         }
-        match after.0 {
+        let replica = k as u32;
+        let event = match after.0 {
             Role::Candidate { round, .. } if !matches!(before.0, Role::Candidate { .. }) => {
-                self.event(now, || format!("elect m{k} r={round}"));
-                self.flight_record(
-                    now,
-                    FlightEvent::Election { replica: k as u32, round: round as u64 },
-                );
+                FlightEvent::Election { replica, round: round as u64 }
             }
             Role::Coordinator if before.0 != Role::Coordinator => {
                 let term = after.1.expect("coordinator always has a term");
-                self.event(now, || format!("coord m{k} t={term}"));
-                self.flight_record(
-                    now,
-                    FlightEvent::Coordinator { replica: k as u32, term: term.as_u64() },
-                );
+                FlightEvent::Coordinator { replica, term: term.as_u64() }
             }
             Role::Follower if before.0 == Role::Coordinator => {
                 let term = after.1.expect("a stepped-down coordinator knows the newer term");
-                self.event(now, || format!("stepdown m{k} t={term}"));
-                self.flight_record(
-                    now,
-                    FlightEvent::Stepdown { replica: k as u32, term: term.as_u64() },
-                );
+                FlightEvent::Stepdown { replica, term: term.as_u64() }
             }
-            _ => {}
-        }
+            _ => return,
+        };
+        self.emit(now, event);
     }
 
     fn dispatch(
@@ -477,11 +445,15 @@ impl ControlPlane {
                 let outcome = nms[i].apply_placement(at, *epoch, view);
                 if outcome == PlacementApplyOutcome::RejectedStaleEpoch {
                     let have = nms[i].last_epoch().expect("rejection implies an applied epoch");
-                    self.event(now, || format!("reject s{i} e={epoch} have={have}"));
-                    let (term, seq) = (epoch.term, epoch.seq);
-                    self.flight_record(
+                    self.emit(
                         now,
-                        FlightEvent::EpochRejected { server: i as u32, term, seq },
+                        FlightEvent::EpochRejected {
+                            server: i as u32,
+                            term: epoch.term,
+                            seq: epoch.seq,
+                            have_term: have.term,
+                            have_seq: have.seq,
+                        },
                     );
                 }
                 // Ack with the endpoint's authoritative epoch either way:
@@ -536,7 +508,7 @@ impl ControlPlane {
         if e.term == my.as_u64() {
             if e.seq > self.replicas[k].seq {
                 self.replicas[k].seq = e.seq;
-                self.event(now, || format!("reconcile m{k} seq={}", e.seq));
+                self.emit(now, FlightEvent::Reconcile { replica: k as u32, seq: e.seq });
             }
         } else if e.term > my.as_u64() {
             let newer = Term { round: (e.term >> 32) as u32, owner: (e.term & 0xffff_ffff) as u32 };
@@ -595,32 +567,128 @@ mod tests {
         let mut p = plane(ControlPlaneSpec::default(), FaultScenario::default(), 2);
         p.attach_flight(16);
         let t0 = SimTime::from_secs(10);
-        p.announce_migration(t0, VmId(3), ServerId(0), ServerId(1), MigrationAnnouncement::Start);
-        p.announce_migration(
-            t0 + SimDuration::from_secs(8.0),
-            VmId(3),
-            ServerId(0),
-            ServerId(1),
-            MigrationAnnouncement::StopCopy,
-        );
-        p.announce_migration(
-            t0 + SimDuration::from_secs(9.0),
-            VmId(3),
-            ServerId(0),
-            ServerId(1),
-            MigrationAnnouncement::Complete,
-        );
-        let events: Vec<(SimTime, String)> = p.drain_events().collect();
-        assert_eq!(
-            events.iter().map(|(_, s)| s.as_str()).collect::<Vec<_>>(),
-            ["migrate-start vm3 s0->s1", "migrate-stopcopy vm3 s0->s1", "migrate-done vm3 s0->s1"],
-        );
+        let phases = [
+            (t0, FlightEvent::MigrationStart { vm: 3, from: 0, to: 1 }),
+            (
+                t0 + SimDuration::from_secs(8.0),
+                FlightEvent::MigrationStopCopy { vm: 3, from: 0, to: 1 },
+            ),
+            (
+                t0 + SimDuration::from_secs(9.0),
+                FlightEvent::MigrationComplete { vm: 3, from: 0, to: 1 },
+            ),
+        ];
+        for (at, event) in phases {
+            p.announce_migration(at, event);
+        }
+        let events: Vec<(SimTime, FlightEvent)> = p.drain_events().collect();
+        assert_eq!(events, phases);
         let flight = p.flight().expect("recorder attached");
-        let rendered: Vec<String> = flight.iter().map(|e| e.event.to_string()).collect();
-        assert_eq!(
-            rendered,
-            ["migrate-start vm3 s0->s1", "migrate-stopcopy vm3 s0->s1", "migrate-done vm3 s0->s1"],
+        let recorded: Vec<(u64, FlightEvent)> = flight.iter().map(|r| (r.t, r.event)).collect();
+        assert_eq!(recorded, phases.map(|(at, e)| (at.as_micros(), e)));
+    }
+
+    /// Every control-plane decision renders exactly as the plane's
+    /// hand-written trace strings did before the events became the only
+    /// vocabulary. Each expected string is the old `format!` call, applied
+    /// to the same values; terms with a nonzero owner and a round past
+    /// `u32::MAX / 2` check the `round/owner` unpacking.
+    #[test]
+    fn ctrl_events_render_the_legacy_trace_text() {
+        let (k, i) = (2usize, 5usize);
+        let round = 3_000_000_000u32;
+        let term = Term { round, owner: 2 };
+        let newer = Term { round: u32::MAX, owner: 1 };
+        let epoch = PlacementEpoch { term: term.as_u64(), seq: 7 };
+        let have = PlacementEpoch { term: newer.as_u64(), seq: 12_345 };
+        let e = PlacementEpoch { term: term.as_u64(), seq: 9 };
+        let (sent, cut) = (3u32, 1u32);
+        let (vm, from, to) = (VmId(10), ServerId(0), ServerId(1));
+        let m = |word: &str| format!("migrate-{word} vm{} s{}->s{}", vm.0, from.0, to.0);
+        let replica = k as u32;
+        let cases = [
+            (FlightEvent::ReplicaDown { replica }, format!("down m{k}")),
+            (FlightEvent::ReplicaUp { replica }, format!("up m{k}")),
+            (
+                FlightEvent::Election { replica, round: round as u64 },
+                format!("elect m{k} r={round}"),
+            ),
+            (
+                FlightEvent::Coordinator { replica, term: term.as_u64() },
+                format!("coord m{k} t={term}"),
+            ),
+            (
+                FlightEvent::Stepdown { replica, term: newer.as_u64() },
+                format!("stepdown m{k} t={newer}"),
+            ),
+            (
+                FlightEvent::EpochPublished {
+                    replica,
+                    term: epoch.term,
+                    seq: epoch.seq,
+                    ok: sent,
+                    cut,
+                },
+                format!("pub m{k} e={term}:{} ok={sent} cut={cut}", epoch.seq),
+            ),
+            (
+                FlightEvent::EpochRejected {
+                    server: i as u32,
+                    term: epoch.term,
+                    seq: epoch.seq,
+                    have_term: have.term,
+                    have_seq: have.seq,
+                },
+                format!("reject s{i} e={epoch} have={have}"),
+            ),
+            (
+                FlightEvent::Reconcile { replica, seq: e.seq },
+                format!("reconcile m{k} seq={}", e.seq),
+            ),
+            (FlightEvent::MigrationStart { vm: 10, from: 0, to: 1 }, m("start")),
+            (FlightEvent::MigrationStopCopy { vm: 10, from: 0, to: 1 }, m("stopcopy")),
+            (FlightEvent::MigrationComplete { vm: 10, from: 0, to: 1 }, m("done")),
+        ];
+        for (event, legacy) in cases {
+            assert_eq!(event.to_string(), legacy);
+        }
+        // The values the goldens carry, spelled out.
+        let golden = FlightEvent::EpochRejected {
+            server: 0,
+            term: Term { round: 1, owner: 0 }.as_u64(),
+            seq: 1,
+            have_term: Term { round: 2, owner: 1 }.as_u64(),
+            have_seq: 3,
+        };
+        assert_eq!(golden.to_string(), "reject s0 e=1/0.1 have=2/1.3");
+    }
+
+    #[test]
+    fn publishes_reach_the_trace_only_when_a_server_was_cut_off() {
+        let scenario = FaultScenario::named("desync-s1").rule(
+            FaultRule::new("desync-s1", FaultKind::DesyncPlacement { intervals: 1 })
+                .on_server(1)
+                .window(SimTime::from_secs(6), SimTime::from_secs(7)),
         );
+        let spec = ControlPlaneSpec { trace_events: true, ..ControlPlaneSpec::default() };
+        let cloud = cloud_with_vm();
+        let mut p = plane(spec, scenario, 2);
+        p.attach_flight(16);
+        let term = Term { round: 1, owner: 0 }.as_u64();
+        // Every server reachable: the publish is observed, not traced.
+        p.begin_interval(SimTime::from_secs(5), &cloud);
+        assert_eq!(p.drain_events().count(), 0);
+        // s1's placement link is down: the publish is traced.
+        p.begin_interval(SimTime::from_secs(6), &cloud);
+        let cut = FlightEvent::EpochPublished { replica: 0, term, seq: 2, ok: 1, cut: 1 };
+        assert_eq!(p.drain_events().collect::<Vec<_>>(), [(SimTime::from_secs(6), cut)]);
+        let recorded: Vec<FlightEvent> =
+            p.flight().expect("recorder attached").iter().map(|r| r.event).collect();
+        assert_eq!(
+            recorded,
+            [FlightEvent::EpochPublished { replica: 0, term, seq: 1, ok: 2, cut: 0 }, cut]
+        );
+        assert_eq!(recorded[0].to_string(), "pub m0 e=1/0:1 ok=2 cut=0");
     }
 
     #[test]
@@ -788,5 +856,52 @@ mod tests {
         // Messages to the downed replica are dropped at dispatch, not on the
         // link, so drops here only appear under partitions/faults — none.
         assert!(net.total_recorded() > 0);
+    }
+
+    #[test]
+    fn restarted_coordinator_reconciliation_is_recorded_and_traced() {
+        // A lone replica bounces: its volatile publish counter restarts at
+        // 1, the server rejects the stale publish, and the ack fast-forwards
+        // the counter. Both the rejection and the fast-forward must reach
+        // the flight ring and the trace queue.
+        let scenario = FaultScenario::named("restart").rule(
+            FaultRule::new("bounce-m0", FaultKind::DownReplica)
+                .on_server(0)
+                .window(SimTime::from_secs(12), SimTime::from_secs(23)),
+        );
+        let spec = ControlPlaneSpec {
+            link: LinkSpec {
+                latency: SimDuration::from_micros(300_000),
+                jitter: SimDuration::ZERO,
+            },
+            trace_events: true,
+            ..ControlPlaneSpec::default()
+        };
+        let mut cloud = cloud_with_vm();
+        let mut nms = agents(1);
+        let mut p = plane(spec, scenario, 1);
+        p.attach_flight(1024);
+        let mut traced = Vec::new();
+        let mut t = SimTime::ZERO;
+        while t <= SimTime::from_secs(40) {
+            if t.as_micros().is_multiple_of(SAMPLE.as_micros()) {
+                p.begin_interval(t, &cloud);
+            }
+            p.tick(t, &mut cloud, &mut nms);
+            traced.extend(p.drain_events().map(|(_, e)| e));
+            t = t.saturating_add(TICK);
+        }
+        let reconciled = |e: &FlightEvent| matches!(e, FlightEvent::Reconcile { replica: 0, .. });
+        let rejected =
+            |e: &FlightEvent| matches!(e, FlightEvent::EpochRejected { server: 0, seq: 1, .. });
+        let fl = p.flight().expect("plane recorder attached");
+        assert!(fl.iter().any(|r| rejected(&r.event)), "the stale publish must be rejected");
+        let Some(rec) = fl.iter().find(|r| reconciled(&r.event)) else {
+            panic!("the ack-driven fast-forward must be flight-recorded");
+        };
+        let FlightEvent::Reconcile { seq, .. } = rec.event else { unreachable!() };
+        assert!(seq > 1, "reconciliation adopts the applied sequence: {seq}");
+        assert!(traced.iter().any(reconciled));
+        assert!(traced.iter().any(rejected));
     }
 }

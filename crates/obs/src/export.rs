@@ -216,7 +216,7 @@ mod tests {
         assert!(json.contains("\"ph\":\"C\""));
         // Merge order: t=10 rank0 before t=10 rank1 before t=20 before t=30.
         let i_detect = json.find("detect-onset").unwrap();
-        let i_down = json.find("replica-down").unwrap();
+        let i_down = json.find("down m0").unwrap();
         let i_elect = json.find("elect m1").unwrap();
         let i_cap = json.find("cap s0 vm7").unwrap();
         assert!(i_detect < i_down && i_down < i_elect && i_elect < i_cap);

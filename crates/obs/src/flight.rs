@@ -97,6 +97,10 @@ impl fmt::Display for FaultClass {
 /// One flight-recorder event. `Copy`, fixed size, covering the four
 /// instrumented domains: node manager, telemetry collector, control plane,
 /// chaos.
+///
+/// The control-plane variants are also the control plane's only decision
+/// vocabulary: the decision trace stores them as they are and renders each
+/// as `t=<secs> ctrl <Display>`, so their `Display` is golden-trace text.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FlightEvent {
     // --- node manager ---
@@ -211,32 +215,49 @@ pub enum FlightEvent {
     Coordinator {
         /// Replica index.
         replica: u32,
-        /// Its term, packed as `round:owner`.
+        /// Its term, packed as `round << 32 | owner`.
         term: u64,
     },
     /// A coordinator observed a higher term and stepped down.
     Stepdown {
         /// Replica index.
         replica: u32,
-        /// The superseding term.
+        /// The superseding term, packed as `round << 32 | owner`.
         term: u64,
     },
     /// A node manager rejected a placement epoch as stale.
     EpochRejected {
         /// Server index.
         server: u32,
-        /// Rejected epoch term.
+        /// Rejected epoch term (packed).
         term: u64,
         /// Rejected epoch sequence.
         seq: u64,
+        /// Term (packed) of the newer epoch the endpoint had applied.
+        have_term: u64,
+        /// Sequence of the newer epoch the endpoint had applied.
+        have_seq: u64,
     },
     /// A coordinator published a placement epoch.
     EpochPublished {
         /// Publishing replica index.
         replica: u32,
-        /// Epoch term.
+        /// Epoch term (packed).
         term: u64,
         /// Epoch sequence.
+        seq: u64,
+        /// Servers the update was queued for.
+        ok: u32,
+        /// Servers the update could not reach (placement link down or
+        /// dropped on send).
+        cut: u32,
+    },
+    /// An ack fast-forwarded a healed coordinator's volatile publish
+    /// counter to the sequence its endpoints had already applied.
+    Reconcile {
+        /// Coordinator replica index.
+        replica: u32,
+        /// The adopted publish sequence.
         seq: u64,
     },
     /// A live migration entered its pre-copy phase.
@@ -317,6 +338,16 @@ pub enum FlightEvent {
     },
 }
 
+/// A packed election term (`round << 32 | owner`), displayed unpacked as
+/// `round/owner` like the control plane's own `Term`.
+struct Term(u64);
+
+impl fmt::Display for Term {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}/{}", self.0 >> 32, self.0 & 0xffff_ffff)
+    }
+}
+
 impl fmt::Display for FlightEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         use FlightEvent::*;
@@ -346,14 +377,18 @@ impl fmt::Display for FlightEvent {
             }
             FlushBatch { server, count } => write!(f, "flush s{server} n={count}"),
             Election { replica, round } => write!(f, "elect m{replica} r={round}"),
-            Coordinator { replica, term } => write!(f, "coord m{replica} t={term}"),
-            Stepdown { replica, term } => write!(f, "stepdown m{replica} t={term}"),
-            EpochRejected { server, term, seq } => {
-                write!(f, "epoch-reject s{server} e={term}:{seq}")
+            Coordinator { replica, term } => write!(f, "coord m{replica} t={}", Term(term)),
+            Stepdown { replica, term } => write!(f, "stepdown m{replica} t={}", Term(term)),
+            EpochRejected { server, term, seq, have_term, have_seq } => write!(
+                f,
+                "reject s{server} e={}.{seq} have={}.{have_seq}",
+                Term(term),
+                Term(have_term)
+            ),
+            EpochPublished { replica, term, seq, ok, cut } => {
+                write!(f, "pub m{replica} e={}:{seq} ok={ok} cut={cut}", Term(term))
             }
-            EpochPublished { replica, term, seq } => {
-                write!(f, "epoch-pub m{replica} e={term}:{seq}")
-            }
+            Reconcile { replica, seq } => write!(f, "reconcile m{replica} seq={seq}"),
             MigrationStart { vm, from, to } => {
                 write!(f, "migrate-start vm{vm} s{from}->s{to}")
             }
@@ -363,8 +398,8 @@ impl fmt::Display for FlightEvent {
             MigrationComplete { vm, from, to } => {
                 write!(f, "migrate-done vm{vm} s{from}->s{to}")
             }
-            ReplicaDown { replica } => write!(f, "replica-down m{replica}"),
-            ReplicaUp { replica } => write!(f, "replica-up m{replica}"),
+            ReplicaDown { replica } => write!(f, "down m{replica}"),
+            ReplicaUp { replica } => write!(f, "up m{replica}"),
             MsgSend { from, to, copies } => write!(f, "msg-send {from}->{to} copies={copies}"),
             MsgDrop { from, to, partitioned } => {
                 write!(
@@ -465,23 +500,6 @@ impl FlightRecorder {
         let (wrapped, start) = self.buf.split_at(self.head);
         start.iter().chain(wrapped.iter())
     }
-
-    /// The newest `n` events, oldest of those first.
-    pub fn tail(&self, n: usize) -> Vec<Record> {
-        let skip = self.buf.len().saturating_sub(n);
-        self.iter().skip(skip).copied().collect()
-    }
-
-    /// Decoded text of the newest `n` events, one per line — what golden
-    /// failures dump.
-    pub fn decode_tail(&self, n: usize) -> String {
-        let mut out = String::new();
-        for rec in self.tail(n) {
-            out.push_str(&rec.to_string());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -504,20 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn tail_returns_newest_events() {
-        let mut fr = FlightRecorder::with_capacity(8);
-        for i in 0..6u64 {
-            fr.record(i, FlightEvent::DetectClear { server: i as u32 });
-        }
-        let t = fr.tail(2);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t[0].t, 4);
-        assert_eq!(t[1].t, 5);
-        // Asking for more than retained returns everything.
-        assert_eq!(fr.tail(100).len(), 6);
-    }
-
-    #[test]
     fn record_does_not_allocate_after_construction() {
         let mut fr = FlightRecorder::with_capacity(4);
         let ptr_before = fr.buf.as_ptr();
@@ -526,6 +530,14 @@ mod tests {
         }
         assert_eq!(fr.buf.as_ptr(), ptr_before, "ring buffer must never reallocate");
         assert_eq!(fr.buf.capacity(), 4);
+    }
+
+    #[test]
+    fn events_stay_small() {
+        // Every flight ring holds `capacity` records of this size, and the
+        // decision trace stores control-plane events inline.
+        assert!(std::mem::size_of::<FlightEvent>() <= 40);
+        assert!(std::mem::size_of::<Record>() <= 56);
     }
 
     #[test]
@@ -539,6 +551,7 @@ mod tests {
             5_500_000,
             FlightEvent::CapUpdate { server: 0, vm: 10, resource: Resource::Io, level: 0.5 },
         );
-        assert_eq!(fr.decode_tail(8), "t=5 identify s0 vm10 io\nt=5.5 cap s0 vm10 io=0.5\n");
+        let text: Vec<String> = fr.iter().map(Record::to_string).collect();
+        assert_eq!(text, ["t=5 identify s0 vm10 io", "t=5.5 cap s0 vm10 io=0.5"]);
     }
 }

@@ -81,9 +81,17 @@ impl RngFactory {
 /// the basis for the fault injector's stateless Bernoulli decisions and the
 /// golden-trace digests, which need the same stability guarantee.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(FNV1A64_OFFSET, bytes)
+}
+
+/// The FNV-1a 64-bit offset basis: the hash of the empty input.
+pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a 64-bit hash `h` over `bytes`, so hashing a byte
+/// stream chunk by chunk from [`FNV1A64_OFFSET`] equals [`fnv1a64`] of the
+/// concatenation.
+pub fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(PRIME);

@@ -10,7 +10,9 @@
 
 use perfcloud::core::antagonist::Resource;
 use perfcloud::core::detector::{detect, deviation_across_vms};
-use perfcloud::core::{AntagonistIdentifier, PerfCloudConfig, PerformanceMonitor, VmMetricKind};
+use perfcloud::core::{
+    AntagonistIdentifier, Identifier, PerfCloudConfig, PerformanceMonitor, VmMetricKind,
+};
 use perfcloud::host::{PhysicalServer, ServerConfig, ServerId, VmConfig, VmId};
 use perfcloud::prelude::*;
 use perfcloud::workloads::FioRandRead;

@@ -4,10 +4,12 @@
 
 use perfcloud::cluster::{
     AntagonistKind, AntagonistPlacement, ClusterSpec, Experiment, ExperimentConfig, Mitigation,
+    TraceEntry,
 };
 use perfcloud::core::{NodeManager, PerfCloudConfig};
 use perfcloud::ctrl::{ControlPlaneSpec, LinkSpec};
 use perfcloud::frameworks::Benchmark;
+use perfcloud::obs::FlightEvent;
 use perfcloud::sim::faults::{FaultKind, FaultRule, FaultScenario};
 use perfcloud::sim::{SimDuration, SimTime};
 
@@ -35,11 +37,6 @@ fn replicated_control() -> ControlPlaneSpec {
         link: LinkSpec { latency: SimDuration::from_micros(300_000), jitter: SimDuration::ZERO },
         ..ControlPlaneSpec::default()
     }
-}
-
-/// Flags field of a decision-trace line (`... f=<flags>`).
-fn flags(line: &str) -> &str {
-    line.rsplit(" f=").next().unwrap_or("")
 }
 
 #[test]
@@ -84,8 +81,8 @@ fn coordinator_failover_keeps_mitigation_inside_the_staleness_budget() {
     let mut stale_intervals = 0u32;
     let mut longest_run = 0u32;
     let mut run = 0u32;
-    for line in trace.lines().iter().filter(|l| !l.contains(" ctrl ")) {
-        if flags(line).contains('P') {
+    for step in trace.steps() {
+        if step.placement_stale {
             stale_intervals += 1;
             run += 1;
             longest_run = longest_run.max(run);
@@ -143,7 +140,10 @@ fn restarted_coordinator_cannot_regress_applied_epochs() {
     // the reconciled counter then advanced past the pre-crash sequence.
     let trace = e.decision_trace().expect("trace enabled");
     assert!(
-        trace.lines().iter().any(|l| l.contains(" ctrl reject s0 ")),
+        trace.lines().iter().any(|entry| matches!(
+            entry,
+            TraceEntry::Ctrl(_, FlightEvent::EpochRejected { server: 0, .. })
+        )),
         "the restarted coordinator's stale publish must be rejected"
     );
     let last = *epochs.last().expect("placement applied");

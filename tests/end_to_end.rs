@@ -4,10 +4,11 @@
 use perfcloud::baselines::{Dolly, LatePolicy};
 use perfcloud::cluster::{
     mean_efficiency, AntagonistKind, AntagonistPlacement, ClusterSpec, Experiment,
-    ExperimentConfig, Mitigation,
+    ExperimentConfig, Mitigation, StepView,
 };
 use perfcloud::core::PerfCloudConfig;
 use perfcloud::frameworks::Benchmark;
+use perfcloud::host::VmId;
 use perfcloud::prelude::*;
 
 fn one_job(
@@ -156,23 +157,24 @@ fn crash_restart_redetects_within_bounded_intervals() {
     let r = e.run();
     assert_eq!(r.outcomes.len(), 1, "job must still complete under the crash");
 
-    let lines: Vec<String> = e.decision_trace().expect("trace enabled").lines().to_vec();
-    let restart =
-        lines.iter().position(|l| l.contains("f=R")).expect("crash-restart step recorded");
+    let trace = e.decision_trace().expect("trace enabled");
+    let steps: Vec<StepView<'_>> = trace.steps().collect();
+    let throttles_fio = |s: &StepView<'_>| s.io_caps.first().is_some_and(|&(vm, _)| vm == VmId(10));
+    let restart = steps.iter().position(|s| s.restarted).expect("crash-restart step recorded");
     assert!(
-        lines[..restart].iter().any(|l| l.contains("cio=10:")),
+        steps[..restart].iter().any(throttles_fio),
         "antagonist was never throttled before the crash:\n{}",
-        lines.join("\n")
+        trace.canonical()
     );
     // The restart step reports a clean slate: every cap was released.
-    assert!(lines[restart].contains("cio=-"), "restart step must carry no caps");
+    assert!(steps[restart].io_caps.is_empty(), "restart step must carry no caps");
     // Re-detection within 8 intervals of the restart.
-    let horizon = &lines[restart + 1..lines.len().min(restart + 9)];
+    let horizon = &steps[restart + 1..steps.len().min(restart + 9)];
     assert!(
-        horizon.iter().any(|l| l.contains("cio=10:")),
+        horizon.iter().any(throttles_fio),
         "no re-throttle within {} intervals after restart:\n{}",
         horizon.len(),
-        lines.join("\n")
+        trace.canonical()
     );
 }
 
