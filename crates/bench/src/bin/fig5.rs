@@ -86,7 +86,8 @@ fn main() {
         let mut fio_row = 0.0;
         for (k, &(vm, _)) in suspects.iter().enumerate() {
             let usage = nm.monitor().series(vm, VmMetricKind::IoBps).expect("series");
-            let (x, y) = align_tail(&alive, usage, alive.len());
+            let (mut x, mut y) = (Vec::new(), Vec::new());
+            align_tail(&alive, usage, alive.len(), &mut x, &mut y);
             let end = (onset_idx + size).min(x.len());
             let start = end.saturating_sub(size);
             let r = pearson_missing_as_zero(&x[start..end], &y[start..end]).unwrap_or(0.0);

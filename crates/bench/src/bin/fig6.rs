@@ -48,7 +48,8 @@ fn correlations(seed: u64, omit: bool) -> Vec<f64> {
             nm.monitor()
                 .series(vm, VmMetricKind::LlcMissRate)
                 .and_then(|usage| {
-                    let (x, y) = align_tail(&alive, usage, alive.len());
+                    let (mut x, mut y) = (Vec::new(), Vec::new());
+                    align_tail(&alive, usage, alive.len(), &mut x, &mut y);
                     let end = (onset_idx + 12).min(x.len());
                     let start = end.saturating_sub(12);
                     if omit {

@@ -110,7 +110,8 @@ impl AntagonistIdentifier {
                     // that re-aligned at every read. The current tick is
                     // already in both series, so no extra push here. O(window)
                     // once on entry; O(1) every tick after.
-                    let (x, y) = align_tail(dev_series, usage, window);
+                    let (mut x, mut y) = (Vec::new(), Vec::new());
+                    align_tail(dev_series, usage, window, &mut x, &mut y);
                     let mut rp = RollingPearson::new(window);
                     for (v, s) in x.into_iter().zip(y) {
                         rp.push(v, s);
@@ -311,7 +312,8 @@ mod tests {
         for suspect in [VmId(10), VmId(11)] {
             let victim = ident.deviation_series(Resource::Io);
             let usage = mon.series(suspect, Resource::Io.suspect_metric()).unwrap();
-            let (x, y) = perfcloud_stats::timeseries::align_tail(victim, usage, cfg.corr_window);
+            let (mut x, mut y) = (Vec::new(), Vec::new());
+            perfcloud_stats::timeseries::align_tail(victim, usage, cfg.corr_window, &mut x, &mut y);
             let batch = perfcloud_stats::pearson::pearson_victim_aware_lagged(
                 &x,
                 &y,

@@ -204,11 +204,9 @@ impl NodeFaults {
     /// cannot perturb the corruption decisions themselves.
     fn corruption_fires(&self, now: SimTime, vm: VmId) -> bool {
         self.injector.scenario().rules.iter().any(|r| {
-            matches!(
-                r.kind,
-                FaultKind::CorruptNaN | FaultKind::CorruptSpike { .. } | FaultKind::CorruptStuckAt
-            ) && (r.target.matches_metric(MetricClass::BlkioIowait)
-                || r.target.matches_metric(MetricClass::Cpi))
+            r.kind.is_metric_fault()
+                && (r.target.matches_metric(MetricClass::BlkioIowait)
+                    || r.target.matches_metric(MetricClass::Cpi))
                 && self.injector.fires(r, now, self.server, Some(vm.0))
         })
     }
@@ -242,7 +240,10 @@ impl NodeFaults {
             let mut value = raw;
             let mut stuck_fired = false;
             for rule in &injector.scenario().rules {
-                if !rule.target.matches_metric(metric)
+                // Only corruption kinds act here, so the others skip the
+                // (pure) firing hash.
+                if !rule.kind.is_metric_fault()
+                    || !rule.target.matches_metric(metric)
                     || !injector.fires(rule, now, server, Some(vm.0))
                 {
                     continue;

@@ -33,7 +33,7 @@ pub enum VmMetricKind {
 }
 
 impl VmMetricKind {
-    /// All metric kinds.
+    /// All metric kinds, in declaration (and `Ord`) order.
     pub const ALL: [VmMetricKind; 6] = [
         VmMetricKind::IowaitRatio,
         VmMetricKind::Cpi,
@@ -42,6 +42,11 @@ impl VmMetricKind {
         VmMetricKind::IoIops,
         VmMetricKind::CpuCores,
     ];
+
+    /// Position in [`Self::ALL`]: the slot of this kind's per-VM state.
+    fn index(self) -> usize {
+        self as usize
+    }
 }
 
 /// What the monitor did with one delivered snapshot — the graceful-
@@ -96,12 +101,38 @@ impl IngestStats {
     }
 }
 
+/// One VM's monitor state. The per-kind slots are indexed by
+/// [`VmMetricKind::index`]; an empty series is a kind never recorded.
 #[derive(Debug, Default, Clone)]
 struct VmMonitorState {
     prev: Option<CounterSnapshot>,
     last_ingest: Option<SimTime>,
-    ewma: BTreeMap<VmMetricKind, Ewma>,
-    series: BTreeMap<VmMetricKind, TimeSeries>,
+    ewma: [Option<Ewma>; 6],
+    series: [TimeSeries; 6],
+}
+
+impl VmMonitorState {
+    fn record(
+        &mut self,
+        alpha: f64,
+        retain: usize,
+        now: SimTime,
+        kind: VmMetricKind,
+        raw: Option<f64>,
+    ) {
+        // A corrupted non-finite reading is recorded as missing: it must not
+        // enter the EWMA (which would hold it forever) or the series.
+        let smoothed = match raw.filter(|v| v.is_finite()) {
+            None => None,
+            Some(x) => {
+                let e = self.ewma[kind.index()].get_or_insert_with(|| Ewma::new(alpha));
+                Some(e.update(x))
+            }
+        };
+        let series = &mut self.series[kind.index()];
+        series.push(now, smoothed);
+        series.retain_last(retain);
+    }
 }
 
 /// Samples and retains smoothed per-VM metric series for one server.
@@ -177,6 +208,7 @@ impl PerformanceMonitor {
         mut tweak: impl FnMut(VmMetricKind, Option<f64>) -> Option<f64>,
     ) -> IngestOutcome {
         let interval_guess = 5.0; // replaced below by the actual delta time
+        let (alpha, retain) = (self.alpha, self.retain);
         let state = self.vms.entry(vm).or_default();
         if let Some(last) = state.last_ingest {
             if now == last {
@@ -197,68 +229,29 @@ impl PerformanceMonitor {
                 // Interval length: derive from last series timestamp if any.
                 let interval = state
                     .series
-                    .values()
+                    .iter()
                     .find_map(|s| s.last().map(|(t, _)| now.saturating_since(t).as_secs_f64()))
                     .filter(|&s| s > 0.0)
                     .unwrap_or(interval_guess);
                 let m = IntervalMetrics::from_delta(&delta, interval);
-                self.record(
-                    vm,
-                    now,
-                    VmMetricKind::IowaitRatio,
-                    tweak(VmMetricKind::IowaitRatio, m.iowait_ratio_ms),
-                );
-                self.record(vm, now, VmMetricKind::Cpi, tweak(VmMetricKind::Cpi, m.cpi));
-                self.record(
-                    vm,
-                    now,
-                    VmMetricKind::LlcMissRate,
-                    tweak(VmMetricKind::LlcMissRate, m.llc_miss_rate),
-                );
-                self.record(
-                    vm,
-                    now,
-                    VmMetricKind::IoBps,
-                    tweak(VmMetricKind::IoBps, Some(m.io_bps)),
-                );
-                self.record(
-                    vm,
-                    now,
-                    VmMetricKind::IoIops,
-                    tweak(VmMetricKind::IoIops, Some(m.io_iops)),
-                );
-                self.record(
-                    vm,
-                    now,
-                    VmMetricKind::CpuCores,
-                    tweak(VmMetricKind::CpuCores, Some(m.cpu_cores)),
-                );
+                let raw = [
+                    m.iowait_ratio_ms,
+                    m.cpi,
+                    m.llc_miss_rate,
+                    Some(m.io_bps),
+                    Some(m.io_iops),
+                    Some(m.cpu_cores),
+                ];
+                for (kind, raw) in VmMetricKind::ALL.into_iter().zip(raw) {
+                    state.record(alpha, retain, now, kind, tweak(kind, raw));
+                }
                 IngestOutcome::Recorded
             }
             None => IngestOutcome::Baseline,
         };
-        let state = self.vms.get_mut(&vm).expect("just inserted");
         state.prev = Some(snap);
         state.last_ingest = Some(now);
         outcome
-    }
-
-    fn record(&mut self, vm: VmId, now: SimTime, kind: VmMetricKind, raw: Option<f64>) {
-        let alpha = self.alpha;
-        let retain = self.retain;
-        let state = self.vms.get_mut(&vm).expect("state exists");
-        let series = state.series.entry(kind).or_default();
-        // A corrupted non-finite reading is recorded as missing: it must not
-        // enter the EWMA (which would hold it forever) or the series.
-        let smoothed = match raw.filter(|v| v.is_finite()) {
-            None => None,
-            Some(x) => {
-                let e = state.ewma.entry(kind).or_insert_with(|| Ewma::new(alpha));
-                Some(e.update(x))
-            }
-        };
-        series.push(now, smoothed);
-        series.retain_last(retain);
     }
 
     /// The last snapshot successfully ingested for `vm` (the baseline for
@@ -278,15 +271,14 @@ impl PerformanceMonitor {
         value: Option<f64>,
     ) {
         let retain = self.retain;
-        let state = self.vms.entry(vm).or_default();
-        let series = state.series.entry(kind).or_default();
+        let series = &mut self.vms.entry(vm).or_default().series[kind.index()];
         series.push(now, value);
         series.retain_last(retain);
     }
 
     /// The smoothed series of `kind` for `vm`, if any samples exist.
     pub fn series(&self, vm: VmId, kind: VmMetricKind) -> Option<&TimeSeries> {
-        self.vms.get(&vm)?.series.get(&kind)
+        Some(&self.vms.get(&vm)?.series[kind.index()]).filter(|s| !s.is_empty())
     }
 
     /// Latest smoothed value of `kind` for `vm` (missing samples yield

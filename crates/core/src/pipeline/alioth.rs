@@ -97,7 +97,7 @@ impl AliothDetector {
     ) -> Option<f64> {
         self.scratch.clear();
         self.scratch.extend(vms.iter().filter_map(|&vm| monitor.latest(vm, kind)));
-        robust_stddev(&self.scratch)
+        robust_stddev(&mut self.scratch)
     }
 }
 

@@ -24,8 +24,7 @@ use crate::monitor::PerformanceMonitor;
 use perfcloud_host::VmId;
 use perfcloud_sim::SimTime;
 use perfcloud_stats::timeseries::align_tail;
-use perfcloud_stats::{spearman_victim_aware_lagged, TimeSeries};
-use std::collections::BTreeMap;
+use perfcloud_stats::{spearman_victim_aware_lagged, RankScratch, TimeSeries};
 
 /// Minimum fraction of movement intervals that must agree in direction.
 const SIGN_AGREEMENT_MIN: f64 = 0.5;
@@ -34,6 +33,9 @@ const SIGN_AGREEMENT_MIN: f64 = 0.5;
 const USAGE_SHARE_MIN: f64 = 0.3;
 
 /// Noise-resilient identifier: Spearman + sign agreement + usage share.
+///
+/// Every buffer an identification pass needs is held here and reused, so a
+/// steady-state pass allocates nothing.
 #[derive(Debug, Clone)]
 pub struct PandaIdentifier {
     corr_threshold: f64,
@@ -42,8 +44,16 @@ pub struct PandaIdentifier {
     max_lag: usize,
     io_deviation: TimeSeries,
     cpi_deviation: TimeSeries,
-    io_scores: BTreeMap<VmId, f64>,
-    cpu_scores: BTreeMap<VmId, f64>,
+    /// The latest pass's Spearman score per scored suspect, in suspect order.
+    io_scores: Vec<(VmId, f64)>,
+    cpu_scores: Vec<(VmId, f64)>,
+    /// Aligned victim-deviation / suspect-usage windows of one suspect.
+    x: Vec<Option<f64>>,
+    y: Vec<Option<f64>>,
+    /// Suspects that passed the correlation and sign gates, with their mean
+    /// usage for the share gate.
+    passed: Vec<(VmId, f64)>,
+    ranks: RankScratch,
 }
 
 impl PandaIdentifier {
@@ -59,8 +69,12 @@ impl PandaIdentifier {
             max_lag: config.corr_max_lag,
             io_deviation: TimeSeries::new(),
             cpi_deviation: TimeSeries::new(),
-            io_scores: BTreeMap::new(),
-            cpu_scores: BTreeMap::new(),
+            io_scores: Vec::new(),
+            cpu_scores: Vec::new(),
+            x: Vec::new(),
+            y: Vec::new(),
+            passed: Vec::new(),
+            ranks: RankScratch::default(),
         }
     }
 
@@ -146,43 +160,44 @@ impl Identifier for PandaIdentifier {
     ) {
         out.clear();
         let metric = resource.suspect_metric();
+        let (dev, scores) = match resource {
+            Resource::Io => (&self.io_deviation, &mut self.io_scores),
+            Resource::Cpu => (&self.cpi_deviation, &mut self.cpu_scores),
+        };
+        let (x, y) = (&mut self.x, &mut self.y);
+        scores.clear();
+        self.passed.clear();
         // Pass 1: score every suspect (Spearman + the two gates) and find
         // the heaviest mean usage for the share gate.
         let mut max_usage = 0.0f64;
-        let mut passed: Vec<(VmId, f64)> = Vec::new();
-        let mut scores: BTreeMap<VmId, f64> = BTreeMap::new();
         for &vm in suspects {
             let Some(usage) = monitor.series(vm, metric) else {
                 continue;
             };
-            let dev = self.dev_series(resource);
-            let (x, y) = align_tail(dev, usage, self.window);
-            let mean = Self::mean_usage(&x, &y);
+            align_tail(dev, usage, self.window, x, y);
+            let mean = Self::mean_usage(x, y);
             max_usage = max_usage.max(mean);
-            let Some(r) = spearman_victim_aware_lagged(&x, &y, self.max_lag, self.min_samples)
+            let Some(r) =
+                spearman_victim_aware_lagged(x, y, self.max_lag, self.min_samples, &mut self.ranks)
             else {
                 continue;
             };
-            scores.insert(vm, r);
+            scores.push((vm, r));
             if r < self.corr_threshold {
                 continue;
             }
-            if Self::sign_agreement(&x, &y).is_some_and(|f| f < SIGN_AGREEMENT_MIN) {
+            if Self::sign_agreement(x, y).is_some_and(|f| f < SIGN_AGREEMENT_MIN) {
                 continue;
             }
-            passed.push((vm, mean));
+            self.passed.push((vm, mean));
         }
         // Pass 2: the share gate needs the heaviest suspect known first.
         out.extend(
-            passed
-                .into_iter()
-                .filter(|&(_, mean)| mean >= USAGE_SHARE_MIN * max_usage)
-                .map(|(vm, _)| vm),
+            self.passed
+                .iter()
+                .filter(|&&(_, mean)| mean >= USAGE_SHARE_MIN * max_usage)
+                .map(|&(vm, _)| vm),
         );
-        match resource {
-            Resource::Io => self.io_scores = scores,
-            Resource::Cpu => self.cpu_scores = scores,
-        }
     }
 
     fn correlation(&self, suspect: VmId, resource: Resource) -> Option<f64> {
@@ -190,7 +205,7 @@ impl Identifier for PandaIdentifier {
             Resource::Io => &self.io_scores,
             Resource::Cpu => &self.cpu_scores,
         };
-        scores.get(&suspect).copied()
+        scores.iter().find(|&&(vm, _)| vm == suspect).map(|&(_, r)| r)
     }
 
     fn deviation_series(&self, resource: Resource) -> &TimeSeries {

@@ -3,12 +3,17 @@
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! long enough to grow every rolling window to its retention horizon, each
 //! call to [`NodeManager::step_into`] — placement fetch, batched sampling
-//! of every VM, deviation detection, antagonist correlation — must perform
-//! zero heap allocations. Server ticking happens outside the measured
-//! window: the hypervisor model may allocate, the agent must not.
+//! of every VM (through the fault filter, when one is attached), deviation
+//! detection, antagonist correlation — must perform zero heap allocations.
+//! Server ticking happens outside the measured window: the hypervisor model
+//! may allocate, the agent must not.
 
-use perfcloud_core::{AppId, CloudManager, NodeManager, PerfCloudConfig, StepReport, VmRecord};
+use perfcloud_core::{
+    AppId, CloudManager, DetectorKind, IdentifierKind, NodeFaults, NodeManager, PerfCloudConfig,
+    PipelineSpec, StepReport, VmRecord,
+};
 use perfcloud_host::{PhysicalServer, Priority, ServerConfig, ServerId, VmConfig, VmId};
+use perfcloud_sim::faults::{FaultKind, FaultRule, FaultScenario, MessageClass};
 use perfcloud_sim::{RngFactory, SimDuration, SimTime};
 use perfcloud_workloads::{FioRandRead, SysbenchCpu};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -52,12 +57,28 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Which node manager the steady-state drive measures.
+#[derive(Clone, Copy, PartialEq)]
+enum Agent {
+    /// The paper pipeline at the paper's 5 s sampling.
+    Paper,
+    /// The same with a flight recorder attached before warm-up, so its ring
+    /// is the only pre-reserved buffer and the record path itself is
+    /// measured.
+    PaperObserved,
+    /// The fine-grained monitoring agent: the Alioth detector and the PANDA
+    /// identifier at 1 s sampling, behind a fault filter (5% sample drops,
+    /// plus a placement-delay link rule the sample path must skip), with a
+    /// flight recorder.
+    Finemon,
+}
+
 /// Drives the steady-state testbed and returns the allocation count over
-/// 50 measured `step_into` calls. With `observe` the node manager carries
-/// a flight recorder from the start — attached before warm-up, so its ring
-/// is the only pre-reserved buffer and the record path itself is measured.
-fn steady_state_allocs(observe: bool) -> u64 {
+/// 50 measured `step_into` calls.
+fn steady_state_allocs(agent: Agent) -> u64 {
     const DT: SimDuration = SimDuration::from_micros(100_000);
+    const WARMUP_STEPS: usize = 210;
+    const MEASURED_STEPS: usize = 50;
     let mut server =
         PhysicalServer::new(ServerId(0), ServerConfig::default(), RngFactory::new(7), DT);
     let mut cloud = CloudManager::new();
@@ -79,52 +100,77 @@ fn steady_state_allocs(observe: bool) -> u64 {
     server.spawn(VmId(10), Box::new(FioRandRead::with_rate(5_000.0, 4096.0, None)));
     server.spawn(VmId(11), Box::new(SysbenchCpu::new()));
 
-    // Monitoring mode: thresholds at infinity, so detection, observation and
-    // identification all run every interval but no VM is ever enrolled for
-    // capping (the cap-trace series retain 4096 points — a far longer
-    // horizon than the metric windows, needing thousands of warm-up
-    // intervals to reach steady capacity).
-    let config =
-        PerfCloudConfig { h_io: f64::INFINITY, h_cpi: f64::INFINITY, ..Default::default() };
-    let mut nm = NodeManager::new(config);
-    if observe {
+    // Monitoring mode: detection, observation and identification all run
+    // every interval but no VM is ever enrolled for capping (the cap-trace
+    // series retain 4096 points — a far longer horizon than the metric
+    // windows, needing thousands of warm-up intervals to reach steady
+    // capacity). The paper detector gets there through thresholds at
+    // infinity; Alioth's thresholds are checked-in weights, so its agent
+    // runs with actuation off instead.
+    let interval = SimDuration::from_secs(if agent == Agent::Finemon { 1.0 } else { 5.0 });
+    let mut nm = if agent == Agent::Finemon {
+        let config = PerfCloudConfig { sample_interval: interval, ..Default::default() };
+        let pipeline =
+            PipelineSpec { detector: DetectorKind::Alioth, identifier: IdentifierKind::Panda };
+        let mut nm = NodeManager::with_pipeline(config, pipeline);
+        nm.set_actuation(false);
+        let scenario = FaultScenario::named("alloc-free-finemon")
+            .rule(FaultRule::new("drop-sample", FaultKind::DropSample).with_probability(0.05))
+            .rule(
+                FaultRule::new("lag-placement", FaultKind::DelayMessage { micros: 1_500_000 })
+                    .on_message(MessageClass::Placement)
+                    .with_probability(0.10),
+            );
+        nm.attach_faults(NodeFaults::new(42, scenario, 0));
+        nm
+    } else {
+        NodeManager::new(PerfCloudConfig {
+            h_io: f64::INFINITY,
+            h_cpi: f64::INFINITY,
+            ..Default::default()
+        })
+    };
+    if agent != Agent::Paper {
         nm.attach_flight(1024);
     }
+    let ticks_per_step = interval.as_micros() / DT.as_micros();
     let mut report = StepReport::default();
     let mut now = SimTime::ZERO;
+    let mut step = |nm: &mut NodeManager, report: &mut StepReport, counting: bool| -> u64 {
+        for _ in 0..ticks_per_step {
+            server.tick(DT);
+        }
+        now += interval;
+        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        counted(counting);
+        nm.step_into(now, &mut server, &mut cloud, report);
+        counted(false);
+        ALLOC_CALLS.load(Ordering::Relaxed) - before
+    };
 
     // Warm-up: past the retention horizon of every rolling series
     // (corr_window * 8 = 192 samples with the default config), so all
     // buffer capacities are final.
-    for _ in 0..210 {
-        for _ in 0..50 {
-            server.tick(DT);
-        }
-        now += SimDuration::from_secs(5.0);
-        nm.step_into(now, &mut server, &mut cloud, &mut report);
+    for _ in 0..WARMUP_STEPS {
+        step(&mut nm, &mut report, false);
     }
-
-    let mut total = 0u64;
-    for _ in 0..50 {
-        for _ in 0..50 {
-            server.tick(DT);
-        }
-        now += SimDuration::from_secs(5.0);
-        let before = ALLOC_CALLS.load(Ordering::Relaxed);
-        counted(true);
-        nm.step_into(now, &mut server, &mut cloud, &mut report);
-        counted(false);
-        total += ALLOC_CALLS.load(Ordering::Relaxed) - before;
-    }
+    let total = (0..MEASURED_STEPS).map(|_| step(&mut nm, &mut report, true)).sum();
 
     // The pipeline was genuinely live, not short-circuited.
     assert!(report.signal.is_some(), "detector must be producing signals in the measured window");
+    if agent == Agent::Finemon {
+        // The drop rule fired: fewer deliveries reached the monitor than
+        // the six VMs were polled.
+        let stats = nm.monitor().ingest_stats();
+        let polled = 6 * (WARMUP_STEPS + MEASURED_STEPS) as u64;
+        assert!(stats.baselines + stats.recorded < polled, "no sample was dropped: {stats:?}");
+    }
     total
 }
 
 #[test]
 fn steady_state_node_manager_step_is_allocation_free() {
-    let total = steady_state_allocs(false);
+    let total = steady_state_allocs(Agent::Paper);
     assert_eq!(total, 0, "{total} allocations across 50 steady-state steps (expected 0)");
 }
 
@@ -185,6 +231,16 @@ fn steady_state_step_with_flight_recorder_is_allocation_free() {
     // The recorder's ring is reserved at attach time; recording into it —
     // and every `flight.as_mut()` branch threaded through the sampling,
     // detection and control paths — must not allocate either.
-    let total = steady_state_allocs(true);
+    let total = steady_state_allocs(Agent::PaperObserved);
     assert_eq!(total, 0, "{total} allocations across 50 observed steady-state steps (expected 0)");
+}
+
+#[test]
+fn steady_state_finemon_step_is_allocation_free() {
+    // Every per-sample path of the fine-grained agent: the fault filter's
+    // drop/delay/duplicate/corruption decisions, offset-trimmed metric
+    // windows at a 1 s cadence, Alioth's MAD and PANDA's aligned windows,
+    // ranks and scores — all over reused buffers.
+    let total = steady_state_allocs(Agent::Finemon);
+    assert_eq!(total, 0, "{total} allocations across 50 finemon-shaped steps (expected 0)");
 }

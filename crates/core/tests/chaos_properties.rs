@@ -78,7 +78,8 @@ proptest! {
 
         let victim = ident.deviation_series(Resource::Io);
         let usage = mon.series(SUSPECT, VmMetricKind::IoBps).expect("synthetic series exists");
-        let (x, y) = align_tail(victim, usage, cfg.corr_window);
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        align_tail(victim, usage, cfg.corr_window, &mut x, &mut y);
         // The identifier demands `min_corr_samples` contributing pairs
         // (finite victim deviations) before answering; apply the same gate
         // to the batch reference.

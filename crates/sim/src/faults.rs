@@ -16,7 +16,7 @@
 //! per-message drop/duplicate/delay link faults and cloud-manager replica
 //! outages.
 
-use crate::rng::fnv1a64;
+use crate::rng::{fnv1a64_extend, FNV1A64_OFFSET};
 use crate::time::SimTime;
 
 /// Which metric stream a corruption fault targets.
@@ -340,29 +340,24 @@ impl FaultInjector {
         if rule.probability <= 0.0 {
             return false;
         }
-        let mut bytes =
-            Vec::with_capacity(8 + self.scenario.name.len() + rule.name.len() + 2 + 8 + 4 + 14);
-        bytes.extend_from_slice(&self.seed.to_le_bytes());
-        bytes.extend_from_slice(self.scenario.name.as_bytes());
-        bytes.push(0xFE);
-        bytes.extend_from_slice(rule.name.as_bytes());
-        bytes.push(0xFE);
-        bytes.extend_from_slice(&now.as_micros().to_le_bytes());
-        bytes.extend_from_slice(&server.to_le_bytes());
-        match vm {
-            Some(v) => {
-                bytes.push(1);
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
-            None => bytes.push(0),
-        }
-        // Appended (never interleaved), so unkeyed hashes are byte-for-byte
-        // the PR-2 layout and every pre-existing scenario replays unchanged.
+        // Streamed through FNV-1a field by field — the same bytes, in the
+        // same order, as hashing their concatenation, without building it.
+        let mut h = fnv1a64_extend(FNV1A64_OFFSET, &self.seed.to_le_bytes());
+        h = fnv1a64_extend(h, self.scenario.name.as_bytes());
+        h = fnv1a64_extend(h, &[0xFE]);
+        h = fnv1a64_extend(h, rule.name.as_bytes());
+        h = fnv1a64_extend(h, &[0xFE]);
+        h = fnv1a64_extend(h, &now.as_micros().to_le_bytes());
+        h = fnv1a64_extend(h, &server.to_le_bytes());
+        h = match vm {
+            Some(v) => fnv1a64_extend(fnv1a64_extend(h, &[1]), &v.to_le_bytes()),
+            None => fnv1a64_extend(h, &[0]),
+        };
+        // Appended (never interleaved), so unkeyed hashes keep the layout
+        // they had before keys existed and every scenario replays unchanged.
         if let Some(k) = key {
-            bytes.push(0xFD);
-            bytes.extend_from_slice(&k.to_le_bytes());
+            h = fnv1a64_extend(fnv1a64_extend(h, &[0xFD]), &k.to_le_bytes());
         }
-        let h = fnv1a64(&bytes);
         // Top 53 bits -> uniform in [0, 1); same mapping rand uses for f64.
         let u = (h >> 11) as f64 / (1u64 << 53) as f64;
         u < rule.probability

@@ -27,6 +27,6 @@ pub use descriptive::{
 pub use ewma::Ewma;
 pub use pearson::{pearson, pearson_missing_as_zero};
 pub use quantile::{median, quantile};
-pub use rank::{robust_stddev, spearman, spearman_victim_aware_lagged};
+pub use rank::{robust_stddev, spearman_victim_aware_lagged, RankScratch};
 pub use rolling::{RollingPearson, RollingStddev};
 pub use timeseries::TimeSeries;

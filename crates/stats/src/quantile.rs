@@ -32,6 +32,14 @@ pub fn median(xs: &[f64]) -> Option<f64> {
     quantile(xs, 0.5)
 }
 
+/// [`median`] of a caller-owned buffer, sorted in place rather than
+/// copied — the allocation-free form for per-interval callers. The sort is
+/// unstable, so equal values may swap places; only a ±0 tie could tell.
+pub(crate) fn median_in_place(xs: &mut [f64]) -> Option<f64> {
+    xs.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
+    quantile_sorted(xs, 0.5)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,13 +7,24 @@
 //! miss rates "are not counted when the VMs are not running any workload".
 
 use perfcloud_sim::SimTime;
+use std::fmt;
 
 /// A time series of optionally-missing samples at monotonically increasing
 /// timestamps.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Sliding-window retention is O(1): [`retain_last`](Self::retain_last)
+/// only advances `start` past the samples it drops, and
+/// [`push`](Self::push) reclaims that dead prefix — one shift of the live
+/// window — only when a column is at capacity. A trimmed series therefore
+/// never grows past the capacity it already has, and the shift cost is
+/// amortized over the dead prefix's length instead of paid on every push.
+/// Equality, `Debug` and `Clone` see only the retained window.
+#[derive(Default)]
 pub struct TimeSeries {
     times: Vec<SimTime>,
     values: Vec<Option<f64>>,
+    /// Index of the first retained sample in both columns.
+    start: usize,
 }
 
 impl TimeSeries {
@@ -24,8 +35,15 @@ impl TimeSeries {
 
     /// Appends a sample. Panics if `t` is not after the last timestamp.
     pub fn push(&mut self, t: SimTime, value: Option<f64>) {
-        if let Some(&last) = self.times.last() {
+        if let Some(&last) = self.times().last() {
             assert!(t > last, "time series timestamps must be strictly increasing: {t} <= {last}");
+        }
+        let full = self.times.len() == self.times.capacity()
+            || self.values.len() == self.values.capacity();
+        if full && self.start > 0 {
+            self.times.drain(..self.start);
+            self.values.drain(..self.start);
+            self.start = 0;
         }
         self.times.push(t);
         self.values.push(value);
@@ -33,54 +51,37 @@ impl TimeSeries {
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.times.len()
+        self.times.len() - self.start
     }
 
     /// True if no samples.
     pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
+        self.len() == 0
     }
 
     /// Timestamps.
     pub fn times(&self) -> &[SimTime] {
-        &self.times
+        &self.times[self.start..]
     }
 
     /// Values (possibly missing).
     pub fn values(&self) -> &[Option<f64>] {
-        &self.values
-    }
-
-    /// The last `n` values (fewer if the series is shorter).
-    pub fn last_n(&self, n: usize) -> &[Option<f64>] {
-        let start = self.values.len().saturating_sub(n);
-        &self.values[start..]
+        &self.values[self.start..]
     }
 
     /// Latest value (ignoring whether missing).
     pub fn last(&self) -> Option<(SimTime, Option<f64>)> {
-        Some((*self.times.last()?, *self.values.last()?))
+        Some((*self.times().last()?, *self.values().last()?))
     }
 
     /// Latest present (non-missing) value.
     pub fn last_present(&self) -> Option<(SimTime, f64)> {
-        self.times.iter().zip(&self.values).rev().find_map(|(&t, &v)| v.map(|v| (t, v)))
-    }
-
-    /// Present values only, in time order.
-    pub fn present_values(&self) -> Vec<f64> {
-        self.values.iter().filter_map(|v| *v).collect()
-    }
-
-    /// Values with missing entries substituted by zero (the paper's policy
-    /// for suspect metrics).
-    pub fn values_missing_as_zero(&self) -> Vec<f64> {
-        self.values.iter().map(|v| v.unwrap_or(0.0)).collect()
+        self.times().iter().zip(self.values()).rev().find_map(|(&t, &v)| v.map(|v| (t, v)))
     }
 
     /// Maximum present value, if any.
     pub fn max(&self) -> Option<f64> {
-        self.values.iter().filter_map(|v| *v).fold(None, |acc, v| {
+        self.values().iter().filter_map(|v| *v).fold(None, |acc, v| {
             Some(match acc {
                 None => v,
                 Some(m) => m.max(v),
@@ -94,48 +95,73 @@ impl TimeSeries {
     pub fn normalized_by_peak(&self) -> TimeSeries {
         let peak = self.max().filter(|&m| m > 0.0);
         let values = match peak {
-            None => self.values.clone(),
-            Some(p) => self.values.iter().map(|v| v.map(|x| x / p)).collect(),
+            None => self.values().to_vec(),
+            Some(p) => self.values().iter().map(|v| v.map(|x| x / p)).collect(),
         };
-        TimeSeries { times: self.times.clone(), values }
+        TimeSeries { times: self.times().to_vec(), values, start: 0 }
     }
 
     /// Returns a copy with trailing missing samples removed — e.g. the
     /// victim deviation series after the application has finished.
     pub fn trim_trailing_missing(&self) -> TimeSeries {
-        let keep = self.values.iter().rposition(|v| v.is_some()).map(|i| i + 1).unwrap_or(0);
-        TimeSeries { times: self.times[..keep].to_vec(), values: self.values[..keep].to_vec() }
+        let keep = self.values().iter().rposition(|v| v.is_some()).map(|i| i + 1).unwrap_or(0);
+        TimeSeries {
+            times: self.times()[..keep].to_vec(),
+            values: self.values()[..keep].to_vec(),
+            start: 0,
+        }
     }
 
     /// Drops all but the most recent `n` samples (sliding-window retention).
     pub fn retain_last(&mut self, n: usize) {
-        if self.times.len() > n {
-            let cut = self.times.len() - n;
-            self.times.drain(..cut);
-            self.values.drain(..cut);
-        }
+        self.start += self.len().saturating_sub(n);
     }
 }
 
-/// Aligns the tails of two series by timestamp and returns paired values for
-/// the most recent `window` timestamps present in **both** series. Missing
-/// values are preserved as `None` for the caller's missing-value policy.
+impl PartialEq for TimeSeries {
+    fn eq(&self, other: &Self) -> bool {
+        self.times() == other.times() && self.values() == other.values()
+    }
+}
+
+impl fmt::Debug for TimeSeries {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TimeSeries")
+            .field("times", &self.times())
+            .field("values", &self.values())
+            .finish()
+    }
+}
+
+impl Clone for TimeSeries {
+    fn clone(&self) -> Self {
+        TimeSeries { times: self.times().to_vec(), values: self.values().to_vec(), start: 0 }
+    }
+}
+
+/// Aligns the tails of two series by timestamp and writes paired values for
+/// the most recent `window` timestamps present in **both** series into
+/// `xs`/`ys` (cleared first, oldest first), so a caller that aligns every
+/// interval reuses its buffers. Missing values are preserved as `None` for
+/// the caller's missing-value policy.
 pub fn align_tail(
     a: &TimeSeries,
     b: &TimeSeries,
     window: usize,
-) -> (Vec<Option<f64>>, Vec<Option<f64>>) {
-    let mut xs = Vec::with_capacity(window);
-    let mut ys = Vec::with_capacity(window);
-    let mut ia = a.times.len();
-    let mut ib = b.times.len();
+    xs: &mut Vec<Option<f64>>,
+    ys: &mut Vec<Option<f64>>,
+) {
+    xs.clear();
+    ys.clear();
+    let (at, av) = (a.times(), a.values());
+    let (bt, bv) = (b.times(), b.values());
+    let mut ia = at.len();
+    let mut ib = bt.len();
     while ia > 0 && ib > 0 && xs.len() < window {
-        let ta = a.times[ia - 1];
-        let tb = b.times[ib - 1];
-        match ta.cmp(&tb) {
+        match at[ia - 1].cmp(&bt[ib - 1]) {
             std::cmp::Ordering::Equal => {
-                xs.push(a.values[ia - 1]);
-                ys.push(b.values[ib - 1]);
+                xs.push(av[ia - 1]);
+                ys.push(bv[ib - 1]);
                 ia -= 1;
                 ib -= 1;
             }
@@ -145,7 +171,6 @@ pub fn align_tail(
     }
     xs.reverse();
     ys.reverse();
-    (xs, ys)
 }
 
 #[cfg(test)]
@@ -165,8 +190,7 @@ mod tests {
         assert_eq!(ts.len(), 3);
         assert_eq!(ts.last(), Some((t(15), Some(3.0))));
         assert_eq!(ts.last_present(), Some((t(15), 3.0)));
-        assert_eq!(ts.present_values(), vec![1.0, 3.0]);
-        assert_eq!(ts.values_missing_as_zero(), vec![1.0, 0.0, 3.0]);
+        assert_eq!(ts.values(), &[Some(1.0), None, Some(3.0)]);
     }
 
     #[test]
@@ -175,16 +199,6 @@ mod tests {
         let mut ts = TimeSeries::new();
         ts.push(t(5), Some(1.0));
         ts.push(t(5), Some(2.0));
-    }
-
-    #[test]
-    fn last_n_handles_short_series() {
-        let mut ts = TimeSeries::new();
-        ts.push(t(1), Some(1.0));
-        ts.push(t(2), Some(2.0));
-        assert_eq!(ts.last_n(5).len(), 2);
-        assert_eq!(ts.last_n(1), &[Some(2.0)]);
-        assert_eq!(ts.last_n(0).len(), 0);
     }
 
     #[test]
@@ -238,6 +252,48 @@ mod tests {
     }
 
     #[test]
+    fn trimmed_series_reuses_its_capacity() {
+        // Pushing before trimming peaks the series at `horizon + 1` samples;
+        // from then on the dead prefix is reclaimed, never grown past.
+        for horizon in [1usize, 3, 4, 7, 64, 192, 200] {
+            let mut ts = TimeSeries::new();
+            let mut s = 0;
+            let mut step = |ts: &mut TimeSeries| {
+                s += 1;
+                ts.push(t(s), Some(s as f64));
+                ts.retain_last(horizon);
+            };
+            for _ in 0..=horizon {
+                step(&mut ts);
+            }
+            let cap = (ts.times.capacity(), ts.values.capacity());
+            for _ in 0..10_000 {
+                step(&mut ts);
+            }
+            assert_eq!((ts.times.capacity(), ts.values.capacity()), cap, "horizon {horizon}");
+            assert_eq!(ts.len(), horizon);
+            assert_eq!(ts.last().unwrap().0, t(10_001 + horizon as u64));
+        }
+    }
+
+    #[test]
+    fn equality_debug_and_clone_see_only_the_window() {
+        let mut trimmed = TimeSeries::new();
+        let mut fresh = TimeSeries::new();
+        for s in 1..=6 {
+            trimmed.push(t(s), Some(s as f64));
+        }
+        trimmed.retain_last(2);
+        fresh.push(t(5), Some(5.0));
+        fresh.push(t(6), Some(6.0));
+        assert_eq!(trimmed, fresh);
+        assert_eq!(format!("{trimmed:?}"), format!("{fresh:?}"));
+        let copy = trimmed.clone();
+        assert_eq!(copy.start, 0);
+        assert_eq!(copy, fresh);
+    }
+
+    #[test]
     fn align_tail_matches_common_timestamps() {
         let mut a = TimeSeries::new();
         let mut b = TimeSeries::new();
@@ -247,7 +303,8 @@ mod tests {
         for s in [2u64, 3, 5, 6] {
             b.push(t(s), Some(10.0 * s as f64));
         }
-        let (xs, ys) = align_tail(&a, &b, 10);
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        align_tail(&a, &b, 10, &mut xs, &mut ys);
         assert_eq!(xs, vec![Some(2.0), Some(3.0), Some(5.0)]);
         assert_eq!(ys, vec![Some(20.0), Some(30.0), Some(50.0)]);
     }
@@ -260,7 +317,9 @@ mod tests {
             a.push(t(s), Some(s as f64));
             b.push(t(s), Some(-(s as f64)));
         }
-        let (xs, ys) = align_tail(&a, &b, 3);
+        // Stale contents of the output buffers are cleared first.
+        let (mut xs, mut ys) = (vec![Some(0.0); 5], vec![None; 7]);
+        align_tail(&a, &b, 3, &mut xs, &mut ys);
         assert_eq!(xs, vec![Some(6.0), Some(7.0), Some(8.0)]);
         assert_eq!(ys.len(), 3);
     }
@@ -273,7 +332,8 @@ mod tests {
         a.push(t(2), None);
         b.push(t(1), None);
         b.push(t(2), Some(5.0));
-        let (xs, ys) = align_tail(&a, &b, 10);
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        align_tail(&a, &b, 10, &mut xs, &mut ys);
         assert_eq!(xs, vec![Some(1.0), None]);
         assert_eq!(ys, vec![None, Some(5.0)]);
     }
@@ -284,7 +344,8 @@ mod tests {
         let mut b = TimeSeries::new();
         a.push(t(1), Some(1.0));
         b.push(t(2), Some(2.0));
-        let (xs, ys) = align_tail(&a, &b, 10);
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        align_tail(&a, &b, 10, &mut xs, &mut ys);
         assert!(xs.is_empty() && ys.is_empty());
     }
 }

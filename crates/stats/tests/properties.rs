@@ -1,9 +1,11 @@
 //! Property-based tests for the statistics toolkit.
 
+use perfcloud_sim::SimTime;
 use perfcloud_stats::pearson::pearson_victim_aware;
+use perfcloud_stats::timeseries::align_tail;
 use perfcloud_stats::{
-    mean, pearson, pearson_missing_as_zero, population_stddev, quantile, BoxplotSummary, Cdf, Ewma,
-    RollingPearson, RollingStddev, Running,
+    mean, median, pearson, pearson_missing_as_zero, population_stddev, quantile, robust_stddev,
+    BoxplotSummary, Cdf, Ewma, RollingPearson, RollingStddev, Running, TimeSeries,
 };
 use proptest::prelude::*;
 
@@ -15,6 +17,52 @@ fn close(a: f64, b: f64) -> bool {
 
 fn finite_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-1e6f64..1e6, len)
+}
+
+/// The reference `TimeSeries`: one `Vec` of samples, trimmed by draining
+/// its front — the straightforward form of sliding-window retention.
+#[derive(Clone, Default)]
+struct ModelSeries(Vec<(SimTime, Option<f64>)>);
+
+impl ModelSeries {
+    fn retain_last(&mut self, n: usize) {
+        let cut = self.0.len().saturating_sub(n);
+        self.0.drain(..cut);
+    }
+
+    fn times(&self) -> Vec<SimTime> {
+        self.0.iter().map(|p| p.0).collect()
+    }
+
+    fn values(&self) -> Vec<Option<f64>> {
+        self.0.iter().map(|p| p.1).collect()
+    }
+
+    fn last_present(&self) -> Option<(SimTime, f64)> {
+        self.0.iter().rev().find_map(|&(t, v)| v.map(|v| (t, v)))
+    }
+}
+
+/// Reference `align_tail`: the most recent `window` timestamps common to
+/// both models, oldest first, found by a quadratic search.
+fn model_align(a: &ModelSeries, b: &ModelSeries, window: usize) -> Vec<(Option<f64>, Option<f64>)> {
+    let common: Vec<_> =
+        a.0.iter()
+            .filter_map(|&(t, x)| b.0.iter().find(|p| p.0 == t).map(|&(_, y)| (x, y)))
+            .collect();
+    common[common.len().saturating_sub(window)..].to_vec()
+}
+
+/// Reference robust deviation: copy, stable-sort and take medians with the
+/// allocating [`median`].
+fn naive_robust_stddev(xs: &[f64]) -> Option<f64> {
+    let clean: Vec<f64> = xs.iter().copied().filter(|v| v.is_finite()).collect();
+    if clean.len() < 2 {
+        return None;
+    }
+    let m = median(&clean)?;
+    let dev: Vec<f64> = clean.iter().map(|v| (v - m).abs()).collect();
+    median(&dev).map(|mad| mad * perfcloud_stats::rank::MAD_TO_SIGMA)
 }
 
 proptest! {
@@ -232,5 +280,81 @@ proptest! {
             let rm = rs.mean().unwrap();
             prop_assert!(close(rm, bm), "mean rolled {rm} vs batch {bm}");
         }
+    }
+
+    /// The offset-trimmed `TimeSeries` behaves exactly like a `Vec` trimmed
+    /// by draining its front, under any interleaving of pushes, trims and
+    /// clones on two series: same window, same latest samples, same
+    /// equality, and the same aligned tails.
+    #[test]
+    fn time_series_matches_drain_model(
+        ops in proptest::collection::vec(
+            (0u8..8, 0u8..2, 1u64..4, proptest::option::of(-1e3f64..1e3), 0usize..24),
+            0..300,
+        ),
+        window in 1usize..32,
+    ) {
+        let mut series = [TimeSeries::new(), TimeSeries::new()];
+        let mut models = [ModelSeries::default(), ModelSeries::default()];
+        let mut clocks = [0u64; 2];
+        for &(op, which, gap, value, n) in &ops {
+            let (ts, model) = (&mut series[usize::from(which)], &mut models[usize::from(which)]);
+            match op {
+                // Half the ops push; trims and clones share the rest.
+                0..=3 => {
+                    let clock = &mut clocks[usize::from(which)];
+                    *clock += gap;
+                    ts.push(SimTime::from_secs(*clock), value);
+                    model.0.push((SimTime::from_secs(*clock), value));
+                }
+                4..=6 => {
+                    ts.retain_last(n);
+                    model.retain_last(n);
+                }
+                _ => *ts = ts.clone(),
+            }
+            prop_assert_eq!(ts.times(), model.times().as_slice());
+            prop_assert_eq!(ts.values(), model.values().as_slice());
+            prop_assert_eq!(ts.len(), model.0.len());
+            prop_assert_eq!(ts.last(), model.0.last().copied());
+            prop_assert_eq!(ts.last_present(), model.last_present());
+        }
+        // Equality sees only the retained window, whatever the offsets.
+        let fresh: Vec<TimeSeries> = models
+            .iter()
+            .map(|m| {
+                let mut t = TimeSeries::new();
+                for &(at, v) in &m.0 {
+                    t.push(at, v);
+                }
+                t
+            })
+            .collect();
+        prop_assert!(series[0] == fresh[0] && series[1] == fresh[1]);
+        prop_assert_eq!(series[0] == series[1], models[0].0 == models[1].0);
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        align_tail(&series[0], &series[1], window, &mut xs, &mut ys);
+        let want = model_align(&models[0], &models[1], window);
+        let got: Vec<_> = xs.into_iter().zip(ys).collect();
+        prop_assert_eq!(got, want);
+    }
+
+    /// The in-place robust deviation is bit-identical to the copying,
+    /// stable-sorting reference, ties and non-finite values included.
+    #[test]
+    fn robust_stddev_matches_copying_reference(
+        xs in proptest::collection::vec(
+            (0u8..8, -1e3f64..1e3).prop_map(|(k, v)| match k {
+                0 => f64::NAN,
+                1 => v.round(), // frequent ties
+                2 => 0.0,
+                _ => v,
+            }),
+            0..40,
+        ),
+    ) {
+        let got = robust_stddev(&mut xs.clone());
+        let want = naive_robust_stddev(&xs);
+        prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{:?}", xs);
     }
 }
