@@ -112,7 +112,7 @@ fn prewarm_baselines(seed: u64) -> Option<PathBuf> {
 
 /// Replays one golden scenario with recorders attached and writes its
 /// Chrome trace. Exits the process (0 on success).
-fn export_trace(scenario: &str, path: &str, shards: usize) -> ! {
+fn export_trace(scenario: &str, path: &str) -> ! {
     let Some(sc) = golden::scenarios().into_iter().find(|s| s.name == scenario) else {
         eprintln!("unknown scenario: {scenario}");
         eprintln!("known scenarios:");
@@ -121,7 +121,7 @@ fn export_trace(scenario: &str, path: &str, shards: usize) -> ! {
         }
         std::process::exit(2);
     };
-    let artifact = (sc.build)(shards);
+    let artifact = (sc.build)();
     let sources = golden::take_flight_sources();
     if sources.is_empty() {
         eprintln!("scenario {scenario} recorded no flight events (sweep-internal scenario?)");
@@ -148,7 +148,6 @@ fn main() {
     let mut fast = false;
     let mut trace_out: Option<String> = None;
     let mut trace_scenario = String::from("ctrl_coordinator_crash");
-    let mut shards: Option<usize> = None;
     let mut timing_out: Option<String> = None;
     let mut timing_baseline: Option<String> = None;
     let mut max_slower = 0.15f64;
@@ -159,10 +158,6 @@ fn main() {
             "--trace-out" => trace_out = Some(args.next().expect("--trace-out needs a path")),
             "--trace-scenario" => {
                 trace_scenario = args.next().expect("--trace-scenario needs a name")
-            }
-            "--shards" => {
-                let n = args.next().expect("--shards needs a count");
-                shards = Some(n.parse().unwrap_or_else(|_| panic!("bad shard count: {n}")));
             }
             "--timing-out" => timing_out = Some(args.next().expect("--timing-out needs a path")),
             "--baseline" => timing_baseline = Some(args.next().expect("--baseline needs a path")),
@@ -176,7 +171,7 @@ fn main() {
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
-                    "usage: run_all [--fast] [--shards N] [--timing-out PATH] \
+                    "usage: run_all [--fast] [--timing-out PATH] \
                      [--baseline FILE [--max-slower FRAC]] \
                      [--trace-out PATH [--trace-scenario NAME]]"
                 );
@@ -184,18 +179,8 @@ fn main() {
             }
         }
     }
-    // --shards overrides the PERFCLOUD_SHARDS environment; exporting it
-    // makes every child harness inherit the same in-run shard count. The
-    // results are byte-identical at any count — this is a perf knob.
-    if let Some(n) = shards {
-        std::env::set_var(perfcloud_sim::shard::SHARDS_ENV, n.to_string());
-    }
-    let shard_count = perfcloud_sim::shard::shards_from_env(1);
     if let Some(path) = &trace_out {
-        export_trace(&trace_scenario, path, shard_count);
-    }
-    if shard_count != 1 {
-        println!("in-run shards: {shard_count}");
+        export_trace(&trace_scenario, path);
     }
 
     // The committed timing baseline is read up front so gating against the

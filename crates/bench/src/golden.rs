@@ -72,22 +72,12 @@ pub fn take_flight_dump() -> String {
     merged_dump(&take_flight_sources(), FLIGHT_DUMP_EVENTS)
 }
 
-/// One named golden scenario: `build(shards)` renders the canonical
-/// artifact with the experiment partitioned into that many in-run shards.
-/// The bytes must be identical at every shard count; pass
-/// [`env_shards`]`()` to follow the `PERFCLOUD_SHARDS` environment (the CI
-/// matrix), or a literal to pin a count in-process (the shard-invariance
-/// suites — an env var would race parallel tests).
+/// One named golden scenario: `build()` renders the canonical artifact.
 pub struct GoldenScenario {
     /// File stem under `tests/golden/` (`<name>.trace`).
     pub name: &'static str,
     /// Renders the artifact from scratch.
-    pub build: fn(usize) -> String,
-}
-
-/// The ambient shard count: `PERFCLOUD_SHARDS`, default 1.
-pub fn env_shards() -> usize {
-    perfcloud_sim::shard::shards_from_env(1)
+    pub build: fn() -> String,
 }
 
 /// Whether golden runs snapshot mid-run and finish on the fork
@@ -152,15 +142,14 @@ pub fn scenarios() -> Vec<GoldenScenario> {
 /// overridden) — the same shape as the paper's Fig. 10 case study — with
 /// `faults` injected into the node manager. Returns the run's canonical
 /// artifact: two summary headers plus the full decision trace.
-fn chaos_run(shards: usize, faults: Option<FaultScenario>, mitigation: Mitigation) -> String {
-    chaos_run_with_control(shards, faults, mitigation, ControlPlaneSpec::default())
+fn chaos_run(faults: Option<FaultScenario>, mitigation: Mitigation) -> String {
+    chaos_run_with_control(faults, mitigation, ControlPlaneSpec::default())
 }
 
 /// [`chaos_run`] with an explicit control-plane deployment — used by the
 /// `ctrl_*` scenarios to run replicated cloud managers over a lossy or
 /// partitioned network while the same job/antagonist testbed plays out.
 fn chaos_run_with_control(
-    shards: usize,
     faults: Option<FaultScenario>,
     mitigation: Mitigation,
     control: ControlPlaneSpec,
@@ -173,7 +162,6 @@ fn chaos_run_with_control(
     cfg.faults = faults;
     cfg.control = control;
     let mut e = Experiment::build(cfg);
-    e.set_shards(shards);
     e.enable_decision_trace();
     if OBSERVE_GOLDENS.load(Ordering::Relaxed) {
         e.enable_observability(FLIGHT_CAPACITY);
@@ -196,94 +184,94 @@ fn secs(s: u64) -> SimTime {
     SimTime::from_secs(s)
 }
 
-fn baseline(shards: usize) -> String {
-    chaos_run(shards, None, perfcloud())
+fn baseline() -> String {
+    chaos_run(None, perfcloud())
 }
 
-fn ablation_monitoring(shards: usize) -> String {
+fn ablation_monitoring() -> String {
     // Monitoring-only node managers: deviations are recorded but thresholds
     // sit at infinity, so the trace must show signals and no decisions.
-    chaos_run(shards, None, Mitigation::Default)
+    chaos_run(None, Mitigation::Default)
 }
 
-fn chaos_drop(shards: usize) -> String {
+fn chaos_drop() -> String {
     let s = FaultScenario::named("drop").rule(
         FaultRule::new("drop-30pct", FaultKind::DropSample)
             .window(secs(20), secs(120))
             .with_probability(0.3),
     );
-    chaos_run(shards, Some(s), perfcloud())
+    chaos_run(Some(s), perfcloud())
 }
 
-fn chaos_delay(shards: usize) -> String {
+fn chaos_delay() -> String {
     let s = FaultScenario::named("delay").rule(
         FaultRule::new("delay-2", FaultKind::DelaySample { intervals: 2 })
             .window(secs(20), secs(120))
             .with_probability(0.4),
     );
-    chaos_run(shards, Some(s), perfcloud())
+    chaos_run(Some(s), perfcloud())
 }
 
-fn chaos_duplicate(shards: usize) -> String {
+fn chaos_duplicate() -> String {
     let s = FaultScenario::named("duplicate").rule(
         FaultRule::new("dup-half", FaultKind::DuplicateSample)
             .window(secs(20), secs(120))
             .with_probability(0.5),
     );
-    chaos_run(shards, Some(s), perfcloud())
+    chaos_run(Some(s), perfcloud())
 }
 
-fn chaos_nan_iowait(shards: usize) -> String {
+fn chaos_nan_iowait() -> String {
     let s = FaultScenario::named("nan-iowait").rule(
         FaultRule::new("nan-all", FaultKind::CorruptNaN)
             .on_metric(MetricClass::BlkioIowait)
             .window(secs(25), secs(60)),
     );
-    chaos_run(shards, Some(s), perfcloud())
+    chaos_run(Some(s), perfcloud())
 }
 
-fn chaos_spike_cpi(shards: usize) -> String {
+fn chaos_spike_cpi() -> String {
     let s = FaultScenario::named("spike-cpi").rule(
         FaultRule::new("spike-50x", FaultKind::CorruptSpike { factor: 50.0 })
             .on_metric(MetricClass::Cpi)
             .window(secs(25), secs(80))
             .with_probability(0.5),
     );
-    chaos_run(shards, Some(s), perfcloud())
+    chaos_run(Some(s), perfcloud())
 }
 
-fn chaos_stuck_iowait(shards: usize) -> String {
+fn chaos_stuck_iowait() -> String {
     let s = FaultScenario::named("stuck-iowait").rule(
         FaultRule::new("stuck-all", FaultKind::CorruptStuckAt)
             .on_metric(MetricClass::BlkioIowait)
             .window(secs(30), secs(90)),
     );
-    chaos_run(shards, Some(s), perfcloud())
+    chaos_run(Some(s), perfcloud())
 }
 
-fn chaos_stall(shards: usize) -> String {
+fn chaos_stall() -> String {
     let s = FaultScenario::named("stall").rule(
         FaultRule::new("stall-3", FaultKind::StallManager { intervals: 3 })
             .window(secs(30), secs(35)),
     );
-    chaos_run(shards, Some(s), perfcloud())
+    chaos_run(Some(s), perfcloud())
 }
 
-fn chaos_crash(shards: usize) -> String {
+fn chaos_crash() -> String {
     let s = FaultScenario::named("crash")
         .rule(FaultRule::new("crash-once", FaultKind::CrashRestart).window(secs(40), secs(45)));
-    chaos_run(shards, Some(s), perfcloud())
+    chaos_run(Some(s), perfcloud())
 }
 
-fn chaos_desync(shards: usize) -> String {
+fn chaos_desync() -> String {
     let s = FaultScenario::named("desync").rule(
         FaultRule::new("desync-20", FaultKind::DesyncPlacement { intervals: 20 })
             .window(secs(20), secs(25)),
     );
-    chaos_run(shards, Some(s), perfcloud())
+    chaos_run(Some(s), perfcloud())
 }
 
-fn chaos_kitchen_sink(shards: usize) -> String {
+fn chaos_kitchen_sink() -> String {
     let s = FaultScenario::named("kitchen-sink")
         .rule(
             FaultRule::new("drop", FaultKind::DropSample)
@@ -316,7 +304,7 @@ fn chaos_kitchen_sink(shards: usize) -> String {
             FaultRule::new("desync", FaultKind::DesyncPlacement { intervals: 10 })
                 .window(secs(100), secs(105)),
         );
-    chaos_run(shards, Some(s), perfcloud())
+    chaos_run(Some(s), perfcloud())
 }
 
 /// Three cloud-manager replicas on a high-latency (600 ms) link; the
@@ -325,7 +313,7 @@ fn chaos_kitchen_sink(shards: usize) -> String {
 /// round — the RTT forces a generous election timeout), placement epochs
 /// jumping to m1's term within the staleness budget, and the healed m0's
 /// stale republish being rejected by epoch and stepped down.
-fn ctrl_coordinator_crash(shards: usize) -> String {
+fn ctrl_coordinator_crash() -> String {
     // The heal lands just before the t=35 sampling instant AND just after
     // the new coordinator's in-flight heartbeat died against the still-down
     // replica, so the healed m0 still believes it leads when the publish
@@ -344,7 +332,7 @@ fn ctrl_coordinator_crash(shards: usize) -> String {
         trace_events: true,
         ..ControlPlaneSpec::default()
     };
-    chaos_run_with_control(shards, Some(s), perfcloud(), control)
+    chaos_run_with_control(Some(s), perfcloud(), control)
 }
 
 /// Three replicas with the coordinator m0 partitioned away from everyone
@@ -353,7 +341,7 @@ fn ctrl_coordinator_crash(shards: usize) -> String {
 /// events). At heal both sides publish into the same interval: epoch
 /// ordering rejects the stale coordinator's update and its own heartbeat
 /// draws the step-down correction.
-fn ctrl_partition_heal(shards: usize) -> String {
+fn ctrl_partition_heal() -> String {
     let control = ControlPlaneSpec {
         managers: 3,
         link: LinkSpec { latency: SimDuration::from_millis(10), ..LinkSpec::default() },
@@ -370,14 +358,14 @@ fn ctrl_partition_heal(shards: usize) -> String {
         trace_events: true,
         ..ControlPlaneSpec::default()
     };
-    chaos_run_with_control(shards, None, perfcloud(), control)
+    chaos_run_with_control(None, perfcloud(), control)
 }
 
 /// A single manager on a lossy link: placement updates are dropped at 35%
 /// and occasionally delayed past the next publish, so stale epochs arrive
 /// after fresher ones and must be rejected while the node manager rides
 /// its cached view within the staleness budget.
-fn ctrl_lossy_placement(shards: usize) -> String {
+fn ctrl_lossy_placement() -> String {
     // The delay exceeds the 5 s publish cadence, so a lagged epoch arrives
     // after its successor was applied and must be rejected as a regression.
     let s = FaultScenario::named("ctrl-lossy-placement")
@@ -398,7 +386,7 @@ fn ctrl_lossy_placement(shards: usize) -> String {
         trace_events: true,
         ..ControlPlaneSpec::default()
     };
-    chaos_run_with_control(shards, Some(s), perfcloud(), control)
+    chaos_run_with_control(Some(s), perfcloud(), control)
 }
 
 /// The placement testbed: the chaos job/antagonist shape on a two-server
@@ -408,9 +396,8 @@ fn ctrl_lossy_placement(shards: usize) -> String {
 /// many live migrations the run started, so a policy change that starts
 /// migrating (or stops) is a one-line golden diff even before any
 /// decision drifts.
-fn placement_run(shards: usize, mitigation: Mitigation) -> String {
+fn placement_run(mitigation: Mitigation) -> String {
     let mut e = build_placement(mitigation, TelemetrySpec::default());
-    e.set_shards(shards);
     if OBSERVE_GOLDENS.load(Ordering::Relaxed) {
         e.enable_observability(FLIGHT_CAPACITY);
     }
@@ -454,23 +441,20 @@ pub fn placement_artifact(e: &Experiment, r: &perfcloud_cluster::ExperimentResul
 
 /// Throttle-only arm of the placement comparison: PerfCloud caps the
 /// antagonist in place; the spare server stays empty and `migrations=0`.
-fn placement_throttle(shards: usize) -> String {
-    placement_run(shards, perfcloud())
+fn placement_throttle() -> String {
+    placement_run(perfcloud())
 }
 
 /// Migrate-only arm: no throttling — the identified antagonist is
 /// live-migrated to the spare server and runs there uncapped.
-fn placement_migrate(shards: usize) -> String {
-    placement_run(shards, Mitigation::MigrateOnly(PlacementConfig::default()))
+fn placement_migrate() -> String {
+    placement_run(Mitigation::MigrateOnly(PlacementConfig::default()))
 }
 
 /// Hybrid arm: throttle while the interference penalty accrues, then
 /// migrate the antagonist away entirely.
-fn placement_hybrid(shards: usize) -> String {
-    placement_run(
-        shards,
-        Mitigation::Hybrid(PerfCloudConfig::default(), PlacementConfig::default()),
-    )
+fn placement_hybrid() -> String {
+    placement_run(Mitigation::Hybrid(PerfCloudConfig::default(), PlacementConfig::default()))
 }
 
 /// A down-scaled Fig. 12(b): the Spark logistic-regression job under
@@ -480,7 +464,7 @@ fn placement_hybrid(shards: usize) -> String {
 /// is close between systems and has historically drifted under innocuous-
 /// looking changes to sampling or identification. Any such drift now shows
 /// up as a golden diff instead of a silent shape change.
-fn fig12b_mini(shards: usize) -> String {
+fn fig12b_mini() -> String {
     const SERVERS: usize = 4;
     const REPS: usize = 6;
     const TASKS: usize = 12;
@@ -492,9 +476,7 @@ fn fig12b_mini(shards: usize) -> String {
         let mut cfg = ExperimentConfig::new(cluster, Mitigation::Default);
         cfg.jobs.push((JOB_START, bench.job(TASKS)));
         cfg.max_sim_time = SimTime::from_secs(7_200);
-        let mut e = Experiment::build(cfg);
-        e.set_shards(shards);
-        run_to_completion(e).1.sole_jct()
+        run_to_completion(Experiment::build(cfg)).1.sole_jct()
     };
 
     type MitigationFactory = fn() -> Mitigation;
@@ -526,9 +508,7 @@ fn fig12b_mini(shards: usize) -> String {
             cfg.jobs.push((JOB_START, bench.job(TASKS)));
             cfg.antagonists = antagonists;
             cfg.max_sim_time = SimTime::from_secs(7_200);
-            let mut e = Experiment::build(cfg);
-            e.set_shards(shards);
-            run_to_completion(e).1.sole_jct() / solo
+            run_to_completion(Experiment::build(cfg)).1.sole_jct() / solo
         });
         let b = BoxplotSummary::from_data(&jcts).expect("non-empty");
         let list: Vec<String> = jcts.iter().map(|v| format!("{v}")).collect();

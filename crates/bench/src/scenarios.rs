@@ -1,11 +1,10 @@
 //! Canned paper scenarios shared by the figure binaries.
 
 use perfcloud_cluster::{
-    AntagonistKind, AntagonistPlacement, ClusterSpec, Experiment, ExperimentConfig,
-    ExperimentResult, Mitigation,
+    AntagonistKind, AntagonistPlacement, ClusterSpec, Experiment, ExperimentConfig, Mitigation,
 };
 use perfcloud_frameworks::Benchmark;
-use perfcloud_sim::{SimDuration, SimTime};
+use perfcloud_sim::SimTime;
 
 /// Master seed used by the harnesses (override with `PERFCLOUD_SEED`).
 pub fn base_seed() -> u64 {
@@ -57,19 +56,6 @@ pub fn solo_jct(bench: Benchmark, tasks: usize, seed: u64) -> f64 {
     small_scale(bench, tasks, Vec::new(), Mitigation::Default, seed).run().sole_jct()
 }
 
-/// JCT with antagonists pinned from t = 0 (degradation scenarios: the
-/// colocated workload runs for the whole job, as in Figs. 1–2).
-pub fn contended_run(
-    bench: Benchmark,
-    tasks: usize,
-    kinds: &[AntagonistKind],
-    mitigation: Mitigation,
-    seed: u64,
-) -> ExperimentResult {
-    let placements = kinds.iter().map(|&k| AntagonistPlacement::pinned(k, 0)).collect();
-    small_scale(bench, tasks, placements, mitigation, seed).run()
-}
-
 /// The fio random-read benchmark running alone on an otherwise empty
 /// Chameleon server: its solo IOPS and bytes/s (the normalization reference
 /// for Figs. 1 and 9).
@@ -116,13 +102,6 @@ pub fn four_antagonists() -> Vec<AntagonistPlacement> {
     .into_iter()
     .map(|k| AntagonistPlacement::pinned(k, 0).starting_at(ANTAGONIST_ONSET))
     .collect()
-}
-
-/// Runs an experiment for a fixed horizon even after jobs drain (used when
-/// harvesting time series).
-pub fn run_for_horizon(e: &mut Experiment, horizon: SimDuration) -> ExperimentResult {
-    e.run_for(horizon);
-    e.result()
 }
 
 #[cfg(test)]

@@ -12,7 +12,6 @@
 
 use crate::antagonists::{AntagonistKind, AntagonistPlacement};
 use crate::placement::PlacementRuntime;
-use crate::shard::{for_each_shard, ShardEffect, ShardScratch};
 use crate::topology::{ClusterSpec, Testbed};
 use crate::trace::DecisionTrace;
 use perfcloud_baselines::{Dolly, LatePolicy, StaticCapping};
@@ -25,20 +24,11 @@ use perfcloud_frameworks::{JobOutcome, JobSpec};
 use perfcloud_host::{FinishedProcess, PhysicalServer, ServerId, VmId};
 use perfcloud_obs::{ExportSource, MetricsRegistry};
 use perfcloud_place::PlacementConfig;
-use perfcloud_sim::shard::{partition, shards_from_env, split_mut};
 use perfcloud_sim::{FaultScenario, SimDuration, SimTime};
 use perfcloud_telemetry::{
     RecordingFormat, ReplaySource, Sample, TelemetryRecording, TelemetryWriter,
 };
-use std::ops::Range;
 use std::sync::Arc;
-
-/// Minimum servers per shard before the dispatch loop spawns worker
-/// threads. Below this, per-tick thread spawn/join overhead (~10µs per
-/// worker) dwarfs the shard's work, so small clusters — including every
-/// golden scenario — run shards inline in shard order, which is
-/// byte-identical by construction.
-const SHARD_THREAD_MIN_SERVERS: usize = 64;
 
 /// The mitigation strategy of one run.
 pub enum Mitigation {
@@ -235,33 +225,21 @@ pub struct Experiment {
     /// node-manager step instead of allocating a report per (server,
     /// interval).
     report_buf: StepReport,
-    /// In-run shard count `S` (`PERFCLOUD_SHARDS`, default 1).
-    shards: usize,
-    /// Contiguous server-index range of each shard.
-    shard_ranges: Vec<Range<usize>>,
-    /// Per-shard scratch buffers, reused every phase.
-    shard_scratch: Vec<ShardScratch>,
-    /// Thread-dispatch override for the shard phases: `None` auto-sizes on
-    /// servers-per-shard, `Some(v)` forces threads on/off (tests).
-    shard_threads: Option<bool>,
-    /// Stall flags snapshotted from the control plane at the epoch barrier
-    /// before the sampling phase fans out.
-    stall_snapshot: Vec<bool>,
-    /// Merged `(server, finished process)` pairs from the tick phase.
+    /// `(server, finished process)` pairs from the tick phase.
     finished_buf: Vec<(usize, FinishedProcess)>,
-    /// The placement runtime, when the mitigation migrates. Runs entirely
-    /// on the coordinator: verdict ingestion and proposals at sampling
-    /// instants, phase transitions between ticks.
+    /// The placement runtime, when the mitigation migrates: verdict
+    /// ingestion and proposals at sampling instants, phase transitions
+    /// between ticks.
     placement: Option<PlacementRuntime>,
     /// The telemetry spec from the build config; re-applied to rebuilt
     /// node managers by [`Self::set_mitigation`].
     telemetry: TelemetrySpec,
     /// Recording writer when teeing is configured; fed in server order at
-    /// every sampling barrier.
+    /// every sampling instant.
     tee_writer: Option<TelemetryWriter>,
-    /// Reused drain scratch for the tee barrier.
+    /// Reused drain scratch for the tee.
     tee_buf: Vec<Sample>,
-    /// Sampling barriers at which the tee drained node managers.
+    /// Sampling instants at which the tee drained node managers.
     tee_flushes: u64,
 }
 
@@ -319,9 +297,6 @@ impl Experiment {
 
         let scheduler = FrameworkScheduler::new(tb.workers.clone());
         let sample_interval = pc_config.sample_interval;
-        let shards = shards_from_env(1);
-        let shard_ranges = partition(tb.servers.len(), shards);
-        let shard_scratch = (0..shards).map(|_| ShardScratch::default()).collect();
         Experiment {
             servers: tb.servers,
             cloud: tb.cloud,
@@ -348,11 +323,6 @@ impl Experiment {
             flight_capacity: None,
             trace: None,
             report_buf: StepReport::default(),
-            shards,
-            shard_ranges,
-            shard_scratch,
-            shard_threads: None,
-            stall_snapshot: Vec::new(),
             finished_buf: Vec::new(),
             placement: placement.as_ref().map(PlacementRuntime::new),
             telemetry: config.telemetry,
@@ -362,32 +332,12 @@ impl Experiment {
         }
     }
 
-    /// Repartitions the cluster into `shards` in-run shards. Any count
-    /// produces byte-identical traces and results; more shards than
-    /// servers leaves the excess shards empty.
-    pub fn set_shards(&mut self, shards: usize) {
-        let shards = shards.max(1);
-        self.shards = shards;
-        self.shard_ranges = partition(self.servers.len(), shards);
-        self.shard_scratch = (0..shards).map(|_| ShardScratch::default()).collect();
-    }
-
-    /// The in-run shard count.
+    /// Always 1: an experiment runs as one sequential loop. A
+    /// compatibility stub kept only because the `perfbench` harness
+    /// asserts it; it goes with the next change allowed to touch
+    /// `perfbench/`.
     pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Forces shard worker threads on or off (`None` restores the
-    /// auto-sizing default). Threading is a latency decision only; outputs
-    /// are identical either way.
-    pub fn set_shard_threads(&mut self, force: Option<bool>) {
-        self.shard_threads = force;
-    }
-
-    fn use_threads(&self) -> bool {
-        self.shard_threads.unwrap_or_else(|| {
-            self.shards > 1 && self.servers.len() / self.shards >= SHARD_THREAD_MIN_SERVERS
-        })
+        1
     }
 
     /// Starts recording a canonical decision trace of every node-manager
@@ -455,12 +405,12 @@ impl Experiment {
 
     /// The run's observability counters assembled into a
     /// [`MetricsRegistry`]: monitor ingest outcomes, control-plane network
-    /// delivery counters, telemetry tee tallies, and shard gauges. Every
+    /// delivery counters, and telemetry tee tallies. Every
     /// export path — the flat snapshot, the Prometheus text exposition —
     /// reads this one registry, so no counter can appear in one and not
     /// the other.
     pub fn metrics_registry(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::with_capacity(18 + 2 * self.shards);
+        let mut reg = MetricsRegistry::with_capacity(12);
         let ingest = self.ingest_stats();
         let pairs = [
             ("ingest_baselines", ingest.baselines),
@@ -490,14 +440,6 @@ impl Experiment {
         {
             let id = reg.counter(name);
             reg.inc(id, value);
-        }
-        let id = reg.gauge("shards");
-        reg.set(id, self.shards as i64);
-        for (s, scratch) in self.shard_scratch.iter().enumerate() {
-            let id = reg.gauge(&format!("shard{s}_queue_peak_depth"));
-            reg.set(id, scratch.queue_peak_depth as i64);
-            let id = reg.gauge(&format!("shard{s}_barrier_wait_us"));
-            reg.set(id, scratch.barrier_wait_us as i64);
         }
         reg
     }
@@ -549,9 +491,7 @@ impl Experiment {
     /// control plane with its in-flight network messages, the decision
     /// trace, and any attached flight recorders — so continuing the fork
     /// is byte-identical to continuing the parent, and neither observes
-    /// the other. Per-shard scratch buffers are rebuilt empty: they are
-    /// drained at every epoch barrier and only accumulate latency metrics,
-    /// never simulation state.
+    /// the other.
     ///
     /// Combined with the divergence APIs ([`Self::start_antagonist`],
     /// [`Self::push_job`], [`Self::apply_static_caps`],
@@ -585,11 +525,6 @@ impl Experiment {
             flight_capacity: self.flight_capacity,
             trace: self.trace.clone(),
             report_buf: self.report_buf.clone(),
-            shards: self.shards,
-            shard_ranges: self.shard_ranges.clone(),
-            shard_scratch: (0..self.shards).map(|_| ShardScratch::default()).collect(),
-            shard_threads: self.shard_threads,
-            stall_snapshot: Vec::new(),
             finished_buf: Vec::new(),
             placement: self.placement.clone(),
             telemetry: self.telemetry.clone(),
@@ -738,9 +673,8 @@ impl Experiment {
             self.submitted_jobs += 1;
         }
 
-        // Advance the world: each shard ticks its own servers; the merged
-        // finished list (shard order = server-index order) feeds the
-        // framework scheduler, which stays on the coordinator.
+        // Advance the world: tick every server; the finished list, in
+        // server-index order, feeds the framework scheduler.
         self.tick_servers();
         let finished = std::mem::take(&mut self.finished_buf);
         self.scheduler.on_tick(now, &mut self.servers, &finished, self.policy.as_mut());
@@ -760,9 +694,8 @@ impl Experiment {
         if sampling {
             self.sample_node_managers(now);
             self.next_sample += self.sample_interval;
-            // Placement decisions ride the same cadence, on the coordinator
-            // after the sampling barrier: identify verdicts are fresh and
-            // the decision order is shard- and thread-independent.
+            // Placement decisions ride the same cadence, after every node
+            // manager has sampled, so identify verdicts are fresh.
             if let Some(rt) = self.placement.as_mut() {
                 rt.on_sample(
                     now,
@@ -788,118 +721,36 @@ impl Experiment {
     fn tick_servers(&mut self) {
         self.finished_buf.clear();
         let tick = self.tick;
-        if self.shards == 1 {
-            for (i, server) in self.servers.iter_mut().enumerate() {
-                let report = server.tick(tick);
-                for f in report.finished {
-                    self.finished_buf.push((i, f));
-                }
+        for (i, server) in self.servers.iter_mut().enumerate() {
+            let report = server.tick(tick);
+            for f in report.finished {
+                self.finished_buf.push((i, f));
             }
-            return;
-        }
-        let threaded = self.use_threads();
-        let starts: Vec<usize> = self.shard_ranges.iter().map(|r| r.start).collect();
-        let slices = split_mut(&mut self.servers, &self.shard_ranges);
-        let mut tasks: Vec<_> = slices.into_iter().zip(self.shard_scratch.iter_mut()).collect();
-        let waits = for_each_shard(threaded, &mut tasks, |s, (servers, scratch)| {
-            scratch.finished.clear();
-            let base = starts[s];
-            for (k, server) in servers.iter_mut().enumerate() {
-                let report = server.tick(tick);
-                for f in report.finished {
-                    scratch.finished.push((base + k, f));
-                }
-            }
-        });
-        drop(tasks);
-        // Epoch barrier: concatenate per-shard results in shard order
-        // (= global index order; shards are contiguous).
-        for (s, scratch) in self.shard_scratch.iter_mut().enumerate() {
-            scratch.barrier_wait_us += waits[s];
-            self.finished_buf.append(&mut scratch.finished);
         }
     }
 
-    /// Runs every node manager's sampling step. With one shard this is the
-    /// plain sequential loop; with more, each shard steps its servers
-    /// against a stall snapshot frozen at the barrier, deferring every
-    /// control-plane effect into its scratch, and the coordinator replays
-    /// the deferred effects in shard order — the exact order (and thus the
-    /// exact control-network RNG draws) of the sequential loop.
+    /// Runs every node manager's sampling step in server-index order,
+    /// applying each step's control-plane effects as it returns.
     fn sample_node_managers(&mut self, now: SimTime) {
-        if self.shards == 1 {
-            for (i, nm) in self.node_managers.iter_mut().enumerate() {
-                let stalled = self.plane.stalled(i, now);
-                nm.step_synced(now, &mut self.servers[i], stalled, &mut self.report_buf);
-                if self.report_buf.restarted {
-                    // The stalled process died with its freeze.
-                    self.plane.clear_stall(i);
-                }
-                while let Some(apps) = nm.take_colocation_notice() {
-                    self.plane.send_colocation(now, i, apps);
-                }
-                if let Some(trace) = self.trace.as_mut() {
-                    trace.record(now, i, &self.report_buf);
-                }
+        for (i, nm) in self.node_managers.iter_mut().enumerate() {
+            let stalled = self.plane.stalled(i, now);
+            nm.step_synced(now, &mut self.servers[i], stalled, &mut self.report_buf);
+            if self.report_buf.restarted {
+                // The stalled process died with its freeze.
+                self.plane.clear_stall(i);
             }
-            self.drain_tees();
-            return;
-        }
-        // A stall window only changes through its own server's restart, so
-        // the pre-barrier snapshot equals the sequential loop's live reads.
-        self.plane.stall_snapshot_into(now, &mut self.stall_snapshot);
-        let threaded = self.use_threads();
-        let tracing = self.trace.is_some();
-        let starts: Vec<usize> = self.shard_ranges.iter().map(|r| r.start).collect();
-        let stall = &self.stall_snapshot;
-        let server_slices = split_mut(&mut self.servers, &self.shard_ranges);
-        let nm_slices = split_mut(&mut self.node_managers, &self.shard_ranges);
-        let mut tasks: Vec<_> = server_slices
-            .into_iter()
-            .zip(nm_slices)
-            .zip(self.shard_scratch.iter_mut())
-            .map(|((servers, nms), scratch)| (servers, nms, scratch))
-            .collect();
-        let waits = for_each_shard(threaded, &mut tasks, |s, (servers, nms, scratch)| {
-            scratch.effects.clear();
-            scratch.trace.clear();
-            let base = starts[s];
-            for (k, (server, nm)) in servers.iter_mut().zip(nms.iter_mut()).enumerate() {
-                let i = base + k;
-                nm.step_synced(now, server, stall[i], &mut scratch.report);
-                if scratch.report.restarted {
-                    scratch.effects.push(ShardEffect::ClearStall(i));
-                }
-                while let Some(apps) = nm.take_colocation_notice() {
-                    scratch.effects.push(ShardEffect::Colocation(i, apps));
-                }
-                if tracing {
-                    scratch.trace.record(now, i, &scratch.report);
-                }
-            }
-        });
-        drop(tasks);
-        // Epoch barrier: replay deferred control-plane effects and splice
-        // trace fragments, both in shard order.
-        for (s, scratch) in self.shard_scratch.iter_mut().enumerate() {
-            scratch.barrier_wait_us += waits[s];
-            scratch.note_queue_depth(scratch.effects.len());
-            for effect in scratch.effects.drain(..) {
-                match effect {
-                    ShardEffect::ClearStall(i) => self.plane.clear_stall(i),
-                    ShardEffect::Colocation(i, apps) => self.plane.send_colocation(now, i, apps),
-                }
+            while let Some(apps) = nm.take_colocation_notice() {
+                self.plane.send_colocation(now, i, apps);
             }
             if let Some(trace) = self.trace.as_mut() {
-                scratch.trace.drain_into(trace);
+                trace.record(now, i, &self.report_buf);
             }
         }
         self.drain_tees();
     }
 
     /// Drains every node manager's teed samples into the recording writer
-    /// in server-index order — the same order at any shard count, so the
-    /// recording bytes are shard-invariant.
+    /// in server-index order.
     fn drain_tees(&mut self) {
         let Some(writer) = self.tee_writer.as_mut() else { return };
         for (i, nm) in self.node_managers.iter_mut().enumerate() {
@@ -1240,52 +1091,6 @@ mod tests {
         assert_eq!(get("ingest_rejected"), 0.0, "no faults: nothing rejected");
     }
 
-    #[test]
-    fn sharded_run_matches_sequential() {
-        let build = |shards: usize, threads: Option<bool>| {
-            let mut e = Experiment::build(one_job_config(
-                Benchmark::Terasort,
-                10,
-                Mitigation::PerfCloud(PerfCloudConfig::default()),
-                Some(15),
-            ));
-            e.enable_decision_trace();
-            e.set_shards(shards);
-            e.set_shard_threads(threads);
-            let r = e.run();
-            let t = e.decision_trace().unwrap().canonical();
-            (r, t)
-        };
-        let (r1, t1) = build(1, None);
-        assert!(!t1.is_empty());
-        for shards in [2usize, 3, 7] {
-            let (r, t) = build(shards, None);
-            assert_eq!(r1, r, "result diverged at shards={shards}");
-            assert_eq!(t1, t, "trace diverged at shards={shards}");
-        }
-        // Forced worker threads change latency only, never a byte.
-        let (rt, tt) = build(3, Some(true));
-        assert_eq!(r1, rt);
-        assert_eq!(t1, tt);
-    }
-
-    #[test]
-    fn shard_metrics_are_surfaced() {
-        let mut e = Experiment::build(one_job_config(
-            Benchmark::Terasort,
-            10,
-            Mitigation::PerfCloud(PerfCloudConfig::default()),
-            Some(0),
-        ));
-        e.set_shards(3);
-        e.run();
-        let snap = e.metrics_snapshot();
-        let get = |k: &str| snap.iter().find(|(n, _)| n == k).map(|(_, v)| *v).unwrap();
-        assert_eq!(get("shards"), 3.0);
-        assert!(get("shard0_queue_peak_depth") >= 0.0);
-        assert!(get("shard2_barrier_wait_us") >= 0.0);
-    }
-
     fn migration_testbed(mitigation: Mitigation) -> ExperimentConfig {
         // Two servers, the second held spare: all workers and the fio
         // antagonist land on server 0, leaving server 1 as the migration
@@ -1422,7 +1227,30 @@ mod tests {
         cfg.telemetry.tee = Some(RecordingFormat::Jsonl);
         let mut e = Experiment::build(cfg);
         e.run();
+        // The registry holds exactly these counters, in this order, and no
+        // gauge: its fixed capacity is sized to them.
+        let reg = e.metrics_registry();
+        let names: Vec<&str> = reg.counters().map(|(n, _)| n).collect();
+        assert_eq!(
+            names,
+            [
+                "ingest_baselines",
+                "ingest_recorded",
+                "ingest_stale",
+                "ingest_duplicates",
+                "ingest_regressions",
+                "ingest_rejected",
+                "net_sent",
+                "net_delivered",
+                "net_dropped",
+                "net_duplicated",
+                "telemetry_teed_samples",
+                "telemetry_flush_batches",
+            ]
+        );
+        assert_eq!(reg.gauges().count(), 0);
         let snap = e.metrics_snapshot();
+        assert!(snap.iter().map(|(n, _)| n.as_str()).eq(names), "snapshot adds nothing");
         let get = |k: &str| snap.iter().find(|(n, _)| n == k).map(|(_, v)| *v).unwrap();
         assert!(get("telemetry_teed_samples") > 0.0);
         assert!(get("telemetry_flush_batches") > 0.0);

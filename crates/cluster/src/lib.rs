@@ -24,7 +24,6 @@ pub mod labels;
 pub mod metrics;
 pub mod mix;
 pub mod placement;
-pub mod shard;
 pub mod topology;
 pub mod trace;
 

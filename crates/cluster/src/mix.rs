@@ -131,24 +131,23 @@ impl WorkloadMix {
     }
 }
 
-/// Scales every job duration knob for fast smoke runs: fewer jobs, smaller
-/// arrival spread. Used by tests and the quickstart example.
-pub fn tiny_mix(seed: u64, servers: usize) -> WorkloadMix {
-    let cfg = MixConfig {
-        mapreduce_jobs: 3,
-        spark_jobs: 3,
-        small_fraction: 0.8,
-        mean_arrival_gap: 5.0,
-        servers,
-        fio_antagonists: 1,
-        stream_antagonists: 1,
-    };
-    WorkloadMix::generate(&cfg, &RngFactory::new(seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A six-job mix with one fio and one STREAM antagonist, for fast tests.
+    fn tiny_mix(seed: u64, servers: usize) -> WorkloadMix {
+        let cfg = MixConfig {
+            mapreduce_jobs: 3,
+            spark_jobs: 3,
+            small_fraction: 0.8,
+            mean_arrival_gap: 5.0,
+            servers,
+            fio_antagonists: 1,
+            stream_antagonists: 1,
+        };
+        WorkloadMix::generate(&cfg, &RngFactory::new(seed))
+    }
 
     #[test]
     fn paper_mix_shape() {

@@ -4,12 +4,11 @@
 //! [`PlacementRuntime`] owns the pieces the `place` crate deliberately
 //! leaves to the driver: the interference ledger fed by node-manager
 //! identify results, the in-flight migration list, and the hysteresis
-//! bookkeeping (per-VM cooldown, cluster-wide concurrency cap). All of it
-//! runs on the coordinator side of the shard barrier — verdicts are read
-//! after the sampling phase rejoins, server loads are scanned in index
-//! order, and every mutation (pause, extract/insert, registry move, CPU
-//! tax) happens between ticks — so a run with placement enabled is as
-//! shard- and thread-invariant as one without.
+//! bookkeeping (per-VM cooldown, cluster-wide concurrency cap). Verdicts
+//! are read after every node manager has sampled, server loads are
+//! scanned in index order, and every mutation (pause, extract/insert,
+//! registry move, CPU tax) happens between ticks — so a run with placement
+//! enabled is as deterministic as one without.
 //!
 //! Only low-priority VMs are ever proposed or moved: the framework
 //! scheduler addresses its workers by `(server_idx, vm)` and worker VMs

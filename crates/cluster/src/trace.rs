@@ -263,31 +263,6 @@ impl DecisionTrace {
         })
     }
 
-    /// Empties the trace, keeping capacity. Shard scratch traces are
-    /// cleared at each epoch barrier after merging.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.vms.clear();
-        self.caps.clear();
-    }
-
-    /// Moves this trace's entries onto the end of `target`, leaving this
-    /// trace empty. Appending per-shard fragments in shard order is how the
-    /// sharded sampling phase reassembles the global server-index order
-    /// (shards are contiguous index ranges).
-    pub fn drain_into(&mut self, target: &mut DecisionTrace) {
-        let (vm_base, cap_base) = (offset(target.vms.len()), offset(target.caps.len()));
-        target.entries.extend(self.entries.drain(..).map(|mut entry| {
-            if let TraceEntry::Step(row) = &mut entry {
-                row.vms = row.vms.map(|o| o + vm_base);
-                row.caps = row.caps.map(|o| o + cap_base);
-            }
-            entry
-        }));
-        target.vms.append(&mut self.vms);
-        target.caps.append(&mut self.caps);
-    }
-
     /// Appends `entry`'s canonical line, newline included, to `out`.
     fn render_line(&self, entry: &TraceEntry, out: &mut String) {
         let _ = match entry {
@@ -403,31 +378,6 @@ mod tests {
             }
         }
         assert_eq!(b.digest(), fnv1a64(b.canonical().as_bytes()));
-    }
-
-    #[test]
-    fn drain_into_rebases_rows_onto_the_target_columns() {
-        // Two shard fragments spliced in order equal one sequential trace.
-        let reports = [busy_report(), StepReport::default(), busy_report()];
-        let mut sequential = DecisionTrace::new();
-        let mut merged = DecisionTrace::new();
-        let mut fragment = DecisionTrace::new();
-        for round in 0..3u64 {
-            let now = SimTime::from_secs(5 * (round + 1));
-            for (i, report) in reports.iter().enumerate() {
-                sequential.record(now, i, report);
-                fragment.record(now, i, report);
-                if i == 1 {
-                    fragment.drain_into(&mut merged);
-                }
-            }
-            fragment.drain_into(&mut merged);
-        }
-        assert!(fragment.lines().is_empty());
-        assert_eq!(merged.lines().len(), 9);
-        assert!(merged.steps().eq(sequential.steps()));
-        assert_eq!(merged.canonical(), sequential.canonical());
-        assert_eq!(merged.digest(), fnv1a64(merged.canonical().as_bytes()));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! produce the same [`ExperimentResult`], the same canonical decision-trace
 //! bytes, and the same merged flight-export bytes as a fresh run built with
 //! the diverged configuration — for arbitrary seeds, arbitrary fault
-//! schedules, arbitrary in-run shard counts, and an arbitrary fork tick.
+//! schedules, and an arbitrary fork tick.
 //! Any state the fork fails to deep-copy (an RNG stream position, a monitor
 //! window, an in-flight control message) fails here immediately.
 
@@ -55,12 +55,7 @@ fn scenario(rules: &[RuleSpec]) -> Option<FaultScenario> {
 /// Builds the standard scenario. The antagonist's start is the divergence
 /// axis: `None` defers it past the horizon (the fork-parent shape), `Some`
 /// pins the onset (the fresh-run shape).
-fn build(
-    seed: u64,
-    rules: &[RuleSpec],
-    shards: usize,
-    antagonist_start: Option<SimTime>,
-) -> Experiment {
+fn build(seed: u64, rules: &[RuleSpec], antagonist_start: Option<SimTime>) -> Experiment {
     let mut cfg = ExperimentConfig::new(
         ClusterSpec::small_scale(seed),
         Mitigation::PerfCloud(PerfCloudConfig::default()),
@@ -76,7 +71,6 @@ fn build(
     let mut e = Experiment::build(cfg);
     e.enable_decision_trace();
     e.enable_observability(2048);
-    e.set_shards(shards);
     e
 }
 
@@ -94,7 +88,6 @@ proptest! {
     fn forked_antagonist_arrival_matches_fresh_run(
         seed in 0u64..1_000_000,
         rules in proptest::collection::vec((0u8..8, 0u16..120, 0u16..120, 0.05f64..0.9), 0..3),
-        shards in 1usize..5,
         fork_ticks in 0u64..120,
         onset_secs in 13u64..40,
     ) {
@@ -102,7 +95,7 @@ proptest! {
         // Fork strictly before the onset (ticks are 100 ms).
         let fork_ticks = fork_ticks.min(onset_secs * 10 - 1);
 
-        let mut parent = build(seed, &rules, shards, None);
+        let mut parent = build(seed, &rules, None);
         for _ in 0..fork_ticks {
             parent.step_tick();
         }
@@ -110,7 +103,7 @@ proptest! {
         forked.start_antagonist(0, onset);
         let r_forked = forked.run();
 
-        let mut fresh = build(seed, &rules, shards, Some(onset));
+        let mut fresh = build(seed, &rules, Some(onset));
         let r_fresh = fresh.run();
 
         prop_assert_eq!(&r_fresh, &r_forked);
@@ -123,7 +116,6 @@ proptest! {
     #[test]
     fn fork_is_independent_and_cap_change_is_exact(
         seed in 0u64..1_000_000,
-        shards in 1usize..4,
         fork_ticks in 1u64..200,
         cap_pct in 1u32..10,
     ) {
@@ -138,7 +130,7 @@ proptest! {
             e.apply_static_caps(&caps);
         };
 
-        let mut parent = build(seed, &[], shards, Some(SimTime::ZERO));
+        let mut parent = build(seed, &[], Some(SimTime::ZERO));
         run_to_fork(&mut parent);
         let mut forked = parent.fork();
         cap(&mut forked);
@@ -146,14 +138,14 @@ proptest! {
 
         // The parent, continued untouched, matches a never-forked run.
         let r_parent = parent.run();
-        let mut solo = build(seed, &[], shards, Some(SimTime::ZERO));
+        let mut solo = build(seed, &[], Some(SimTime::ZERO));
         let r_solo = solo.run();
         prop_assert_eq!(&r_solo, &r_parent);
         prop_assert_eq!(fingerprint(&solo), fingerprint(&parent));
 
         // A fresh twin run to the same tick with the same cap change
         // matches the fork byte-for-byte.
-        let mut twin = build(seed, &[], shards, Some(SimTime::ZERO));
+        let mut twin = build(seed, &[], Some(SimTime::ZERO));
         run_to_fork(&mut twin);
         cap(&mut twin);
         let r_twin = twin.run();
@@ -167,7 +159,7 @@ proptest! {
 /// identically.
 #[test]
 fn sibling_forks_have_independent_rng_streams() {
-    let mut parent = build(7, &[], 1, None);
+    let mut parent = build(7, &[], None);
     for _ in 0..50 {
         parent.step_tick();
     }
@@ -250,10 +242,10 @@ fn premonitoring_mitigation_swap_matches_fresh_build() {
     assert_eq!(fingerprint(&fresh), fingerprint(&forked));
 }
 
-/// The migration testbed of `shard_invariance.rs`: migrate-only or hybrid
-/// placement over two populated servers plus a spare, with the fio
-/// antagonist identified around t=20 s and live-migrated right after.
-fn build_migration(seed: u64, shards: usize, hybrid: bool) -> Experiment {
+/// The migration testbed: migrate-only or hybrid placement over two
+/// populated servers plus a spare, with the fio antagonist identified
+/// around t=20 s and live-migrated right after.
+fn build_migration(seed: u64, hybrid: bool) -> Experiment {
     use perfcloud_place::PlacementConfig;
     let mitigation = if hybrid {
         Mitigation::Hybrid(PerfCloudConfig::default(), PlacementConfig::default())
@@ -272,7 +264,6 @@ fn build_migration(seed: u64, shards: usize, hybrid: bool) -> Experiment {
     let mut e = Experiment::build(cfg);
     e.enable_decision_trace();
     e.enable_observability(2048);
-    e.set_shards(shards);
     e
 }
 
@@ -287,19 +278,18 @@ proptest! {
     #[test]
     fn fork_around_migration_epoch_matches_fresh_run(
         seed in 0u64..1_000_000,
-        shards in 1usize..4,
         fork_ticks in 1u64..350,
         hybrid_tag in 0u8..2,
     ) {
         let hybrid = hybrid_tag == 1;
-        let mut parent = build_migration(seed, shards, hybrid);
+        let mut parent = build_migration(seed, hybrid);
         for _ in 0..fork_ticks {
             parent.step_tick();
         }
         let mut forked = parent.fork();
         let r_forked = forked.run();
 
-        let mut fresh = build_migration(seed, shards, hybrid);
+        let mut fresh = build_migration(seed, hybrid);
         let r_fresh = fresh.run();
 
         prop_assert_eq!(&r_fresh, &r_forked);

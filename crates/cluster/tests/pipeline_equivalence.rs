@@ -1,8 +1,7 @@
 //! Property: the pipeline seam is wiring, not behaviour.
 //!
 //! Two invariants of the [`ExperimentConfig::pipeline`] plumbing, for
-//! *arbitrary* seeds, fault schedules, and shard counts — not just the
-//! golden scenarios:
+//! *arbitrary* seeds and fault schedules — not just the golden scenarios:
 //!
 //! 1. Spelling the default out loud changes nothing: a run with the
 //!    implicit `PipelineSpec::default()` and a run with an explicit
@@ -63,7 +62,6 @@ fn scenario(rules: &[RuleSpec]) -> Option<FaultScenario> {
 fn run(
     seed: u64,
     rules: &[RuleSpec],
-    shards: usize,
     mitigation: Mitigation,
     pipeline: PipelineSpec,
 ) -> (perfcloud_cluster::ExperimentResult, String) {
@@ -76,7 +74,6 @@ fn run(
     cfg.faults = scenario(rules);
     cfg.pipeline = pipeline;
     let mut e = Experiment::build(cfg);
-    e.set_shards(shards);
     e.enable_decision_trace();
     let result = e.run();
     let trace = e.decision_trace().expect("trace enabled").canonical();
@@ -90,11 +87,10 @@ proptest! {
     fn explicit_paper_spec_is_the_default(
         seed in 0u64..1_000_000,
         rules in proptest::collection::vec((0u8..8, 0u16..120, 0u16..120, 0.05f64..0.9), 0..4),
-        shards in 1usize..=4,
     ) {
         let mitigation = || Mitigation::PerfCloud(PerfCloudConfig::default());
-        let implicit = run(seed, &rules, shards, mitigation(), PipelineSpec::default());
-        let explicit = run(seed, &rules, shards, mitigation(), PipelineSpec::paper());
+        let implicit = run(seed, &rules, mitigation(), PipelineSpec::default());
+        let explicit = run(seed, &rules, mitigation(), PipelineSpec::paper());
         prop_assert_eq!(&implicit.0, &explicit.0);
         prop_assert_eq!(implicit.1, explicit.1);
     }
@@ -103,14 +99,13 @@ proptest! {
     fn pipeline_spec_is_inert_outside_perfcloud(
         seed in 0u64..1_000_000,
         rules in proptest::collection::vec((0u8..8, 0u16..120, 0u16..120, 0.05f64..0.9), 0..4),
-        shards in 1usize..=4,
     ) {
         let exotic = PipelineSpec {
             detector: DetectorKind::Alioth,
             identifier: IdentifierKind::Panda,
         };
-        let base = run(seed, &rules, shards, Mitigation::Default, PipelineSpec::default());
-        let with_spec = run(seed, &rules, shards, Mitigation::Default, exotic);
+        let base = run(seed, &rules, Mitigation::Default, PipelineSpec::default());
+        let with_spec = run(seed, &rules, Mitigation::Default, exotic);
         prop_assert_eq!(&base.0, &with_spec.0);
         prop_assert_eq!(base.1, with_spec.1);
     }

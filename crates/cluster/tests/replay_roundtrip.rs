@@ -1,13 +1,12 @@
 //! Property: record/replay is lossless for arbitrary runs.
 //!
-//! For *arbitrary* seeds, fault schedules, and shard counts — not just the
-//! golden scenarios — teeing a run's counter stream and replaying the
+//! For *arbitrary* seeds, fault schedules, and recording formats — not just
+//! the golden scenarios — teeing a run's counter stream and replaying the
 //! serialized recording through a fresh build of the same experiment must
 //! reproduce the [`ExperimentResult`], the canonical decision-trace bytes,
 //! and the JSONL flight export exactly. Faults are evaluated from each
 //! sample's own timestamp against a stateless injector, so the recording
-//! (which tees *pre-fault* samples) replays faulted runs byte-identically;
-//! the recording itself must also be byte-invariant to the shard count.
+//! (which tees *pre-fault* samples) replays faulted runs byte-identically.
 
 use perfcloud_cluster::{
     AntagonistKind, AntagonistPlacement, ClusterSpec, Experiment, ExperimentConfig, Mitigation,
@@ -54,7 +53,7 @@ fn scenario(rules: &[RuleSpec]) -> Option<FaultScenario> {
     Some(s)
 }
 
-fn build(seed: u64, rules: &[RuleSpec], shards: usize, telemetry: TelemetrySpec) -> Experiment {
+fn build(seed: u64, rules: &[RuleSpec], telemetry: TelemetrySpec) -> Experiment {
     let mut cfg = ExperimentConfig::new(
         ClusterSpec::small_scale(seed),
         Mitigation::PerfCloud(PerfCloudConfig::default()),
@@ -69,18 +68,17 @@ fn build(seed: u64, rules: &[RuleSpec], shards: usize, telemetry: TelemetrySpec)
     let mut e = Experiment::build(cfg);
     e.enable_decision_trace();
     e.enable_observability(1024);
-    e.set_shards(shards);
     e
 }
 
-fn record(seed: u64, rules: &[RuleSpec], shards: usize, format: RecordingFormat) -> Run {
+fn record(seed: u64, rules: &[RuleSpec], format: RecordingFormat) -> Run {
     let spec = TelemetrySpec { tee: Some(format), replay: None };
-    finish(build(seed, rules, shards, spec))
+    finish(build(seed, rules, spec))
 }
 
-fn replay(seed: u64, rules: &[RuleSpec], shards: usize, rec: TelemetryRecording) -> Run {
+fn replay(seed: u64, rules: &[RuleSpec], rec: TelemetryRecording) -> Run {
     let spec = TelemetrySpec { tee: None, replay: Some(Arc::new(rec)) };
-    finish(build(seed, rules, shards, spec))
+    finish(build(seed, rules, spec))
 }
 
 struct Run {
@@ -107,25 +105,19 @@ proptest! {
     fn replaying_a_recording_reproduces_the_run(
         seed in 0u64..1_000_000,
         rules in proptest::collection::vec((0u8..8, 0u16..120, 0u16..120, 0.05f64..0.9), 0..4),
-        shard_pick in 0usize..4,
         format_tag in 0u8..2,
     ) {
-        let shards = 1 + shard_pick; // 1..=4
         let format =
             if format_tag == 0 { RecordingFormat::Binary } else { RecordingFormat::Jsonl };
 
-        // Record at one shard; the recording must be shard-invariant.
-        let reference = record(seed, &rules, 1, format);
+        let reference = record(seed, &rules, format);
         let bytes = reference.recording.as_ref().expect("tee armed");
-        let sharded = record(seed, &rules, shards, format);
-        prop_assert_eq!(bytes, sharded.recording.as_ref().expect("tee armed"),
-            "recording bytes depend on the shard count");
 
-        // Replay at the fuzzed shard count: result, decision trace, and
-        // flight bytes must all reproduce.
+        // Replay: result, decision trace, and flight bytes must all
+        // reproduce.
         let rec = TelemetryReader::parse(bytes).expect("own recording parses");
         prop_assert!(!rec.samples.is_empty());
-        let replayed = replay(seed, &rules, shards, rec);
+        let replayed = replay(seed, &rules, rec);
         prop_assert_eq!(&reference.result, &replayed.result);
         prop_assert_eq!(&reference.trace, &replayed.trace);
         prop_assert_eq!(&reference.flight, &replayed.flight);

@@ -66,9 +66,9 @@ impl Clone for Box<dyn Identifier> {
 ///
 /// Implementations must be deterministic functions of their own state and
 /// the monitor's contents — no ambient randomness, time, or allocation
-/// dependence — so runs replay byte-identically at any shard or thread
-/// count. `Send` because node managers are stepped from shard worker
-/// threads.
+/// dependence — so runs replay byte-identically at any thread count.
+/// `Send` because node managers live inside experiment forks, which
+/// `bench::forked` hands to sweep worker threads.
 pub trait Detector: Send + CloneDetector {
     /// Evaluates the signal for one application's VMs at the current
     /// sampling instant. Every implementation must fill `io_deviation` /

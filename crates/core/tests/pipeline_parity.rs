@@ -249,8 +249,8 @@ fn windows_stay_bounded_under_suspect_churn() {
 
 #[test]
 fn boxed_pipelines_are_send() {
-    // Node managers are stepped from shard worker threads; the seam must
-    // not regress that.
+    // Node managers live inside experiment forks, which `bench::forked`
+    // hands to sweep worker threads; the seam must not regress that.
     fn assert_send<T: Send>() {}
     assert_send::<Box<dyn Detector>>();
     assert_send::<Box<dyn Identifier>>();

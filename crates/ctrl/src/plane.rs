@@ -214,16 +214,6 @@ impl ControlPlane {
         self.stalled_until[server] = None;
     }
 
-    /// Writes every server's stall state at `now` into `out` (reusing its
-    /// buffer). The sharded sampling phase takes this snapshot at the epoch
-    /// barrier and fans the frozen view out to shard workers; it equals
-    /// per-server [`stalled`](Self::stalled) queries because a stall window
-    /// only ever changes through that server's own restart.
-    pub fn stall_snapshot_into(&self, now: SimTime, out: &mut Vec<bool>) {
-        out.clear();
-        out.extend(self.stalled_until.iter().map(|u| u.is_some_and(|until| now < until)));
-    }
-
     /// Whether server `i`'s placement link is down at `now`.
     pub fn link_down(&self, server: usize, now: SimTime) -> bool {
         self.link_down_until[server].is_some_and(|until| now < until)

@@ -57,15 +57,6 @@ impl JobSpec {
     pub fn max_tasks_per_stage(&self) -> usize {
         self.stages.iter().map(|s| s.tasks.len()).max().unwrap_or(0)
     }
-
-    /// Uncontended runtime estimate of the critical path, seconds (the sum
-    /// over stages of the longest task in each stage).
-    pub fn nominal_critical_path(&self) -> f64 {
-        self.stages
-            .iter()
-            .map(|s| s.tasks.iter().map(TaskSpec::nominal_seconds).fold(0.0, f64::max))
-            .sum()
-    }
 }
 
 /// How an attempt ended.
@@ -257,7 +248,6 @@ mod tests {
         let s = spec(&[10, 4]);
         assert_eq!(s.task_count(), 14);
         assert_eq!(s.max_tasks_per_stage(), 10);
-        assert!(s.nominal_critical_path() > 0.0);
     }
 
     #[test]

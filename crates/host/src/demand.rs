@@ -121,10 +121,10 @@ impl Clone for Box<dyn Process> {
 }
 
 /// A unit of guest work. Object-safe so VMs can host heterogeneous
-/// processes; `Send` so servers (and the VMs they host) can move between
-/// the sharded experiment loop's worker threads at epoch barriers, and
-/// [`CloneProcess`] so forking an experiment can deep-copy every running
-/// process.
+/// processes; `Send` so servers (and the VMs they host) can move to
+/// another thread inside an experiment fork (`bench::forked` hands forks
+/// to sweep workers), and [`CloneProcess`] so forking an experiment can
+/// deep-copy every running process.
 pub trait Process: Send + CloneProcess {
     /// Demand for the coming tick of length `dt`.
     fn demand(&self, dt: SimDuration) -> ResourceDemand;

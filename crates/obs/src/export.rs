@@ -275,7 +275,7 @@ mod tests {
             let mut m = MetricsRegistry::with_capacity(8);
             let c = m.counter("ingest_recorded");
             let c2 = m.counter("telemetry_teed_samples");
-            let g = m.gauge("shards");
+            let g = m.gauge("replicas");
             let h = m.histogram("flush_batch");
             m.inc(c, 41);
             m.inc(c2, 7);
@@ -301,8 +301,8 @@ mod tests {
              flush_batch_p99 13\n\
              # TYPE ingest_recorded counter\n\
              ingest_recorded 41\n\
-             # TYPE shards gauge\n\
-             shards 4\n\
+             # TYPE replicas gauge\n\
+             replicas 4\n\
              # TYPE telemetry_teed_samples counter\n\
              telemetry_teed_samples 7\n"
         );

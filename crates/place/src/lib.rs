@@ -17,8 +17,8 @@
 //! The crate itself moves no VM: policies return [`MigrationProposal`]s
 //! and the model returns phase timelines. Execution — extracting the VM
 //! from its source server, republishing the registry through the epoch'd
-//! control plane — belongs to the experiment driver, which keeps every
-//! decision on the coordinator side of the shard barrier.
+//! control plane — belongs to the experiment driver, which makes every
+//! decision between ticks, after the sampling phase.
 
 #![warn(missing_docs)]
 

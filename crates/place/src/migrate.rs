@@ -10,7 +10,7 @@
 //! phase. Everything is computed once, up front, from static parameters —
 //! no randomness, no wall clock — so a migration's timeline is a pure
 //! function of `(guest memory, model, start time)` and replays exactly
-//! under forks and resharding.
+//! under forks.
 
 use perfcloud_host::{ServerId, VmId};
 use perfcloud_sim::{SimDuration, SimTime};

@@ -97,29 +97,11 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// True for faults that affect delivery of a whole monitor sample.
-    pub fn is_sample_fault(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::DropSample | FaultKind::DelaySample { .. } | FaultKind::DuplicateSample
-        )
-    }
-
     /// True for faults that corrupt an individual metric value.
     pub fn is_metric_fault(&self) -> bool {
         matches!(
             self,
             FaultKind::CorruptNaN | FaultKind::CorruptSpike { .. } | FaultKind::CorruptStuckAt
-        )
-    }
-
-    /// True for faults acting on the node manager process itself.
-    pub fn is_manager_fault(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::StallManager { .. }
-                | FaultKind::CrashRestart
-                | FaultKind::DesyncPlacement { .. }
         )
     }
 
@@ -129,11 +111,6 @@ impl FaultKind {
             self,
             FaultKind::DropMessage | FaultKind::DuplicateMessage | FaultKind::DelayMessage { .. }
         )
-    }
-
-    /// True for faults taking a whole cloud-manager replica offline.
-    pub fn is_replica_fault(&self) -> bool {
-        matches!(self, FaultKind::DownReplica)
     }
 }
 
@@ -478,20 +455,13 @@ mod tests {
 
     #[test]
     fn kind_classification() {
-        assert!(FaultKind::DropSample.is_sample_fault());
-        assert!(FaultKind::DelaySample { intervals: 2 }.is_sample_fault());
-        assert!(FaultKind::DuplicateSample.is_sample_fault());
         assert!(FaultKind::CorruptNaN.is_metric_fault());
         assert!(FaultKind::CorruptSpike { factor: 10.0 }.is_metric_fault());
         assert!(FaultKind::CorruptStuckAt.is_metric_fault());
-        assert!(FaultKind::StallManager { intervals: 1 }.is_manager_fault());
-        assert!(FaultKind::CrashRestart.is_manager_fault());
-        assert!(FaultKind::DesyncPlacement { intervals: 3 }.is_manager_fault());
         assert!(FaultKind::DropMessage.is_link_fault());
         assert!(FaultKind::DuplicateMessage.is_link_fault());
         assert!(FaultKind::DelayMessage { micros: 500 }.is_link_fault());
         assert!(!FaultKind::DownReplica.is_link_fault());
-        assert!(FaultKind::DownReplica.is_replica_fault());
         assert!(!FaultKind::DropSample.is_link_fault());
     }
 

@@ -9,7 +9,6 @@
 //!   (ChaCha8-based). Every stochastic component draws from its own stream,
 //!   so adding a component never perturbs the draws seen by another.
 //! * [`faults`] — stateless, hash-keyed fault injection.
-//! * [`shard`] — the contiguous partitioning rule behind in-run sharding.
 //! * [`wheel::TimerWheel`] — a hierarchical timer wheel popping entries in
 //!   exact `(time, insertion order)` order; the control plane's delivery
 //!   queue for in-flight messages.
@@ -32,7 +31,6 @@
 
 pub mod faults;
 pub mod rng;
-pub mod shard;
 pub mod time;
 pub mod wheel;
 

@@ -17,7 +17,7 @@
 //! Every source can be teed into the versioned recording format
 //! ([`TelemetryWriter`] / [`TelemetryReader`], JSONL or compact
 //! length-prefixed binary), and a recording replays to byte-identical
-//! decisions at any shard or thread count: samples are totally ordered by
+//! decisions at any thread count: samples are totally ordered by
 //! `(time, vm, seq)` and carry their own timestamps.
 //!
 //! The crate is deliberately dependency-light (sim + host only, no I/O

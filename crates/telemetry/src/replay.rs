@@ -10,7 +10,7 @@ use std::sync::Arc;
 ///
 /// Construction normalizes the stream to `(time, vm, seq)` order, so the
 /// delivered sequence is a pure function of the recording — independent of
-/// how the original run interleaved collection across threads or shards.
+/// how the original run interleaved collection across threads.
 /// Each `collect_into` call delivers every not-yet-delivered sample whose
 /// timestamp is at or before `now`; late samples surface exactly where the
 /// recording put them, and the monitor's existing stale/duplicate handling

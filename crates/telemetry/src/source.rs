@@ -46,7 +46,7 @@ impl Clone for Box<dyn CounterSource> {
 /// Implementations must be deterministic given their own state: two
 /// identically constructed sources driven by the same `collect_into`
 /// sequence must yield the same samples in the same order, regardless of
-/// thread or shard count.
+/// thread count.
 pub trait CounterSource: Send + CloneSource {
     /// Appends every sample that is due at `now` to `out`, in delivery
     /// order. `server` is the simulated host being sampled; host-side

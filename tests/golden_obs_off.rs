@@ -3,7 +3,7 @@
 //! Golden runs attach flight recorders by default (`OBSERVE_GOLDENS`), and
 //! the recorders are pure observation: they must not perturb a single
 //! decision. This suite is the other half of that proof — it clears the
-//! flag and re-renders a slice of scenarios, requiring the artifacts to
+//! flag and re-renders every scenario, requiring the artifacts to
 //! still match the checked-in goldens byte for byte (the default-on suite
 //! in `golden_trace.rs` covers the enabled side).
 //!
@@ -12,49 +12,27 @@
 //! suite because separate test binaries run in separate processes.
 
 use perfcloud_bench::golden::{self, GoldenStatus, OBSERVE_GOLDENS};
+use perfcloud_bench::sweep;
 use std::sync::atomic::Ordering;
 
 #[test]
 fn golden_traces_match_without_observability() {
     OBSERVE_GOLDENS.store(false, Ordering::Relaxed);
     let scenarios = golden::scenarios();
-    let slice: Vec<_> = scenarios
-        .iter()
-        .filter(|s| matches!(s.name, "baseline" | "chaos_kitchen_sink" | "ctrl_coordinator_crash"))
-        .collect();
-    assert_eq!(slice.len(), 3);
-    for sc in slice {
-        let artifact = (sc.build)(golden::env_shards());
+    // The flight dump lives in a thread-local on the worker that built the
+    // scenario, so capture it inside the closure.
+    let outputs: Vec<(String, String)> =
+        sweep::run(scenarios.len(), |i| ((scenarios[i].build)(), golden::take_flight_dump()));
+    for (sc, (artifact, dump)) in scenarios.iter().zip(&outputs) {
         // No recorders were attached, so there is nothing to dump…
-        let dump = golden::take_flight_dump();
-        assert!(dump.is_empty(), "obs-off run left a flight dump:\n{dump}");
+        assert!(dump.is_empty(), "obs-off run of '{}' left a flight dump:\n{dump}", sc.name);
         // …and the artifact must still match the golden rendered with
         // recorders on (BLESS would hide exactly the bug this guards).
-        match golden::check_with_dump(sc.name, &artifact, &dump) {
+        match golden::check_with_dump(sc.name, artifact, dump) {
             GoldenStatus::Match => {}
             GoldenStatus::Regenerated => panic!("run this suite without BLESS=1"),
             GoldenStatus::Mismatch { diff } => {
                 panic!("scenario '{}' depends on observability being on:\n{diff}", sc.name)
-            }
-        }
-    }
-}
-
-#[test]
-fn golden_traces_match_at_four_shards_without_observability() {
-    // Shard-count invariance and observability-purity compose: every
-    // golden, recorders off, 4 in-run shards, same bytes.
-    if std::env::var("BLESS").map(|v| v == "1").unwrap_or(false) {
-        panic!("run this suite without BLESS=1");
-    }
-    OBSERVE_GOLDENS.store(false, Ordering::Relaxed);
-    for sc in golden::scenarios() {
-        let artifact = (sc.build)(4);
-        match golden::check_with_dump(sc.name, &artifact, "") {
-            GoldenStatus::Match => {}
-            GoldenStatus::Regenerated => unreachable!("BLESS handled above"),
-            GoldenStatus::Mismatch { diff } => {
-                panic!("scenario '{}' diverged at 4 shards (obs off):\n{diff}", sc.name)
             }
         }
     }

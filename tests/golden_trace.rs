@@ -27,9 +27,8 @@ fn golden_traces_match() {
     // sweep runner (honours PERFCLOUD_THREADS) to keep wall time down. The
     // flight dump lives in a thread-local on the worker that built the
     // scenario, so capture it inside the closure.
-    let outputs: Vec<(String, String)> = sweep::run(scenarios.len(), |i| {
-        ((scenarios[i].build)(golden::env_shards()), golden::take_flight_dump())
-    });
+    let outputs: Vec<(String, String)> =
+        sweep::run(scenarios.len(), |i| ((scenarios[i].build)(), golden::take_flight_dump()));
     let mut failures = Vec::new();
     let mut regenerated = Vec::new();
     for (sc, (out, dump)) in scenarios.iter().zip(&outputs) {
@@ -69,7 +68,7 @@ fn traces_are_independent_of_sweep_thread_count() {
     assert_eq!(slice.len(), 6);
     let render = |threads: usize| -> Vec<(String, String)> {
         sweep::run_with_threads(slice.len(), threads, |i| {
-            let artifact = (slice[i].build)(golden::env_shards());
+            let artifact = (slice[i].build)();
             let trace = chrome_trace(&golden::take_flight_sources());
             (artifact, trace)
         })
@@ -114,7 +113,7 @@ fn golden_mismatch_dumps_flight_context() {
     }
     let scenarios = golden::scenarios();
     let sc = scenarios.iter().find(|s| s.name == "chaos_crash").expect("scenario exists");
-    let artifact = (sc.build)(golden::env_shards());
+    let artifact = (sc.build)();
     let tampered = artifact.replacen("# jct=", "# jct=9", 1);
     assert_ne!(artifact, tampered);
     match golden::check(sc.name, &tampered) {
@@ -127,30 +126,4 @@ fn golden_mismatch_dumps_flight_context() {
         }
         other => panic!("tampered artifact unexpectedly {other:?}"),
     }
-}
-
-#[test]
-fn golden_traces_match_at_four_shards() {
-    // The tentpole invariant: partitioning the cluster into in-run shards
-    // must not change one byte of any golden artifact. Render every
-    // scenario with the experiment pinned to 4 shards (passed explicitly —
-    // an env var would race the other tests in this process) and require a
-    // byte-for-byte match against the same checked-in files.
-    if std::env::var("BLESS").map(|v| v == "1").unwrap_or(false) {
-        return; // the default-shards test regenerates; don't race its writes
-    }
-    let scenarios = golden::scenarios();
-    let outputs: Vec<(String, String)> =
-        sweep::run(scenarios.len(), |i| ((scenarios[i].build)(4), golden::take_flight_dump()));
-    let mut failures = Vec::new();
-    for (sc, (out, dump)) in scenarios.iter().zip(&outputs) {
-        match golden::check_with_dump(sc.name, out, dump) {
-            GoldenStatus::Match => {}
-            GoldenStatus::Regenerated => unreachable!("BLESS handled above"),
-            GoldenStatus::Mismatch { diff } => {
-                failures.push(format!("at PERFCLOUD_SHARDS=4: {diff}"))
-            }
-        }
-    }
-    assert!(failures.is_empty(), "\n\n{}\n", failures.join("\n\n"));
 }
