@@ -274,7 +274,7 @@ fn precision_of(tp: u64, flagged: u64) -> f64 {
 }
 
 /// Whether `vm` is ever guilty of `resource` on `server` at any time — the
-/// false-throttle criterion (capping a true antagonist after its episode is
+/// false-throttle rule (capping a true antagonist after its episode is
 /// persistent control, not a false throttle).
 fn ever_culprit(truth: &GroundTruth, server: usize, vm: VmId, resource: Resource) -> bool {
     truth.entries.iter().any(|e| e.vm == vm && e.server == server && e.resource == Some(resource))

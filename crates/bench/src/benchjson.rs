@@ -1,8 +1,7 @@
 //! Machine-readable benchmark records.
 //!
-//! `run_all` (and anything else that measures a run) writes one
-//! `BENCH_<name>.json` file per measurement so CI and scripts can track
-//! wall time and throughput without scraping human-readable logs.
+//! `run_all` writes its suite timing as `BENCH_runall.json` so CI and
+//! scripts can track wall time without scraping human-readable logs.
 //! Files land in `$BENCH_JSON_DIR` when set, else the current directory.
 
 use std::path::PathBuf;
@@ -15,7 +14,7 @@ pub struct BenchRecord {
     /// Wall-clock duration of the measured run, in seconds.
     pub wall_seconds: f64,
     /// Additional named measurements appended verbatim as JSON number
-    /// fields (e.g. the control-plane probe's `msgs_per_sec`). Keys must
+    /// fields (e.g. `run_all`'s per-harness `fig12_wall`). Keys must
     /// be unique and distinct from the fixed fields.
     pub extras: Vec<(String, f64)>,
 }
@@ -41,7 +40,7 @@ impl BenchRecord {
     }
 
     /// Reads one numeric field out of a previously written record, e.g.
-    /// the committed `BENCH_ctrl.json` baseline's `msgs_per_sec`.
+    /// the committed `BENCH_runall.json` baseline's `wall_seconds`.
     /// Minimal by design (the writer above emits flat objects with no
     /// nested structure): returns `None` when the file or field is absent.
     pub fn read_field(path: impl AsRef<std::path::Path>, field: &str) -> Option<f64> {
@@ -108,10 +107,10 @@ mod tests {
 
     #[test]
     fn extras_append_as_number_fields() {
-        let mut r = BenchRecord::wall("ctrl", 1.0);
-        r.extras.push(("msgs_per_sec".into(), 2.5e6));
+        let mut r = BenchRecord::wall("runall", 1.0);
+        r.extras.push(("fig12_wall".into(), 2.5));
         let j = r.to_json();
-        assert!(j.ends_with(",\"msgs_per_sec\":2500000}"), "{j}");
+        assert!(j.ends_with(",\"fig12_wall\":2.5}"), "{j}");
     }
 
     #[test]

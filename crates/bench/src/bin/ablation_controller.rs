@@ -20,7 +20,6 @@
 //! (stddev of interval-to-interval cap changes — the paper's "oscillatory
 //! and unstable system behavior" concern).
 
-use perfcloud_bench::benchjson::BenchRecord;
 use perfcloud_bench::report::{f3, Table};
 use perfcloud_bench::sweep;
 use perfcloud_core::cubic::{CubicController, CubicState};
@@ -95,7 +94,6 @@ fn evaluate(name: &str, ctrl: &mut dyn Controller, horizon: usize) -> (String, f
 }
 
 fn main() {
-    let t0 = std::time::Instant::now();
     println!("=== Ablation: CUBIC vs AIMD vs ad-hoc on/off capping ===\n");
     let horizon = 600;
     // γ is rescaled because the synthetic plant's spare capacity is O(1);
@@ -126,11 +124,4 @@ fn main() {
         "shape check (cubic causes less contention than on/off): {}",
         if cubic.1 < onoff.1 { "HOLDS" } else { "VIOLATED" }
     );
-
-    // Purely synthetic closed loops — no Experiment, nothing to fork.
-    let mut rec = BenchRecord::wall("ablation_controller", t0.elapsed().as_secs_f64());
-    rec.extras.push(("sweep_points".into(), 3.0));
-    rec.extras.push(("forked_points".into(), 0.0));
-    rec.extras.push(("prefix_events_saved".into(), 0.0));
-    let _ = rec.write();
 }

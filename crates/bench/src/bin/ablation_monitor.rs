@@ -20,7 +20,6 @@
 //! pre-onset prefix, then each twin is a fork (the alone fork simply never
 //! starts the booted, inert antagonist VM).
 
-use perfcloud_bench::benchjson::BenchRecord;
 use perfcloud_bench::report::Table;
 use perfcloud_bench::scenarios::*;
 use perfcloud_bench::sweep;
@@ -44,8 +43,8 @@ fn deviation_series(e: &Experiment) -> Series {
 }
 
 /// Runs one grid point's alone/contended twins off a shared parent.
-/// Returns (alone series, contended series, prefix ticks shared).
-fn grid_point(alpha: f64, interval: f64, seed: u64) -> (Series, Series, u64) {
+/// Returns (alone series, contended series).
+fn grid_point(alpha: f64, interval: f64, seed: u64) -> (Series, Series) {
     let pc = PerfCloudConfig {
         ewma_alpha: alpha,
         sample_interval: SimDuration::from_secs(interval),
@@ -69,11 +68,10 @@ fn grid_point(alpha: f64, interval: f64, seed: u64) -> (Series, Series, u64) {
     let alone = parent.fork();
     let mut contended = parent.fork();
     contended.start_antagonist(0, ANTAGONIST_ONSET);
-    (finish(alone), finish(contended), parent.ticks_stepped())
+    (finish(alone), finish(contended))
 }
 
 fn main() {
-    let t0 = std::time::Instant::now();
     let seed = base_seed();
     const H: f64 = 10.0;
     println!("=== Ablation: EWMA weight x sampling interval ===");
@@ -95,7 +93,7 @@ fn main() {
         grid_point(alpha, interval, seed)
     });
     for (k, &(alpha, interval)) in grid.iter().enumerate() {
-        let (alone, contended, _) = &runs[k];
+        let (alone, contended) = &runs[k];
         let fp = alone.iter().filter(|&&(_, v)| v > H).count();
         let onset = ANTAGONIST_ONSET.as_secs_f64();
         let latency = contended
@@ -114,11 +112,4 @@ fn main() {
         "\n(the paper's operating point is alpha-smoothed sampling at 5 s: detection within\n\
  \"a few seconds\" and no false positives when running alone)"
     );
-
-    let mut rec = BenchRecord::wall("ablation_monitor", t0.elapsed().as_secs_f64());
-    let saved: u64 = runs.iter().map(|r| r.2).sum();
-    rec.extras.push(("sweep_points".into(), (grid.len() * 2) as f64));
-    rec.extras.push(("forked_points".into(), (grid.len() * 2) as f64));
-    rec.extras.push(("prefix_events_saved".into(), saved as f64));
-    let _ = rec.write();
 }

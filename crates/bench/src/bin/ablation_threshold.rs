@@ -13,7 +13,6 @@
 //! once, the contended fork schedules the onset, the alone fork never does
 //! (a booted, idle VM is inert — it issues no I/O and draws no luck RNG).
 
-use perfcloud_bench::benchjson::BenchRecord;
 use perfcloud_bench::forked;
 use perfcloud_bench::report::Table;
 use perfcloud_bench::scenarios::*;
@@ -23,7 +22,6 @@ use perfcloud_frameworks::Benchmark;
 use perfcloud_sim::SimDuration;
 
 fn main() {
-    let t0 = std::time::Instant::now();
     let seed = base_seed();
     println!("=== Ablation: detection threshold sweep (iowait-ratio deviation) ===\n");
     let mut parent = small_scale(
@@ -37,7 +35,7 @@ fn main() {
     while parent.now() + tick < ANTAGONIST_ONSET {
         parent.step_tick();
     }
-    let out = forked::sweep(&parent, 2, |i, mut e| {
+    let mut runs = forked::sweep(&parent, 2, |i, mut e| {
         if i == 1 {
             e.start_antagonist(0, ANTAGONIST_ONSET);
         }
@@ -50,7 +48,6 @@ fn main() {
             .filter_map(|(&t, &v)| v.map(|v| (t.as_secs_f64(), v)))
             .collect::<Vec<(f64, f64)>>()
     });
-    let mut runs = out.results;
     let contended = runs.pop().unwrap();
     let alone = runs.pop().unwrap();
     let alone_peak = alone.iter().map(|x| x.1).fold(0.0f64, f64::max);
@@ -81,10 +78,4 @@ fn main() {
             }
         }
     );
-
-    let mut rec = BenchRecord::wall("ablation_threshold", t0.elapsed().as_secs_f64());
-    rec.extras.push(("sweep_points".into(), out.forked_points as f64));
-    rec.extras.push(("forked_points".into(), out.forked_points as f64));
-    rec.extras.push(("prefix_events_saved".into(), out.prefix_ticks_saved as f64));
-    let _ = rec.write();
 }

@@ -19,7 +19,6 @@
 //! fio-only warm-up once and each benchmark forks off it.
 
 use perfcloud_baselines::StaticCapping;
-use perfcloud_bench::benchjson::BenchRecord;
 use perfcloud_bench::report::{f2, Table};
 use perfcloud_bench::scenarios::*;
 use perfcloud_bench::{forked, sweep};
@@ -34,12 +33,7 @@ use perfcloud_sim::SimTime;
 /// submission (ticks are 100 ms).
 const PREFIX_TICKS: u64 = 49;
 
-fn cap_sweep(
-    bench: Benchmark,
-    tasks: usize,
-    label: &str,
-    seed: u64,
-) -> forked::ForkedResults<(f64, f64)> {
+fn cap_sweep(bench: Benchmark, tasks: usize, label: &str, seed: u64) {
     let (solo_iops, solo_bps) = fio_solo_reference(seed);
     let solo = solo_jct(bench, tasks, seed);
     println!(
@@ -59,7 +53,7 @@ fn cap_sweep(
         Mitigation::Default,
         seed,
     );
-    let out = forked::sweep(&parent, caps.len(), |i, mut e| {
+    let results = forked::sweep(&parent, caps.len(), |i, mut e| {
         if let Some(frac) = caps[i] {
             e.apply_static_caps(&StaticCapping::new().cap_io(fio_vm, frac, solo_iops, solo_bps));
         }
@@ -68,7 +62,7 @@ fn cap_sweep(
         (r.sole_jct(), r.antagonists[0].io_ops / secs)
     });
     let mut t = Table::new(vec!["fio I/O cap", "norm JCT", "norm fio IOPS"]);
-    for (cap, &(jct, iops)) in caps.iter().zip(&out.results) {
+    for (cap, &(jct, iops)) in caps.iter().zip(&results) {
         let cap_label = match cap {
             None => "uncapped".to_string(),
             Some(c) => format!("{:.0}%", c * 100.0),
@@ -76,16 +70,14 @@ fn cap_sweep(
         t.row(vec![cap_label, f2(jct / solo), f2(iops / solo_iops)]);
     }
     t.print();
-    out
 }
 
 fn main() {
-    let t0 = std::time::Instant::now();
     let seed = base_seed();
     println!("=== Figure 1: degradation under a colocated fio random-read VM ===");
 
-    let a = cap_sweep(Benchmark::Terasort, 10, "a", seed);
-    let b = cap_sweep(Benchmark::LogisticRegression, 40, "b", seed);
+    cap_sweep(Benchmark::Terasort, 10, "a", seed);
+    cap_sweep(Benchmark::LogisticRegression, 40, "b", seed);
 
     println!("\nFig 1(c): normalized JCT of each benchmark with uncapped fio");
     println!("(paper anchors: terasort ≈ 1.72, logistic-regression ≈ 1.44)");
@@ -98,14 +90,14 @@ fn main() {
     for _ in 0..PREFIX_TICKS {
         parent.step_tick();
     }
-    let c = forked::sweep(&parent, Benchmark::ALL.len(), |i, mut e| {
+    let runs = forked::sweep(&parent, Benchmark::ALL.len(), |i, mut e| {
         e.push_job(JOB_START, Benchmark::ALL[i].job(10));
         e.run()
     });
     let solos: Vec<f64> =
         sweep::run(Benchmark::ALL.len(), |i| solo_jct(Benchmark::ALL[i], 10, seed));
     let mut t = Table::new(vec!["benchmark", "solo JCT (s)", "with fio", "norm JCT"]);
-    for ((bench, r), solo) in Benchmark::ALL.iter().zip(&c.results).zip(&solos) {
+    for ((bench, r), solo) in Benchmark::ALL.iter().zip(&runs).zip(&solos) {
         t.row(vec![
             bench.name().to_string(),
             format!("{solo:.1}"),
@@ -114,12 +106,4 @@ fn main() {
         ]);
     }
     t.print();
-
-    let mut rec = BenchRecord::wall("fig1", t0.elapsed().as_secs_f64());
-    let points = a.forked_points + b.forked_points + c.forked_points;
-    let saved = a.prefix_ticks_saved + b.prefix_ticks_saved + c.prefix_ticks_saved;
-    rec.extras.push(("sweep_points".into(), points as f64));
-    rec.extras.push(("forked_points".into(), points as f64));
-    rec.extras.push(("prefix_events_saved".into(), saved as f64));
-    let _ = rec.write();
 }

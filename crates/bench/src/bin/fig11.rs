@@ -21,7 +21,6 @@
 //! future-work scenario).
 
 use perfcloud_baselines::{Dolly, LatePolicy};
-use perfcloud_bench::benchjson::BenchRecord;
 use perfcloud_bench::report::{f2, pct, Table};
 use perfcloud_bench::scenarios::base_seed;
 use perfcloud_bench::{forked, sweep};
@@ -55,10 +54,7 @@ fn mitigations() -> Vec<(&'static str, MitigationFactory)> {
 /// Every baseline shares the same empty-cluster warm-up, so one parent runs
 /// that prefix (up to just before the 5 s submission instant) and each
 /// distinct job runs as a fork with its job pushed in.
-fn baselines(
-    mix: &WorkloadMix,
-    spec: &ClusterSpec,
-) -> (HashMap<String, f64>, forked::ForkedResults<(String, f64)>) {
+fn baselines(mix: &WorkloadMix, spec: &ClusterSpec) -> HashMap<String, f64> {
     let jobs = mix.distinct_specs();
     let mut cfg = ExperimentConfig::new(spec.clone(), Mitigation::Default);
     cfg.max_sim_time = SimTime::from_secs(7_200);
@@ -67,15 +63,15 @@ fn baselines(
     while parent.now() + tick < SimTime::from_secs(5) {
         parent.step_tick();
     }
-    let out = forked::sweep(&parent, jobs.len(), |i, mut e| {
+    forked::sweep(&parent, jobs.len(), |i, mut e| {
         let job = jobs[i].clone();
         let name = job.name.clone();
         e.push_job(SimTime::from_secs(5), job);
         let r = e.run();
         (name, r.outcomes[0].jct)
-    });
-    let map = out.results.iter().cloned().collect();
-    (map, out)
+    })
+    .into_iter()
+    .collect()
 }
 
 fn is_spark(outcome: &JobOutcome) -> bool {
@@ -83,7 +79,6 @@ fn is_spark(outcome: &JobOutcome) -> bool {
 }
 
 fn main() {
-    let t0 = std::time::Instant::now();
     let seed = base_seed();
     let scale: f64 = arg_value("--scale").and_then(|s| s.parse().ok()).unwrap_or(0.25);
     let heterogeneous = std::env::args().any(|a| a == "--heterogeneous");
@@ -112,7 +107,7 @@ fn main() {
         "measuring interference-free baselines ({} distinct jobs)…",
         mix.distinct_specs().len()
     );
-    let (base, base_forks) = baselines(&mix, &cluster);
+    let base = baselines(&mix, &cluster);
 
     let systems = mitigations();
     println!(
@@ -135,7 +130,7 @@ fn main() {
     while parent.now() + tick < cut {
         parent.step_tick();
     }
-    let sys_forks = forked::sweep(&parent, systems.len(), |i, mut e| {
+    let rows = forked::sweep(&parent, systems.len(), |i, mut e| {
         let (name, make) = systems[i];
         e.set_mitigation(make());
         let r = e.run();
@@ -146,7 +141,6 @@ fn main() {
         let eff = mean_efficiency(&r.outcomes);
         (name.to_string(), mr_b, sp_b, eff)
     });
-    let rows: Vec<(String, DegradationBreakdown, DegradationBreakdown, f64)> = sys_forks.results;
 
     for (label, pick) in [("a) MapReduce", 0usize), ("b) Spark", 1)] {
         println!("\nFig 11({label}): fraction of jobs by degradation bucket");
@@ -211,12 +205,4 @@ pays no duplication cost (efficiency 1.0 vs Dolly's {:.2}).",
         "shape check (more clones help Dolly's job performance): {}",
         if all_under10(d6) >= all_under10(d2) { "HOLDS" } else { "VIOLATED" }
     );
-
-    let mut rec = BenchRecord::wall("fig11", t0.elapsed().as_secs_f64());
-    let sweep_points = base_forks.forked_points + sys_forks.forked_points;
-    let saved = base_forks.prefix_ticks_saved + sys_forks.prefix_ticks_saved;
-    rec.extras.push(("sweep_points".into(), sweep_points as f64));
-    rec.extras.push(("forked_points".into(), sweep_points as f64));
-    rec.extras.push(("prefix_events_saved".into(), saved as f64));
-    let _ = rec.write();
 }

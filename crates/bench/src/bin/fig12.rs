@@ -22,7 +22,6 @@
 //! Flags: `--reps <n>` (default 30), `--scale-servers <n>` (default 15).
 
 use perfcloud_baselines::{Dolly, LatePolicy};
-use perfcloud_bench::benchjson::BenchRecord;
 use perfcloud_bench::report::{f2, Table};
 use perfcloud_bench::scenarios::base_seed;
 use perfcloud_bench::sweep;
@@ -62,7 +61,6 @@ fn random_antagonists(rng: &RngFactory, servers: usize) -> Vec<AntagonistPlaceme
 }
 
 fn main() {
-    let t0 = std::time::Instant::now();
     let seed = base_seed();
     let reps: usize = arg_value("--reps").and_then(|s| s.parse().ok()).unwrap_or(30);
     let servers: usize = arg_value("--scale-servers").and_then(|s| s.parse().ok()).unwrap_or(15);
@@ -75,9 +73,6 @@ fn main() {
         ("perfcloud", || Mitigation::PerfCloud(PerfCloudConfig::default())),
     ];
 
-    let mut sweep_points = 0usize;
-    let mut forked_points = 0usize;
-    let mut prefix_saved = 0u64;
     for (bench, label) in [
         (Benchmark::Terasort, "a) MapReduce terasort, 50 tasks"),
         (Benchmark::LogisticRegression, "b) Spark logistic regression, 50 tasks/stage"),
@@ -91,7 +86,6 @@ fn main() {
         cfg.jobs.push((SimTime::from_secs(5), bench.job(50)));
         cfg.max_sim_time = SimTime::from_secs(7_200);
         let solo = Experiment::build(cfg).run().sole_jct();
-        sweep_points += 1;
 
         // One parent per repetition; the three systems run as forks of it.
         let per_rep: Vec<[f64; 3]> = sweep::run(reps, |rep| {
@@ -114,9 +108,6 @@ fn main() {
             }
             out
         });
-        sweep_points += systems.len() * reps;
-        forked_points += systems.len() * reps;
-        prefix_saved += reps as u64 * PREFIX_TICKS * (systems.len() as u64 - 1);
 
         println!("Fig 12({label}); solo JCT = {solo:.1}s");
         let mut t = Table::new(vec!["system", "median", "q1", "q3", "whisker span", "max"]);
@@ -149,10 +140,4 @@ fn main() {
             if spread_ok { "HOLDS" } else { "VIOLATED" }
         );
     }
-
-    let mut rec = BenchRecord::wall("fig12", t0.elapsed().as_secs_f64());
-    rec.extras.push(("sweep_points".into(), sweep_points as f64));
-    rec.extras.push(("forked_points".into(), forked_points as f64));
-    rec.extras.push(("prefix_events_saved".into(), prefix_saved as f64));
-    let _ = rec.write();
 }

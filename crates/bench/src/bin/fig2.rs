@@ -10,7 +10,6 @@
 //! STREAM-contended parent runs the pre-submission warm-up once and each
 //! benchmark forks off it.
 
-use perfcloud_bench::benchjson::BenchRecord;
 use perfcloud_bench::report::{f2, Table};
 use perfcloud_bench::scenarios::*;
 use perfcloud_bench::{forked, sweep};
@@ -25,7 +24,6 @@ use perfcloud_sim::SimTime;
 const PREFIX_TICKS: u64 = 49;
 
 fn main() {
-    let t0 = std::time::Instant::now();
     let seed = base_seed();
     println!("=== Figure 2: degradation under a colocated STREAM VM ===");
     println!("(paper shape: every benchmark degrades; Spark > MapReduce)\n");
@@ -37,7 +35,7 @@ fn main() {
     for _ in 0..PREFIX_TICKS {
         parent.step_tick();
     }
-    let out = forked::sweep(&parent, Benchmark::ALL.len(), |i, mut e| {
+    let runs = forked::sweep(&parent, Benchmark::ALL.len(), |i, mut e| {
         e.push_job(JOB_START, Benchmark::ALL[i].job(10));
         e.run()
     });
@@ -47,7 +45,7 @@ fn main() {
     let mut t = Table::new(vec!["benchmark", "family", "solo JCT (s)", "with STREAM", "norm JCT"]);
     let mut mr_norm = Vec::new();
     let mut spark_norm = Vec::new();
-    for ((bench, r), solo) in Benchmark::ALL.iter().zip(&out.results).zip(&solos) {
+    for ((bench, r), solo) in Benchmark::ALL.iter().zip(&runs).zip(&solos) {
         let norm = r.sole_jct() / solo;
         if bench.is_spark() {
             spark_norm.push(norm);
@@ -71,10 +69,4 @@ fn main() {
         "shape check (Spark hit harder than MapReduce): {}",
         if spark > mr { "HOLDS" } else { "VIOLATED" }
     );
-
-    let mut rec = BenchRecord::wall("fig2", t0.elapsed().as_secs_f64());
-    rec.extras.push(("sweep_points".into(), out.forked_points as f64));
-    rec.extras.push(("forked_points".into(), out.forked_points as f64));
-    rec.extras.push(("prefix_events_saved".into(), out.prefix_ticks_saved as f64));
-    let _ = rec.write();
 }

@@ -28,14 +28,13 @@
 //! run is single-seeded and tick-deterministic, so the trace bytes are
 //! identical regardless of `PERFCLOUD_THREADS`.
 //!
-//! Every harness run also emits a machine-readable `BENCH_<bin>.json`
-//! record (the fork-converted figures write their own, with
-//! `sweep_points` / `forked_points` / `prefix_events_saved` extras). The
-//! whole suite's timing lands in `BENCH_runall.json` — total wall seconds
-//! plus one `<bin>_wall` extra per harness — which CI regression-gates
-//! against the committed copy via `--baseline BENCH_runall.json
-//! --max-slower 0.15` (and `--timing-out PATH` writes a second copy
-//! wherever the caller wants it).
+//! The whole suite's timing lands in `BENCH_runall.json` — total wall
+//! seconds plus one `<bin>_wall` extra per harness — which CI
+//! regression-gates against the committed copy via `--baseline
+//! BENCH_runall.json --max-slower 0.15` (and `--timing-out PATH` writes a
+//! second copy wherever the caller wants it). The gate fails closed: a
+//! `--baseline` that is missing or has no `wall_seconds` exits 2 before
+//! any harness runs.
 
 use perfcloud_bench::benchjson::BenchRecord;
 use perfcloud_bench::{baseline, golden, scenarios, sweep};
@@ -60,12 +59,6 @@ fn run_bin(exe_dir: &Path, bin: &str, args: &[&str]) -> (std::process::Output, f
         .output()
         .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
     (output, start.elapsed().as_secs_f64())
-}
-
-fn record(bin: &str, wall_seconds: f64) {
-    if let Err(e) = BenchRecord::wall(bin, wall_seconds).write() {
-        eprintln!("warning: could not write BENCH_{bin}.json: {e}");
-    }
 }
 
 /// Precomputes the union of every solo baseline the figure harnesses
@@ -184,17 +177,16 @@ fn main() {
     }
 
     // The committed timing baseline is read up front so gating against the
-    // repo-root copy works even when BENCH_JSON_DIR points elsewhere.
-    let baseline_wall =
-        timing_baseline.as_deref().and_then(|p| BenchRecord::read_field(p, "wall_seconds"));
-    if let Some(path) = &timing_baseline {
-        match baseline_wall {
-            Some(wall) => {
-                println!("timing baseline {path}: {wall:.1}s (gate: +{:.0}%)", max_slower * 100.0)
-            }
-            None => eprintln!("warning: no wall_seconds in baseline {path}; gate disabled"),
-        }
-    }
+    // repo-root copy works even when BENCH_JSON_DIR points elsewhere. A
+    // baseline that cannot be read is an error, never a disabled gate.
+    let baseline_wall = timing_baseline.as_deref().map(|path| {
+        let Some(wall) = BenchRecord::read_field(path, "wall_seconds") else {
+            eprintln!("error: cannot read wall_seconds from timing baseline {path}");
+            std::process::exit(2);
+        };
+        println!("timing baseline {path}: {wall:.1}s (gate: +{:.0}%)", max_slower * 100.0);
+        wall
+    });
 
     let prewarm_start = Instant::now();
     let cache_path = prewarm_baselines(scenarios::base_seed());
@@ -203,27 +195,24 @@ fn main() {
         println!("baseline cache: {} ({prewarm_wall:.2}s to prewarm)", path.display());
     }
 
-    // (bin, args, self_records): harnesses converted to fork-point sweeps
-    // write their own BENCH_<bin>.json with prefix-sharing extras; run_all
-    // must not overwrite those with a bare wall record.
-    let light: Vec<(&str, Vec<&str>, bool)> = vec![
-        ("fig1", vec![], true),
-        ("fig2", vec![], true),
-        ("fig3", vec![], false),
-        ("fig4", vec![], false),
-        ("fig5", vec![], false),
-        ("fig6", vec![], false),
-        ("fig7", vec![], false),
-        ("fig9", vec![], false),
-        ("fig10", vec![], false),
-        ("future_work", vec![], false),
-        ("ablation_controller", vec![], true),
-        ("ablation_threshold", vec![], true),
-        ("ablation_monitor", vec![], true),
+    let light = [
+        "fig1",
+        "fig2",
+        "fig3",
+        "fig4",
+        "fig5",
+        "fig6",
+        "fig7",
+        "fig9",
+        "fig10",
+        "future_work",
+        "ablation_controller",
+        "ablation_threshold",
+        "ablation_monitor",
     ];
-    let heavy: Vec<(&str, Vec<&str>, bool)> = vec![
-        ("fig11", if fast { vec!["--scale", "0.1"] } else { vec![] }, true),
-        ("fig12", if fast { vec!["--reps", "8", "--scale-servers", "6"] } else { vec![] }, true),
+    let heavy: Vec<(&str, Vec<&str>)> = vec![
+        ("fig11", if fast { vec!["--scale", "0.1"] } else { vec![] }),
+        ("fig12", if fast { vec!["--reps", "8", "--scale-servers", "6"] } else { vec![] }),
     ];
 
     let exe_dir =
@@ -237,31 +226,22 @@ fn main() {
         light.len(),
         sweep::worker_count(light.len())
     );
-    let outputs = sweep::run(light.len(), |i| {
-        let (bin, args, _) = &light[i];
-        run_bin(&exe_dir, bin, args)
-    });
-    for ((bin, args, self_records), (output, wall)) in light.iter().zip(outputs) {
-        banner(bin, args);
+    let outputs = sweep::run(light.len(), |i| run_bin(&exe_dir, light[i], &[]));
+    for (bin, (output, wall)) in light.into_iter().zip(outputs) {
+        banner(bin, &[]);
         print!("{}", String::from_utf8_lossy(&output.stdout));
         eprint!("{}", String::from_utf8_lossy(&output.stderr));
-        if !self_records {
-            record(bin, wall);
-        }
         walls.push((format!("{bin}_wall"), wall));
         if !output.status.success() {
             failures.push(bin);
         }
     }
 
-    for (bin, args, self_records) in &heavy {
+    for (bin, args) in &heavy {
         banner(bin, args);
         let (output, wall) = run_bin(&exe_dir, bin, args);
         print!("{}", String::from_utf8_lossy(&output.stdout));
         eprint!("{}", String::from_utf8_lossy(&output.stderr));
-        if !self_records {
-            record(bin, wall);
-        }
         walls.push((format!("{bin}_wall"), wall));
         if !output.status.success() {
             failures.push(bin);

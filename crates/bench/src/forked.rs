@@ -12,32 +12,16 @@
 //! Exactness is inherited from [`Experiment::fork`]: every fork's result,
 //! decision trace, and flight export is byte-identical to a fresh run of
 //! its diverged configuration, so converting a sweep to fork-points can
-//! never change a figure — only its wall time. The returned
-//! [`ForkedResults`] carries the accounting the `BENCH_fig*.json` records
-//! publish: how many points forked and how many prefix ticks the sharing
-//! avoided re-simulating.
+//! never change a figure — only its wall time.
 
 use crate::sweep;
 use perfcloud_cluster::Experiment;
 use std::sync::Mutex;
 
-/// Results of a fork-point sweep, with prefix-sharing accounting.
-pub struct ForkedResults<T> {
-    /// Per-point results, in point order.
-    pub results: Vec<T>,
-    /// Points that ran as forks of the shared parent.
-    pub forked_points: usize,
-    /// Ticks of shared prefix the parent executed once.
-    pub prefix_ticks: u64,
-    /// Ticks a fresh-run-per-point sweep would have re-simulated:
-    /// `(points − 1) × prefix_ticks`.
-    pub prefix_ticks_saved: u64,
-}
-
 /// Forks `points` snapshots off `parent` (which has already run the shared
 /// prefix) and evaluates `f(point_index, fork)` for each on the sweep
 /// thread pool. Results come back in point order.
-pub fn sweep<T, F>(parent: &Experiment, points: usize, f: F) -> ForkedResults<T>
+pub fn sweep<T, F>(parent: &Experiment, points: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, Experiment) -> T + Sync,
@@ -46,21 +30,14 @@ where
     // next to the simulation work each point then does in parallel.
     let forks: Vec<Mutex<Option<Experiment>>> =
         (0..points).map(|_| Mutex::new(Some(parent.fork()))).collect();
-    let results = sweep::run(points, |i| {
+    sweep::run(points, |i| {
         let fork = forks[i]
             .lock()
             .expect("unpoisoned fork slot")
             .take()
             .expect("each point claims its fork once");
         f(i, fork)
-    });
-    let prefix_ticks = parent.ticks_stepped();
-    ForkedResults {
-        results,
-        forked_points: points,
-        prefix_ticks,
-        prefix_ticks_saved: prefix_ticks * points.saturating_sub(1) as u64,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -81,7 +58,7 @@ mod tests {
     }
 
     #[test]
-    fn forked_sweep_matches_fresh_runs_and_counts_savings() {
+    fn forked_sweep_matches_fresh_runs() {
         let onsets = [10u64, 20, 30];
         let mut p = parent();
         // Shared prefix: everything before the earliest divergence.
@@ -92,13 +69,11 @@ mod tests {
             e.start_antagonist(0, SimTime::from_secs(onsets[i]));
             e.run().sole_jct()
         });
-        assert_eq!(out.forked_points, 3);
-        assert_eq!(out.prefix_ticks, 90);
-        assert_eq!(out.prefix_ticks_saved, 180);
+        assert_eq!(out.len(), 3);
         for (i, &onset) in onsets.iter().enumerate() {
             let mut fresh = parent();
             fresh.start_antagonist(0, SimTime::from_secs(onset));
-            assert_eq!(out.results[i], fresh.run().sole_jct(), "onset {onset}");
+            assert_eq!(out[i], fresh.run().sole_jct(), "onset {onset}");
         }
     }
 }

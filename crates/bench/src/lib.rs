@@ -10,14 +10,11 @@
 pub mod accuracy;
 pub mod baseline;
 pub mod benchjson;
-pub mod ctrlbench;
 pub mod forked;
 pub mod golden;
-pub mod placementbench;
 pub mod report;
 pub mod scenarios;
 pub mod shadow;
 pub mod sweep;
-pub mod telemetrybench;
 
 pub use report::Table;

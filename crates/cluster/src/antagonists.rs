@@ -59,19 +59,6 @@ impl AntagonistKind {
             AntagonistKind::SysbenchCpu => "sysbench-cpu",
         }
     }
-
-    /// True for the workloads that contend on disk I/O.
-    pub fn is_io_antagonist(&self) -> bool {
-        matches!(self, AntagonistKind::Fio | AntagonistKind::FioRate(_))
-    }
-
-    /// True for the workloads that contend on LLC/memory bandwidth.
-    pub fn is_memory_antagonist(&self) -> bool {
-        matches!(
-            self,
-            AntagonistKind::Stream | AntagonistKind::StreamThreads(_) | AntagonistKind::StreamMild
-        )
-    }
 }
 
 /// A placed antagonist: workload + server + lifetime.
@@ -141,15 +128,6 @@ mod tests {
         assert_eq!(AntagonistKind::Stream.spawn(None, 2).label(), "stream");
         assert_eq!(AntagonistKind::SysbenchOltp.spawn(None, 3).label(), "sysbench-oltp");
         assert_eq!(AntagonistKind::SysbenchCpu.spawn(None, 4).label(), "sysbench-cpu");
-    }
-
-    #[test]
-    fn resource_classification() {
-        assert!(AntagonistKind::Fio.is_io_antagonist());
-        assert!(!AntagonistKind::Fio.is_memory_antagonist());
-        assert!(AntagonistKind::Stream.is_memory_antagonist());
-        assert!(!AntagonistKind::SysbenchCpu.is_io_antagonist());
-        assert!(!AntagonistKind::SysbenchOltp.is_memory_antagonist());
     }
 
     #[test]

@@ -1123,7 +1123,11 @@ mod tests {
         // The registry and the host agree the VM now lives on the spare.
         assert_eq!(e.cloud.record(vm).unwrap().server, ServerId(1));
         assert!(e.servers[1].hosts(vm) && !e.servers[0].hosts(vm));
-        assert!(!e.servers[1].is_paused(vm), "VM resumed after stop-and-copy");
+        // Stop-and-copy ended: the VM's I/O counter advances on the spare.
+        let io_before = e.servers[1].counters(vm).unwrap().counters.io_serviced;
+        e.run_for(SimDuration::from_secs(1.0));
+        let io_after = e.servers[1].counters(vm).unwrap().counters.io_serviced;
+        assert!(io_after > io_before, "VM resumed after stop-and-copy");
         assert!(
             r.sole_jct() < dirty.sole_jct(),
             "migrating the antagonist away must beat no mitigation: {} !< {}",

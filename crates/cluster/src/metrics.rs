@@ -78,18 +78,6 @@ pub fn mean_efficiency(outcomes: &[JobOutcome]) -> f64 {
     outcomes.iter().map(JobOutcome::efficiency).sum::<f64>() / outcomes.len() as f64
 }
 
-/// Aggregate efficiency: total successful task time over total task time,
-/// pooled across jobs (weighted by job size, unlike [`mean_efficiency`]).
-pub fn pooled_efficiency(outcomes: &[JobOutcome]) -> f64 {
-    let ok: f64 = outcomes.iter().map(|o| o.successful_task_secs).sum();
-    let total: f64 = outcomes.iter().map(|o| o.total_task_secs).sum();
-    if total <= 0.0 {
-        1.0
-    } else {
-        (ok / total).clamp(0.0, 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,8 +141,6 @@ mod tests {
     fn efficiency_aggregations() {
         let outcomes = vec![outcome("a", 1.0, 8.0, 10.0), outcome("b", 1.0, 1.0, 10.0)];
         assert!((mean_efficiency(&outcomes) - (0.8 + 0.1) / 2.0).abs() < 1e-12);
-        assert!((pooled_efficiency(&outcomes) - 9.0 / 20.0).abs() < 1e-12);
         assert_eq!(mean_efficiency(&[]), 1.0);
-        assert_eq!(pooled_efficiency(&[]), 1.0);
     }
 }

@@ -84,11 +84,6 @@ impl PlacementRuntime {
         }
     }
 
-    /// The deciding policy's stable name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Total migrations started over the run.
     pub fn migrations_started(&self) -> u64 {
         self.starts.values().sum()

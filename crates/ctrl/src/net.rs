@@ -157,11 +157,6 @@ impl SimNet {
         self.partitions.iter().find(|p| p.severs(from, to, now))
     }
 
-    /// Messages currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.wheel.len()
-    }
-
     /// Sends `msg` at `now`: partition check, then per-message drop /
     /// duplicate / extra-delay faults, then latency + deterministic jitter.
     /// Each queued copy gets a fresh send-sequence number, which is also the

@@ -705,6 +705,62 @@ mod tests {
     }
 
     #[test]
+    fn lossless_link_delivers_every_publish_and_ack() {
+        // Three replicas, eight servers with two VMs each, a 10 ms ± 2 ms
+        // link, one publish per server per interval.
+        const SERVERS: usize = 8;
+        const HORIZON: SimTime = SimTime::from_secs(120);
+        let spec = ControlPlaneSpec {
+            managers: 3,
+            link: LinkSpec {
+                latency: SimDuration::from_micros(10_000),
+                jitter: SimDuration::from_micros(2_000),
+            },
+            ..ControlPlaneSpec::default()
+        };
+        let mut cloud = CloudManager::new();
+        for s in 0..SERVERS as u32 {
+            for v in 0..2 {
+                cloud.register(
+                    VmId(s * 2 + v),
+                    VmRecord {
+                        server: ServerId(s),
+                        priority: if v == 0 { Priority::High } else { Priority::Low },
+                        app: (v == 0).then_some(AppId(s)),
+                    },
+                );
+            }
+        }
+        let mut nms = agents(SERVERS);
+        let mut p = plane(spec, FaultScenario::default(), SERVERS);
+        let mut now = SimTime::ZERO;
+        let mut next_sample = SimTime::ZERO;
+        while now <= HORIZON {
+            if now >= next_sample {
+                p.begin_interval(now, &cloud);
+                next_sample = next_sample.saturating_add(SAMPLE);
+            }
+            p.tick(now, &mut cloud, &mut nms);
+            now = now.saturating_add(SimDuration::from_micros(10_000));
+        }
+        let stats = p.net_stats();
+        // Publishes alone: one update per server per interval, each acked.
+        let intervals = HORIZON.as_micros() / SAMPLE.as_micros() + 1;
+        assert!(
+            stats.sent >= intervals * SERVERS as u64 * 2,
+            "sent {} over {intervals} intervals",
+            stats.sent
+        );
+        // A loss-free link delivers everything but the last few in flight.
+        assert!(
+            stats.delivered as f64 >= stats.sent as f64 * 0.99,
+            "delivered {} of {}",
+            stats.delivered,
+            stats.sent
+        );
+    }
+
+    #[test]
     fn coordinator_outage_elects_standby_and_heal_steps_the_stale_one_down() {
         let scenario = FaultScenario::named("m0-outage").rule(
             FaultRule::new("down-m0", FaultKind::DownReplica)

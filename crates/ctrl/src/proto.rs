@@ -34,11 +34,6 @@ impl NodeId {
         NodeId(SERVER_BASE + i)
     }
 
-    /// True for cloud-manager replica addresses.
-    pub fn is_manager(self) -> bool {
-        self.0 < SERVER_BASE
-    }
-
     /// The server index, when this addresses a server endpoint.
     pub fn server_index(self) -> Option<u32> {
         self.0.checked_sub(SERVER_BASE)
@@ -164,8 +159,6 @@ mod tests {
     fn node_ids_partition_managers_and_servers() {
         let m = NodeId::manager(2);
         let s = NodeId::server(2);
-        assert!(m.is_manager());
-        assert!(!s.is_manager());
         assert_eq!(m.server_index(), None);
         assert_eq!(s.server_index(), Some(2));
         assert_eq!(format!("{m}"), "m2");

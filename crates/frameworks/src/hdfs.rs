@@ -1,192 +1,9 @@
-//! Minimal HDFS model: fixed-size blocks placed across datanode VMs.
+//! Minimal HDFS model: fixed-size input blocks.
 //!
 //! The paper sets the HDFS block size to its default 64 MB; map-task counts
 //! in the MapReduce model equal the number of input blocks, and each map
 //! task's read size is its block's size, so file layout feeds directly into
 //! job shape.
 
-use perfcloud_host::VmId;
-use std::collections::HashMap;
-
-/// Identifier of a stored block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct BlockId(pub u64);
-
 /// Default HDFS block size (64 MB), as in the paper.
 pub const DEFAULT_BLOCK_SIZE: u64 = 64 << 20;
-
-/// Default replication factor.
-pub const DEFAULT_REPLICATION: usize = 3;
-
-/// A stored block: size and replica locations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BlockInfo {
-    /// Bytes in this block (the final block of a file may be short).
-    pub size: u64,
-    /// Datanode VMs holding replicas (distinct).
-    pub replicas: Vec<VmId>,
-}
-
-/// The namenode's view: datanodes and the block map.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct HdfsCluster {
-    block_size: u64,
-    replication: usize,
-    datanodes: Vec<VmId>,
-    blocks: HashMap<BlockId, BlockInfo>,
-    next_block: u64,
-    next_placement: usize,
-}
-
-impl HdfsCluster {
-    /// Creates a cluster with the paper's defaults (64 MB blocks, 3-way
-    /// replication) over the given datanodes.
-    pub fn new(datanodes: Vec<VmId>) -> Self {
-        Self::with_config(datanodes, DEFAULT_BLOCK_SIZE, DEFAULT_REPLICATION)
-    }
-
-    /// Creates a cluster with custom block size and replication.
-    pub fn with_config(datanodes: Vec<VmId>, block_size: u64, replication: usize) -> Self {
-        assert!(block_size > 0, "block size must be positive");
-        assert!(replication >= 1, "replication must be at least 1");
-        assert!(!datanodes.is_empty(), "need at least one datanode");
-        HdfsCluster {
-            block_size,
-            replication: replication.min(datanodes.len()),
-            datanodes,
-            blocks: HashMap::new(),
-            next_block: 0,
-            next_placement: 0,
-        }
-    }
-
-    /// Configured block size.
-    pub fn block_size(&self) -> u64 {
-        self.block_size
-    }
-
-    /// Effective replication factor.
-    pub fn replication(&self) -> usize {
-        self.replication
-    }
-
-    /// Datanode VMs.
-    pub fn datanodes(&self) -> &[VmId] {
-        &self.datanodes
-    }
-
-    /// Writes a file of `bytes`, splitting into blocks placed round-robin.
-    /// Returns the block ids in file order.
-    pub fn write_file(&mut self, bytes: u64) -> Vec<BlockId> {
-        assert!(bytes > 0, "empty files are not modelled");
-        let full = bytes / self.block_size;
-        let tail = bytes % self.block_size;
-        let nblocks = full + u64::from(tail > 0);
-        let mut ids = Vec::with_capacity(nblocks as usize);
-        for i in 0..nblocks {
-            let size = if i == nblocks - 1 && tail > 0 { tail } else { self.block_size };
-            let id = BlockId(self.next_block);
-            self.next_block += 1;
-            let mut replicas = Vec::with_capacity(self.replication);
-            for r in 0..self.replication {
-                let node = self.datanodes[(self.next_placement + r) % self.datanodes.len()];
-                replicas.push(node);
-            }
-            self.next_placement = (self.next_placement + 1) % self.datanodes.len();
-            self.blocks.insert(id, BlockInfo { size, replicas });
-            ids.push(id);
-        }
-        ids
-    }
-
-    /// Looks up a stored block.
-    pub fn block(&self, id: BlockId) -> Option<&BlockInfo> {
-        self.blocks.get(&id)
-    }
-
-    /// Number of stored blocks.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Number of blocks a file of `bytes` would occupy.
-    pub fn blocks_for(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.block_size)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn nodes(n: u32) -> Vec<VmId> {
-        (0..n).map(VmId).collect()
-    }
-
-    #[test]
-    fn file_splits_into_blocks_with_short_tail() {
-        let mut h = HdfsCluster::new(nodes(6));
-        let ids = h.write_file(150 << 20); // 150 MB -> 64 + 64 + 22
-        assert_eq!(ids.len(), 3);
-        assert_eq!(h.block(ids[0]).unwrap().size, 64 << 20);
-        assert_eq!(h.block(ids[1]).unwrap().size, 64 << 20);
-        assert_eq!(h.block(ids[2]).unwrap().size, 22 << 20);
-        assert_eq!(h.block_count(), 3);
-    }
-
-    #[test]
-    fn exact_multiple_has_no_tail() {
-        let mut h = HdfsCluster::new(nodes(3));
-        let ids = h.write_file(128 << 20);
-        assert_eq!(ids.len(), 2);
-        assert!(ids.iter().all(|&b| h.block(b).unwrap().size == 64 << 20));
-    }
-
-    #[test]
-    fn replicas_are_distinct_nodes() {
-        let mut h = HdfsCluster::new(nodes(6));
-        for &b in &h.write_file(1 << 30) {
-            let info = h.block(b).unwrap();
-            assert_eq!(info.replicas.len(), 3);
-            let mut dedup = info.replicas.clone();
-            dedup.sort();
-            dedup.dedup();
-            assert_eq!(dedup.len(), 3, "replicas must be on distinct nodes");
-        }
-    }
-
-    #[test]
-    fn replication_clamped_to_cluster_size() {
-        let h = HdfsCluster::with_config(nodes(2), 64 << 20, 3);
-        assert_eq!(h.replication(), 2);
-    }
-
-    #[test]
-    fn placement_spreads_round_robin() {
-        let mut h = HdfsCluster::with_config(nodes(4), 64 << 20, 1);
-        let ids = h.write_file(4 * (64 << 20));
-        let homes: Vec<VmId> = ids.iter().map(|&b| h.block(b).unwrap().replicas[0]).collect();
-        assert_eq!(homes, nodes(4), "single-replica blocks should round-robin");
-    }
-
-    #[test]
-    fn blocks_for_rounds_up() {
-        let h = HdfsCluster::new(nodes(3));
-        assert_eq!(h.blocks_for(1), 1);
-        assert_eq!(h.blocks_for(64 << 20), 1);
-        assert_eq!(h.blocks_for((64 << 20) + 1), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "datanode")]
-    fn empty_cluster_rejected() {
-        let _ = HdfsCluster::new(vec![]);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty files")]
-    fn empty_file_rejected() {
-        let mut h = HdfsCluster::new(nodes(3));
-        let _ = h.write_file(0);
-    }
-}

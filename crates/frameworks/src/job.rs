@@ -120,11 +120,6 @@ impl TaskState {
     pub fn is_complete(&self) -> bool {
         self.completed_at.is_some()
     }
-
-    /// Number of attempts still running.
-    pub fn running_attempts(&self) -> usize {
-        self.attempts.iter().filter(|a| a.outcome == AttemptOutcome::Running).count()
-    }
 }
 
 /// Lifecycle of a job.
@@ -299,9 +294,9 @@ mod tests {
     }
 
     #[test]
-    fn task_state_attempt_counting() {
+    fn new_task_state_has_no_attempts() {
         let t = TaskState::new(TaskSpec::new("t", vec![Phase::compute(1.0)]));
         assert!(!t.is_complete());
-        assert_eq!(t.running_attempts(), 0);
+        assert!(t.attempts.is_empty());
     }
 }

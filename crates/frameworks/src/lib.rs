@@ -4,9 +4,8 @@
 //! (SparkBench). This crate implements the framework layer those benchmarks
 //! run on, as it matters to the experiments:
 //!
-//! * [`hdfs`] — block storage: files are split into 64 MB blocks placed
-//!   round-robin with replication across datanode VMs; map-task counts and
-//!   input sizes derive from the placement.
+//! * [`hdfs`] — the 64 MB block size: map-task counts and map input sizes
+//!   derive from it.
 //! * [`task`] — tasks as multi-phase [`perfcloud_host::Process`]es (read →
 //!   compute → write). Task duration is *emergent* from contention on the
 //!   simulated host, which is what creates stragglers.
@@ -28,7 +27,6 @@ pub mod profiles;
 pub mod scheduler;
 pub mod task;
 
-pub use hdfs::{BlockId, HdfsCluster};
 pub use job::{AttemptId, JobId, JobOutcome, JobSpec, JobState, StageSpec, TaskId};
 pub use profiles::Benchmark;
 pub use scheduler::{FrameworkScheduler, NoSpeculation, SpeculationPolicy, Worker};

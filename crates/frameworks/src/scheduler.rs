@@ -264,11 +264,6 @@ impl FrameworkScheduler {
         self.jobs.get(&id)
     }
 
-    /// Ids of all jobs ever submitted.
-    pub fn job_ids(&self) -> Vec<JobId> {
-        self.jobs.keys().copied().collect()
-    }
-
     fn worker_free(&self, widx: usize) -> usize {
         (self.workers[widx].slots as usize).saturating_sub(self.running_on[widx])
     }

@@ -212,11 +212,6 @@ impl PhysicalServer {
         }
     }
 
-    /// True if the VM is currently frozen by a migration.
-    pub fn is_paused(&self, vm: VmId) -> bool {
-        self.vm(vm).is_some_and(|v| v.paused)
-    }
-
     /// Sets the CPU tax (in cores) charged by in-flight migrations.
     pub fn set_migration_load(&mut self, cores: f64) {
         assert!(cores >= 0.0 && cores.is_finite(), "migration load must be finite and >= 0");
@@ -788,7 +783,6 @@ mod tests {
         let p0 = s.process_progress(VmId(0), pid).unwrap();
         assert!(p0 > 0.0);
         s.set_paused(VmId(0), true);
-        assert!(s.is_paused(VmId(0)));
         let frozen = s.counters(VmId(0)).unwrap();
         for _ in 0..10 {
             s.tick(DT);

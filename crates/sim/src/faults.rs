@@ -200,12 +200,6 @@ impl FaultRule {
         self
     }
 
-    /// Restricts the rule to one VM id.
-    pub fn on_vm(mut self, vm: u32) -> Self {
-        self.target.vm = Some(vm);
-        self
-    }
-
     /// Restricts the rule to one metric stream.
     pub fn on_metric(mut self, metric: MetricClass) -> Self {
         self.target.metric = Some(metric);
@@ -423,9 +417,11 @@ mod tests {
 
     #[test]
     fn target_filters_apply() {
+        let mut on_vm7 = FaultRule::new("v7", FaultKind::DropSample);
+        on_vm7.target.vm = Some(7);
         let scen = FaultScenario::named("t")
             .rule(FaultRule::new("s1", FaultKind::DropSample).on_server(1))
-            .rule(FaultRule::new("v7", FaultKind::DropSample).on_vm(7));
+            .rule(on_vm7);
         let inj = FaultInjector::new(1, scen);
         let s1 = inj.scenario().rules[0].clone();
         let v7 = inj.scenario().rules[1].clone();

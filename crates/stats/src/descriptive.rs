@@ -2,8 +2,7 @@
 //!
 //! PerfCloud's interference signal is the *population* standard deviation of
 //! a metric across the VMs of one application at one instant (a complete
-//! population, not a sample), so [`population_stddev`] is the primary export;
-//! [`sample_stddev`] is provided for the evaluation summaries.
+//! population, not a sample), so [`population_stddev`] is the primary export.
 
 /// Arithmetic mean. Returns `None` for an empty slice.
 pub fn mean(xs: &[f64]) -> Option<f64> {
@@ -22,21 +21,6 @@ pub fn population_variance(xs: &[f64]) -> Option<f64> {
 /// Population standard deviation (divides by `n`).
 pub fn population_stddev(xs: &[f64]) -> Option<f64> {
     population_variance(xs).map(f64::sqrt)
-}
-
-/// Sample variance (divides by `n - 1`). Returns `None` if fewer than two
-/// observations.
-pub fn sample_variance(xs: &[f64]) -> Option<f64> {
-    if xs.len() < 2 {
-        return None;
-    }
-    let m = mean(xs).expect("non-empty");
-    Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64)
-}
-
-/// Sample standard deviation (divides by `n - 1`).
-pub fn sample_stddev(xs: &[f64]) -> Option<f64> {
-    sample_variance(xs).map(f64::sqrt)
 }
 
 /// Kahan–Babuška (Neumaier) compensated sum for fixed-order reductions.
@@ -217,8 +201,10 @@ mod tests {
         assert_eq!(mean(&[]), None);
         assert_eq!(population_variance(&[]), None);
         assert_eq!(population_stddev(&[]), None);
-        assert_eq!(sample_variance(&[1.0]), None);
-        assert_eq!(sample_stddev(&[]), None);
+        let mut r = Running::new();
+        assert_eq!(r.sample_stddev(), None);
+        r.push(1.0);
+        assert_eq!(r.sample_variance(), None);
     }
 
     #[test]
@@ -227,15 +213,18 @@ mod tests {
         assert_eq!(mean(&xs), Some(5.0));
         assert_eq!(population_variance(&xs), Some(4.0));
         assert_eq!(population_stddev(&xs), Some(2.0));
-        let sv = sample_variance(&xs).unwrap();
-        assert!((sv - 32.0 / 7.0).abs() < 1e-12);
+        let mut r = Running::new();
+        xs.iter().for_each(|&x| r.push(x));
+        assert!((r.sample_variance().unwrap() - 32.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
     fn constant_series_has_zero_spread() {
         let xs = [3.5; 10];
         assert_eq!(population_stddev(&xs), Some(0.0));
-        assert_eq!(sample_stddev(&xs), Some(0.0));
+        let mut r = Running::new();
+        xs.iter().for_each(|&x| r.push(x));
+        assert_eq!(r.sample_stddev(), Some(0.0));
     }
 
     #[test]
@@ -250,7 +239,9 @@ mod tests {
         assert!(
             (r.population_variance().unwrap() - population_variance(&xs).unwrap()).abs() < 1e-12
         );
-        assert!((r.sample_variance().unwrap() - sample_variance(&xs).unwrap()).abs() < 1e-12);
+        let n = xs.len() as f64;
+        let sample_variance = population_variance(&xs).unwrap() * n / (n - 1.0);
+        assert!((r.sample_variance().unwrap() - sample_variance).abs() < 1e-12);
         assert_eq!(r.min(), Some(-7.25));
         assert_eq!(r.max(), Some(10.0));
     }

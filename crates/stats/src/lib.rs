@@ -6,10 +6,9 @@
 //! correlate the resulting deviation time series against each suspect VM's
 //! I/O-throughput / LLC-miss-rate series with **Pearson correlation treating
 //! missing samples as zero**. Every stage of that chain lives here, plus the
-//! summaries the evaluation section reports (quantiles, boxplots, CDFs).
+//! summaries the evaluation section reports (quantiles, boxplots).
 
 pub mod boxplot;
-pub mod cdf;
 pub mod descriptive;
 pub mod ewma;
 pub mod pearson;
@@ -19,14 +18,12 @@ pub mod rolling;
 pub mod timeseries;
 
 pub use boxplot::BoxplotSummary;
-pub use cdf::{Cdf, Histogram};
 pub use descriptive::{
-    mean, population_stddev, population_stddev_stable, population_variance, sample_stddev,
-    CompensatedSum, Running,
+    mean, population_stddev, population_stddev_stable, population_variance, CompensatedSum, Running,
 };
 pub use ewma::Ewma;
 pub use pearson::{pearson, pearson_missing_as_zero};
 pub use quantile::{median, quantile};
 pub use rank::{robust_stddev, spearman_victim_aware_lagged, RankScratch};
-pub use rolling::{RollingPearson, RollingStddev};
+pub use rolling::RollingPearson;
 pub use timeseries::TimeSeries;

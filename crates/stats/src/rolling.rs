@@ -16,8 +16,7 @@
 //! Queries are therefore computed **exactly from the retained window, in
 //! window order, with the same operations as the batch kernels** —
 //! [`RollingPearson::correlation`] is bit-identical to
-//! [`crate::pearson::pearson_victim_aware`] over the window, and
-//! [`RollingStddev`] to [`crate::descriptive::population_stddev`]. A window
+//! [`crate::pearson::pearson_victim_aware`] over the window. A window
 //! is at most a few dozen slots (`corr_window`, default 24), so the exact
 //! pass costs a few dozen multiply-adds per query — cheaper than the old
 //! scheme's refresh amortization, and allocation-free either way.
@@ -162,89 +161,9 @@ impl RollingPearson {
     }
 }
 
-/// Windowed population standard deviation. Pushes are O(1); queries are an
-/// exact fixed-order pass over the window, bit-identical to
-/// [`crate::descriptive::population_stddev`] on the same values.
-#[derive(Debug, Clone)]
-pub struct RollingStddev {
-    window: usize,
-    values: VecDeque<f64>,
-}
-
-impl RollingStddev {
-    /// An empty window of capacity `window` (≥ 1).
-    pub fn new(window: usize) -> Self {
-        assert!(window >= 1, "window must hold at least one value");
-        RollingStddev { window, values: VecDeque::with_capacity(window) }
-    }
-
-    /// The window capacity.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Observations currently held.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the window holds no observations.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Pushes one observation, evicting the oldest when full. Non-finite
-    /// values are rejected outright (not stored): a single NaN would
-    /// otherwise make every windowed statistic NaN until it ages out.
-    pub fn push(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        if self.values.len() == self.window {
-            self.evict();
-        }
-        self.values.push_back(x);
-    }
-
-    /// Drops the oldest observation, if any.
-    pub fn evict(&mut self) {
-        self.values.pop_front();
-    }
-
-    /// Forgets everything.
-    pub fn clear(&mut self) {
-        self.values.clear();
-    }
-
-    /// Mean of the current window; `None` when empty. Same summation order
-    /// and operations as [`crate::descriptive::mean`].
-    pub fn mean(&self) -> Option<f64> {
-        (!self.values.is_empty())
-            .then(|| self.values.iter().sum::<f64>() / self.values.len() as f64)
-    }
-
-    /// Population variance of the current window; `None` when empty.
-    /// Computed exactly in window order, matching
-    /// [`crate::descriptive::population_variance`] bit for bit.
-    pub fn population_variance(&self) -> Option<f64> {
-        if self.values.is_empty() {
-            return None;
-        }
-        let n = self.values.len() as f64;
-        let m = self.values.iter().sum::<f64>() / n;
-        Some(self.values.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / n)
-    }
-
-    /// Population standard deviation of the current window.
-    pub fn population_stddev(&self) -> Option<f64> {
-        self.population_variance().map(f64::sqrt)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::descriptive::population_stddev;
     use crate::pearson::pearson_victim_aware;
 
     #[test]
@@ -319,31 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn rolling_stddev_matches_batch() {
-        let mut rs = RollingStddev::new(5);
-        let xs: Vec<f64> = (0..12).map(|i| (i as f64).sqrt() * 3.0 - 2.0).collect();
-        for &x in &xs {
-            rs.push(x);
-        }
-        assert_eq!(rs.len(), 5);
-        let batch = population_stddev(&xs[7..]).unwrap();
-        assert_eq!(rs.population_stddev().unwrap(), batch);
-    }
-
-    #[test]
-    fn stddev_depends_only_on_window_contents() {
-        // Large-magnitude churn before the final window must leave no trace.
-        let mut churned = RollingStddev::new(3);
-        for i in 0..500 {
-            churned.push(1e12 + i as f64);
-        }
-        for x in [2.0, 4.0, 6.0] {
-            churned.push(x);
-        }
-        assert_eq!(churned.population_stddev(), population_stddev(&[2.0, 4.0, 6.0]));
-    }
-
-    #[test]
     fn pearson_survives_nan_and_inf_inputs() {
         let mut rp = RollingPearson::new(6);
         let victim =
@@ -377,44 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn stddev_rejects_nan_and_inf() {
-        let mut rs = RollingStddev::new(4);
-        rs.push(1.0);
-        rs.push(f64::NAN);
-        rs.push(f64::INFINITY);
-        rs.push(f64::NEG_INFINITY);
-        rs.push(3.0);
-        assert_eq!(rs.len(), 2, "non-finite values must not be stored");
-        assert_eq!(rs.population_stddev(), Some(1.0), "stddev of [1, 3] is 1");
-    }
-
-    #[test]
-    fn stddev_stuck_at_constant_is_zero() {
-        let mut rs = RollingStddev::new(4);
-        for _ in 0..10 {
-            rs.push(42.0);
-        }
-        assert_eq!(rs.population_stddev(), Some(0.0));
-        assert_eq!(rs.mean(), Some(42.0));
-    }
-
-    #[test]
-    fn nan_burst_then_recovery() {
-        // A stuck-NaN sensor for a while, then good data again: the window
-        // must come back clean rather than stay poisoned.
-        let mut rs = RollingStddev::new(3);
-        rs.push(5.0);
-        for _ in 0..20 {
-            rs.push(f64::NAN);
-        }
-        for x in [2.0, 4.0, 6.0] {
-            rs.push(x);
-        }
-        assert_eq!(rs.len(), 3);
-        assert_eq!(rs.population_stddev(), population_stddev(&[2.0, 4.0, 6.0]));
-    }
-
-    #[test]
     fn clear_resets_everything() {
         let mut rp = RollingPearson::new(4);
         rp.push(Some(1.0), Some(2.0));
@@ -423,11 +279,5 @@ mod tests {
         assert!(rp.is_empty());
         assert_eq!(rp.contributing(), 0);
         assert_eq!(rp.correlation(), None);
-
-        let mut rs = RollingStddev::new(4);
-        rs.push(1.0);
-        rs.clear();
-        assert!(rs.is_empty());
-        assert_eq!(rs.population_stddev(), None);
     }
 }

@@ -19,7 +19,6 @@ pub struct FioRandRead {
     submission_rate: f64,
     block_size: f64,
     window: RunWindow,
-    ops_done: f64,
     modulation: RateModulation,
 }
 
@@ -41,7 +40,6 @@ impl FioRandRead {
             submission_rate,
             block_size,
             window: RunWindow::new(duration),
-            ops_done: 0.0,
             modulation: RateModulation::none(),
         }
     }
@@ -51,11 +49,6 @@ impl FioRandRead {
     pub fn with_modulation(mut self, seed: u64) -> Self {
         self.modulation = RateModulation::new(seed, 0.5, 15.0);
         self
-    }
-
-    /// Total operations completed so far.
-    pub fn ops_completed(&self) -> f64 {
-        self.ops_done
     }
 }
 
@@ -81,8 +74,7 @@ impl Process for FioRandRead {
         }
     }
 
-    fn advance(&mut self, achieved: &Achieved, dt: SimDuration) {
-        self.ops_done += achieved.io_ops;
+    fn advance(&mut self, _achieved: &Achieved, dt: SimDuration) {
         self.modulation.step(dt);
         self.window.advance(dt);
     }
@@ -114,16 +106,6 @@ mod tests {
         assert!((d2.io_ops - 2.0 * d1.io_ops).abs() < 1e-9);
         assert_eq!(d1.io_pattern, IoPattern::Random);
         assert!((d1.io_bytes - d1.io_ops * 4096.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tracks_completed_ops() {
-        let mut f = FioRandRead::new(None);
-        let a = Achieved { io_ops: 123.0, ..Default::default() };
-        f.advance(&a, DT);
-        f.advance(&a, DT);
-        assert_eq!(f.ops_completed(), 246.0);
-        assert!(!f.is_done());
     }
 
     #[test]

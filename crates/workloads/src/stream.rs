@@ -22,7 +22,6 @@ pub struct Stream {
     array_bytes: f64,
     intensity: f64,
     window: RunWindow,
-    instructions_done: f64,
     modulation: RateModulation,
 }
 
@@ -42,7 +41,6 @@ impl Stream {
             array_bytes,
             intensity: 0.15,
             window: RunWindow::new(duration),
-            instructions_done: 0.0,
             modulation: RateModulation::none(),
         }
     }
@@ -70,11 +68,6 @@ impl Stream {
     pub fn threads(&self) -> u32 {
         self.threads
     }
-
-    /// Instructions retired so far (proxy for triad iterations).
-    pub fn instructions_completed(&self) -> f64 {
-        self.instructions_done
-    }
 }
 
 impl Process for Stream {
@@ -98,8 +91,7 @@ impl Process for Stream {
         }
     }
 
-    fn advance(&mut self, achieved: &Achieved, dt: SimDuration) {
-        self.instructions_done += achieved.instructions;
+    fn advance(&mut self, _achieved: &Achieved, dt: SimDuration) {
         self.modulation.step(dt);
         self.window.advance(dt);
     }
@@ -141,14 +133,6 @@ mod tests {
         let d2 = s2.demand(DT);
         let d8 = s8.demand(DT);
         assert!((d8.cpu_instructions / d2.cpu_instructions - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn accumulates_instructions() {
-        let mut s = Stream::new(None);
-        s.advance(&Achieved { instructions: 5e8, ..Default::default() }, DT);
-        assert_eq!(s.instructions_completed(), 5e8);
-        assert!(!s.is_done());
     }
 
     #[test]

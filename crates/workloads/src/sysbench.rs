@@ -22,7 +22,6 @@ pub struct SysbenchOltp {
     label: String,
     threads: u32,
     window: RunWindow,
-    transactions_done: f64,
     modulation: RateModulation,
 }
 
@@ -39,7 +38,6 @@ impl SysbenchOltp {
             label: "sysbench-oltp".to_string(),
             threads,
             window: RunWindow::new(duration),
-            transactions_done: 0.0,
             modulation: RateModulation::none(),
         }
     }
@@ -50,11 +48,6 @@ impl SysbenchOltp {
     pub fn with_modulation(mut self, seed: u64) -> Self {
         self.modulation = RateModulation::new(seed, 0.5, 6.0);
         self
-    }
-
-    /// Transactions completed so far (one per achieved op).
-    pub fn transactions_completed(&self) -> f64 {
-        self.transactions_done
     }
 }
 
@@ -88,8 +81,7 @@ impl Process for SysbenchOltp {
         }
     }
 
-    fn advance(&mut self, achieved: &Achieved, dt: SimDuration) {
-        self.transactions_done += achieved.io_ops;
+    fn advance(&mut self, _achieved: &Achieved, dt: SimDuration) {
         self.modulation.step(dt);
         self.window.advance(dt);
     }
@@ -248,12 +240,5 @@ mod tests {
         c.instructions_left = 5.0;
         let d = c.demand(DT);
         assert_eq!(d.cpu_instructions, 5.0);
-    }
-
-    #[test]
-    fn oltp_counts_transactions() {
-        let mut o = SysbenchOltp::new();
-        o.advance(&Achieved { io_ops: 7.0, ..Default::default() }, DT);
-        assert_eq!(o.transactions_completed(), 7.0);
     }
 }

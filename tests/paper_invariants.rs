@@ -2,16 +2,21 @@
 //!
 //! These are miniature versions of the Figs. 3–7 checks, small enough to
 //! run in the test suite: detection thresholds separate clean from
-//! contended runs, identification picks the true antagonist, and the
-//! controller follows Eq. 1.
+//! contended runs, identification picks the true antagonist, the
+//! controller follows Eq. 1, and the §VI placement loop migrates once and
+//! does not lose to throttling.
 
 use perfcloud::cluster::{
     AntagonistKind, AntagonistPlacement, ClusterSpec, Experiment, ExperimentConfig, Mitigation,
+    TelemetrySpec,
 };
 use perfcloud::core::antagonist::Resource;
 use perfcloud::core::cubic::{CubicController, CubicState, GrowthRegion};
+use perfcloud::core::PerfCloudConfig;
 use perfcloud::frameworks::Benchmark;
+use perfcloud::place::PlacementConfig;
 use perfcloud::prelude::*;
+use perfcloud_bench::golden::build_placement;
 
 const SEED: u64 = 42;
 
@@ -116,5 +121,26 @@ fn spark_is_more_memory_sensitive_than_mapreduce() {
     assert!(
         spark > mr,
         "Spark ({spark:.2}x) must degrade more than MapReduce ({mr:.2}x) under STREAM"
+    );
+}
+
+#[test]
+fn placement_arms_migrate_once_and_hybrid_beats_throttling() {
+    // (victim JCT, migrations started) of one arm on the placement golden
+    // testbed: two servers, the second held spare, fio onto the first.
+    let arm = |mitigation: Mitigation| {
+        let mut e = build_placement(mitigation, TelemetrySpec::default());
+        let jct = e.run().sole_jct();
+        (jct, e.placement().map_or(0, |rt| rt.migrations_started()))
+    };
+    let (throttle_jct, _) = arm(Mitigation::PerfCloud(PerfCloudConfig::default()));
+    let (_, migrate_moves) = arm(Mitigation::MigrateOnly(PlacementConfig::default()));
+    let (hybrid_jct, hybrid_moves) =
+        arm(Mitigation::Hybrid(PerfCloudConfig::default(), PlacementConfig::default()));
+    assert_eq!(migrate_moves, 1, "migrate-only must move the antagonist exactly once");
+    assert_eq!(hybrid_moves, 1, "hybrid must move the antagonist exactly once");
+    assert!(
+        hybrid_jct <= throttle_jct,
+        "hybrid victim JCT {hybrid_jct} lost to throttle-only {throttle_jct}"
     );
 }
