@@ -16,7 +16,7 @@ use crate::job::{
 use crate::task::TaskProcess;
 use perfcloud_host::{FinishedProcess, PhysicalServer, VmId};
 use perfcloud_sim::SimTime;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Maximum attempts per task (original + one speculative copy, as in
 /// Hadoop's default speculation cap).
@@ -114,6 +114,12 @@ pub trait SpeculationPolicy: Send + ClonePolicy {
     /// Returns the tasks to launch one more attempt for. The scheduler
     /// enforces slot availability and [`MAX_ATTEMPTS_PER_TASK`].
     fn plan(&mut self, view: &SchedulerView) -> Vec<TaskId>;
+    /// Whether [`plan`](Self::plan) reads the view at all. A policy that
+    /// returns `false` is never consulted, so the scheduler skips building
+    /// the view for it.
+    fn reads_view(&self) -> bool {
+        true
+    }
 }
 
 /// The default: never speculate.
@@ -127,6 +133,9 @@ impl SpeculationPolicy for NoSpeculation {
     fn plan(&mut self, _view: &SchedulerView) -> Vec<TaskId> {
         Vec::new()
     }
+    fn reads_view(&self) -> bool {
+        false
+    }
 }
 
 #[derive(Clone)]
@@ -138,11 +147,27 @@ struct CloneGroup {
 }
 
 /// The scheduler itself.
+///
+/// Per-tick work is proportional to running jobs and to launch and finish
+/// events, not to job history or cluster size: `running_jobs`,
+/// `free_slots`, `by_free` and `worker_of` index what would otherwise be
+/// scans over `jobs` and `workers`.
 #[derive(Clone)]
 pub struct FrameworkScheduler {
     workers: Vec<Worker>,
+    /// Attempts running on each worker; written only by `set_running`.
     running_on: Vec<usize>,
+    /// Σ slots over workers.
+    total_slots: usize,
+    /// Σ free slots over workers, kept in step by `set_running`.
+    free_slots: usize,
+    /// `by_free[f]` holds the indices of the workers with `f` free slots.
+    by_free: Vec<BTreeSet<usize>>,
+    /// `(server_idx, vm)` → worker index.
+    worker_of: HashMap<(usize, VmId), usize>,
     jobs: BTreeMap<JobId, JobState>,
+    /// Jobs whose status is `Running`, in `JobId` order.
+    running_jobs: BTreeSet<JobId>,
     specs: HashMap<JobId, JobSpec>,
     pending: VecDeque<TaskId>,
     pid_index: HashMap<(usize, perfcloud_host::ProcessId), (TaskId, AttemptId)>,
@@ -158,10 +183,24 @@ impl FrameworkScheduler {
     pub fn new(workers: Vec<Worker>) -> Self {
         assert!(!workers.is_empty(), "scheduler needs at least one worker");
         let n = workers.len();
+        let total_slots = workers.iter().map(|w| w.slots as usize).sum();
+        let max_slots = workers.iter().map(|w| w.slots as usize).max().unwrap_or(0);
+        let mut by_free = vec![BTreeSet::new(); max_slots + 1];
+        let mut worker_of = HashMap::with_capacity(n);
+        for (i, w) in workers.iter().enumerate() {
+            by_free[w.slots as usize].insert(i);
+            let dup = worker_of.insert((w.server_idx, w.vm), i);
+            assert!(dup.is_none(), "worker {:?} on server {} registered twice", w.vm, w.server_idx);
+        }
         FrameworkScheduler {
             workers,
             running_on: vec![0; n],
+            total_slots,
+            free_slots: total_slots,
+            by_free,
+            worker_of,
             jobs: BTreeMap::new(),
+            running_jobs: BTreeSet::new(),
             specs: HashMap::new(),
             pending: VecDeque::new(),
             pid_index: HashMap::new(),
@@ -171,25 +210,6 @@ impl FrameworkScheduler {
             next_attempt: 0,
             next_group: 0,
         }
-    }
-
-    /// Registered workers.
-    pub fn workers(&self) -> &[Worker] {
-        &self.workers
-    }
-
-    /// Total slots across workers.
-    pub fn total_slots(&self) -> usize {
-        self.workers.iter().map(|w| w.slots as usize).sum()
-    }
-
-    /// Free slots across workers.
-    pub fn free_slots(&self) -> usize {
-        self.workers
-            .iter()
-            .zip(&self.running_on)
-            .map(|(w, &r)| (w.slots as usize).saturating_sub(r))
-            .sum()
     }
 
     /// Submits a job; its first stage becomes dispatchable immediately.
@@ -231,6 +251,7 @@ impl FrameworkScheduler {
             self.pending.push_back(TaskId { job: id, stage: 0, index });
         }
         self.jobs.insert(id, state);
+        self.running_jobs.insert(id);
         self.specs.insert(id, spec);
         id
     }
@@ -251,7 +272,7 @@ impl FrameworkScheduler {
 
     /// True when no job is still running.
     pub fn is_idle(&self) -> bool {
-        self.jobs.values().all(|j| j.status != JobStatus::Running)
+        self.running_jobs.is_empty()
     }
 
     /// Outcomes of finished logical jobs (clone groups count once).
@@ -260,7 +281,8 @@ impl FrameworkScheduler {
     }
 
     /// Read access to a job's state.
-    pub fn job(&self, id: JobId) -> Option<&JobState> {
+    #[cfg(test)]
+    fn job(&self, id: JobId) -> Option<&JobState> {
         self.jobs.get(&id)
     }
 
@@ -268,9 +290,44 @@ impl FrameworkScheduler {
         (self.workers[widx].slots as usize).saturating_sub(self.running_on[widx])
     }
 
+    /// Sets the attempt count of worker `widx`, keeping `free_slots` and
+    /// `by_free` in step. The only writer of `running_on`.
+    fn set_running(&mut self, widx: usize, n: usize) {
+        let old = self.worker_free(widx);
+        self.running_on[widx] = n;
+        let new = self.worker_free(widx);
+        if new != old {
+            self.free_slots = self.free_slots - old + new;
+            self.by_free[old].remove(&widx);
+            self.by_free[new].insert(widx);
+        }
+    }
+
     /// Picks the freest worker, preferring ones not already running an
     /// attempt of `task` (for speculative copies). Returns its index.
+    ///
+    /// Any worker not in `avoid_vms` ("clean") beats every avoided one;
+    /// among equals the most free slots win, then the lowest index. The
+    /// first clean worker of the highest level of `by_free` that has one
+    /// is exactly that; each level is probed past at most the avoided
+    /// workers.
     fn pick_worker(&self, avoid_vms: &[VmId]) -> Option<usize> {
+        let mut fallback = None;
+        for level in self.by_free[1..].iter().rev() {
+            for &i in level {
+                if !avoid_vms.contains(&self.workers[i].vm) {
+                    return Some(i);
+                }
+                fallback = fallback.or(Some(i));
+            }
+        }
+        fallback
+    }
+
+    /// `pick_worker` as a scan over every worker: the reference the
+    /// index test compares it with.
+    #[cfg(test)]
+    fn pick_worker_linear(&self, avoid_vms: &[VmId]) -> Option<usize> {
         let mut best: Option<(usize, usize, bool)> = None; // (idx, free, avoided)
         for (i, w) in self.workers.iter().enumerate() {
             let free = self.worker_free(i);
@@ -312,7 +369,7 @@ impl FrameworkScheduler {
         let pid = servers[w.server_idx].spawn(w.vm, Box::new(TaskProcess::new(spec)));
         let aid = AttemptId(self.next_attempt);
         self.next_attempt += 1;
-        self.running_on[widx] += 1;
+        self.set_running(widx, self.running_on[widx] + 1);
         self.pid_index.insert((w.server_idx, pid), (tid, aid));
         let job = self.jobs.get_mut(&tid.job).expect("job exists");
         job.stages[tid.stage][tid.index].attempts.push(Attempt {
@@ -328,7 +385,14 @@ impl FrameworkScheduler {
     }
 
     fn worker_index(&self, server_idx: usize, vm: VmId) -> Option<usize> {
-        self.workers.iter().position(|w| w.server_idx == server_idx && w.vm == vm)
+        self.worker_of.get(&(server_idx, vm)).copied()
+    }
+
+    /// Releases one slot on the worker hosting `vm` on server `server_idx`.
+    fn release_slot(&mut self, server_idx: usize, vm: VmId) {
+        if let Some(widx) = self.worker_index(server_idx, vm) {
+            self.set_running(widx, self.running_on[widx].saturating_sub(1));
+        }
     }
 
     fn kill_attempt(
@@ -351,9 +415,7 @@ impl FrameworkScheduler {
         let (sidx, vm, pid) = (a.server_idx, a.vm, a.pid);
         servers[sidx].kill(vm, pid);
         self.pid_index.remove(&(sidx, pid));
-        if let Some(widx) = self.worker_index(sidx, vm) {
-            self.running_on[widx] = self.running_on[widx].saturating_sub(1);
-        }
+        self.release_slot(sidx, vm);
     }
 
     fn handle_finished(
@@ -366,9 +428,7 @@ impl FrameworkScheduler {
             let Some((tid, aid)) = self.pid_index.remove(&(*sidx, fin.pid)) else {
                 continue; // not ours (an antagonist or already-killed attempt)
             };
-            if let Some(widx) = self.worker_index(*sidx, fin.vm) {
-                self.running_on[widx] = self.running_on[widx].saturating_sub(1);
-            }
+            self.release_slot(*sidx, fin.vm);
             let job = self.jobs.get_mut(&tid.job).expect("job exists");
             let task = &mut job.stages[tid.stage][tid.index];
             let attempt =
@@ -410,6 +470,7 @@ impl FrameworkScheduler {
                 job.completed = Some(now);
                 job.status = JobStatus::Completed;
                 let group = job.clone_group;
+                self.running_jobs.remove(&jid);
                 match group {
                     None => self.finalize_single(jid, now),
                     Some(gid) => self.finalize_group_winner(gid, jid, now, servers),
@@ -490,6 +551,7 @@ impl FrameworkScheduler {
             let job = self.jobs.get_mut(&m).expect("member exists");
             if job.status == JobStatus::Running {
                 job.status = JobStatus::Cancelled;
+                self.running_jobs.remove(&m);
             }
             // Drop its pending tasks.
             self.pending.retain(|t| t.job != m);
@@ -533,10 +595,8 @@ impl FrameworkScheduler {
 
     fn build_view(&self, now: SimTime, servers: &[PhysicalServer]) -> SchedulerView {
         let mut running = Vec::new();
-        for (jid, job) in &self.jobs {
-            if job.status != JobStatus::Running {
-                continue;
-            }
+        for jid in &self.running_jobs {
+            let job = &self.jobs[jid];
             let stage = job.current_stage.min(job.stages.len() - 1);
             for (ti, task) in job.stages[stage].iter().enumerate() {
                 if task.is_complete() {
@@ -572,12 +632,7 @@ impl FrameworkScheduler {
                 });
             }
         }
-        SchedulerView {
-            now,
-            running,
-            free_slots: self.free_slots(),
-            total_slots: self.total_slots(),
-        }
+        SchedulerView { now, running, free_slots: self.free_slots, total_slots: self.total_slots }
     }
 
     fn run_speculation(
@@ -586,8 +641,11 @@ impl FrameworkScheduler {
         servers: &mut [PhysicalServer],
         policy: &mut dyn SpeculationPolicy,
     ) {
+        if !policy.reads_view() || self.free_slots == 0 {
+            return;
+        }
         let view = self.build_view(now, servers);
-        if view.running.is_empty() || view.free_slots == 0 {
+        if view.running.is_empty() {
             return;
         }
         let mut requested = policy.plan(&view);
@@ -601,7 +659,7 @@ impl FrameworkScheduler {
             if task.is_complete() || task.attempts.len() >= MAX_ATTEMPTS_PER_TASK {
                 continue;
             }
-            if self.free_slots() == 0 {
+            if self.free_slots == 0 {
                 break;
             }
             self.launch_attempt(tid, now, servers);
@@ -610,7 +668,7 @@ impl FrameworkScheduler {
 
     fn dispatch(&mut self, now: SimTime, servers: &mut [PhysicalServer]) {
         let mut requeue = VecDeque::new();
-        while self.free_slots() > 0 {
+        while self.free_slots > 0 {
             let Some(tid) = self.pending.pop_front() else { break };
             let job = &self.jobs[&tid.job];
             if job.status != JobStatus::Running || job.stages[tid.stage][tid.index].is_complete() {
@@ -743,7 +801,7 @@ mod tests {
         let mut sched = FrameworkScheduler::new(workers);
         sched.submit(cpu_job("j", &[8], 2.3e9), SimTime::ZERO);
         sched.dispatch(SimTime::ZERO, &mut servers);
-        assert_eq!(sched.free_slots(), 0);
+        assert_eq!(sched.free_slots, 0);
         assert_eq!(servers[0].process_count(VmId(0)), 2, "only 2 of 8 tasks running");
         drive(&mut sched, &mut servers, &mut NoSpeculation, 5000);
         assert_eq!(sched.outcomes().len(), 1);
@@ -860,5 +918,131 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn empty_worker_set_rejected() {
         let _ = FrameworkScheduler::new(vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "registered twice")]
+    fn duplicate_worker_rejected() {
+        let w = Worker { server_idx: 0, vm: VmId(0), slots: 2 };
+        let _ = FrameworkScheduler::new(vec![w, w]);
+    }
+
+    /// Three servers whose workers have 1, 2 and 3 slots in turn.
+    fn mixed_testbed() -> (Vec<PhysicalServer>, Vec<Worker>) {
+        let (servers, mut workers) = testbed(3, 3);
+        for (i, w) in workers.iter_mut().enumerate() {
+            w.slots = 1 + (i % 3) as u32;
+        }
+        (servers, workers)
+    }
+
+    /// Every index equals its brute-force recomputation.
+    fn assert_indexes_match(sched: &FrameworkScheduler, servers: &[PhysicalServer]) {
+        let running: BTreeSet<JobId> = sched
+            .jobs
+            .iter()
+            .filter(|(_, j)| j.status == JobStatus::Running)
+            .map(|(&id, _)| id)
+            .collect();
+        assert_eq!(sched.running_jobs, running);
+        assert_eq!(sched.is_idle(), running.is_empty());
+        let n = sched.workers.len();
+        for (i, w) in sched.workers.iter().enumerate() {
+            assert_eq!(sched.running_on[i], servers[w.server_idx].process_count(w.vm));
+        }
+        let slots: usize = sched.workers.iter().map(|w| w.slots as usize).sum();
+        assert_eq!(sched.total_slots, slots);
+        let free: usize = sched
+            .workers
+            .iter()
+            .zip(&sched.running_on)
+            .map(|(w, &r)| (w.slots as usize).saturating_sub(r))
+            .sum();
+        assert_eq!(sched.free_slots, free);
+        for (f, level) in sched.by_free.iter().enumerate() {
+            let expect: BTreeSet<usize> = (0..n).filter(|&i| sched.worker_free(i) == f).collect();
+            assert_eq!(level, &expect, "workers with {f} free slots");
+        }
+        assert_eq!(sched.worker_of.len(), n);
+        for w in &sched.workers {
+            let scan =
+                sched.workers.iter().position(|x| x.server_idx == w.server_idx && x.vm == w.vm);
+            assert_eq!(sched.worker_index(w.server_idx, w.vm), scan);
+        }
+    }
+
+    #[test]
+    fn indexes_match_brute_force_and_pick_matches_linear_scan() {
+        use rand::Rng;
+        let (mut servers, workers) = mixed_testbed();
+        let nvm = workers.len() as u32;
+        let mut sched = FrameworkScheduler::new(workers);
+        sched.submit(cpu_job("a", &[5, 3], 2.3e8), SimTime::ZERO);
+        sched.submit_cloned(cpu_job("b", &[4], 4.6e8), 3, SimTime::ZERO);
+        sched.submit(cpu_job("c", &[9, 2, 4], 1.2e8), SimTime::ZERO);
+        sched.submit_cloned(cpu_job("d", &[2, 6], 2.3e8), 2, SimTime::ZERO);
+        let mut rng = RngFactory::new(5).stream("avoid");
+        let mut pol = AlwaysSpeculate;
+        let mut now = SimTime::ZERO;
+        sched.on_tick(now, &mut servers, &[], &mut pol);
+        assert_indexes_match(&sched, &servers);
+        let mut ticks = 0;
+        while !sched.is_idle() {
+            now += DT;
+            let mut fin = Vec::new();
+            for (i, s) in servers.iter_mut().enumerate() {
+                for f in s.tick(DT).finished {
+                    fin.push((i, f));
+                }
+            }
+            sched.on_tick(now, &mut servers, &fin, &mut pol);
+            assert_indexes_match(&sched, &servers);
+            // Short lists as a speculative copy sees them, long ones that
+            // can cover every free worker (both may name a VM one past the
+            // last worker's), and every worker avoided.
+            for k in 0..9 {
+                let avoid: Vec<VmId> = if k == 8 {
+                    (0..nvm).map(VmId).collect()
+                } else {
+                    let len = rng.gen_range(0..if k < 4 { 4 } else { nvm + 2 });
+                    (0..len).map(|_| VmId(rng.gen_range(0..nvm + 1))).collect()
+                };
+                assert_eq!(
+                    sched.pick_worker(&avoid),
+                    sched.pick_worker_linear(&avoid),
+                    "{avoid:?}"
+                );
+            }
+            ticks += 1;
+            assert!(ticks < 5000, "scheduler did not drain");
+        }
+        assert_eq!(sched.outcomes().len(), 4);
+    }
+
+    /// A policy that never reads the view and must never be consulted.
+    #[derive(Clone)]
+    struct Blind;
+    impl SpeculationPolicy for Blind {
+        fn name(&self) -> &'static str {
+            "blind"
+        }
+        fn plan(&mut self, _view: &SchedulerView) -> Vec<TaskId> {
+            panic!("plan called on a policy that does not read the view")
+        }
+        fn reads_view(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn policy_that_reads_no_view_is_never_consulted() {
+        let (mut servers, workers) = mixed_testbed();
+        let mut sched = FrameworkScheduler::new(workers);
+        sched.submit(cpu_job("a", &[5, 3], 2.3e8), SimTime::ZERO);
+        sched.submit_cloned(cpu_job("b", &[4], 2.3e8), 2, SimTime::ZERO);
+        sched.submit(cpu_job("c", &[12], 1.2e8), SimTime::ZERO);
+        sched.on_tick(SimTime::ZERO, &mut servers, &[], &mut Blind);
+        drive(&mut sched, &mut servers, &mut Blind, 5000);
+        assert_eq!(sched.outcomes().len(), 3);
     }
 }
