@@ -3,7 +3,7 @@
 //! Many figure sweeps run the *same* scenario prefix — boot the cluster,
 //! settle the antagonist placement, reach the divergence instant — once per
 //! sweep point, then vary a single knob (a cap fraction, an antagonist
-//! onset, a mitigation). [`sweep`] runs the common prefix once on a parent
+//! onset, a mitigation). [`sweep()`] runs the common prefix once on a parent
 //! [`Experiment`], forks an independent snapshot per point, applies each
 //! point's divergence to its fork, and distributes the forks across the
 //! `PERFCLOUD_THREADS` worker pool (forks are `Send`; forking itself is a

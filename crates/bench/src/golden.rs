@@ -448,13 +448,13 @@ fn placement_throttle() -> String {
 /// Migrate-only arm: no throttling — the identified antagonist is
 /// live-migrated to the spare server and runs there uncapped.
 fn placement_migrate() -> String {
-    placement_run(Mitigation::MigrateOnly(PlacementConfig::default()))
+    placement_run(Mitigation::MigrateOnly(PlacementConfig))
 }
 
 /// Hybrid arm: throttle while the interference penalty accrues, then
 /// migrate the antagonist away entirely.
 fn placement_hybrid() -> String {
-    placement_run(Mitigation::Hybrid(PerfCloudConfig::default(), PlacementConfig::default()))
+    placement_run(Mitigation::Hybrid(PerfCloudConfig::default(), PlacementConfig))
 }
 
 /// A down-scaled Fig. 12(b): the Spark logistic-regression job under

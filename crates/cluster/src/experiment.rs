@@ -49,8 +49,8 @@ pub enum Mitigation {
     PerfCloudWithLate(PerfCloudConfig, LatePolicy),
     /// Migration-only mitigation (§VI's "complementary solutions such as
     /// VM migration"): the PerfCloud pipeline detects and identifies as
-    /// usual but never throttles; instead an interference-aware placement
-    /// policy live-migrates identified antagonists away.
+    /// usual but never throttles; instead the antagonist-aware migration
+    /// rule (`place::best_move`) live-migrates identified antagonists away.
     MigrateOnly(PlacementConfig),
     /// Throttle *and* migrate: full PerfCloud resource control plus the
     /// placement runtime — caps contain the antagonist while its penalty
@@ -1094,7 +1094,7 @@ mod tests {
     fn migration_testbed(mitigation: Mitigation) -> ExperimentConfig {
         // Two servers, the second held spare: all workers and the fio
         // antagonist land on server 0, leaving server 1 as the migration
-        // target the placement policy should discover.
+        // target the migration rule should discover.
         let mut cluster = ClusterSpec::small_scale(7);
         cluster.servers = 2;
         cluster.spare_servers = 1;
@@ -1111,9 +1111,7 @@ mod tests {
     fn migrate_only_moves_the_antagonist_and_recovers_jct() {
         use perfcloud_place::PlacementConfig;
         let dirty = Experiment::build(migration_testbed(Mitigation::Default)).run();
-        let mut e = Experiment::build(migration_testbed(Mitigation::MigrateOnly(
-            PlacementConfig::default(),
-        )));
+        let mut e = Experiment::build(migration_testbed(Mitigation::MigrateOnly(PlacementConfig)));
         let r = e.run();
         assert_eq!(r.mitigation, "migrate-only");
         let rt = e.placement().expect("placement runtime installed");
@@ -1147,7 +1145,7 @@ mod tests {
                 .run();
         let mut e = Experiment::build(migration_testbed(Mitigation::Hybrid(
             PerfCloudConfig::default(),
-            PlacementConfig::default(),
+            PlacementConfig,
         )));
         let hybrid = e.run();
         assert_eq!(hybrid.mitigation, "hybrid");

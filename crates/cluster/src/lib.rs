@@ -12,7 +12,8 @@
 //!   and collects results (one [`Mitigation`] strategy per run);
 //! * [`placement`] — the interference-aware placement runtime: feeds
 //!   identify verdicts into the `place` crate's decayed ledger and
-//!   executes policy-proposed live migrations through the control plane;
+//!   executes the migrations `place::best_move` picks through the control
+//!   plane;
 //! * [`mix`] — the large-scale workload mixes (100 MapReduce + 100 Spark
 //!   jobs, 80% small) of §IV-C;
 //! * [`metrics`] — normalized JCT, degradation breakdowns and

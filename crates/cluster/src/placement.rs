@@ -21,13 +21,24 @@ use perfcloud_ctrl::ControlPlane;
 use perfcloud_host::{PhysicalServer, Priority, ServerId, VmId};
 use perfcloud_obs::FlightEvent;
 use perfcloud_place::{
-    ActiveMigration, InterferenceHistory, MigrationCandidate, MigrationModel, PlacementConfig,
-    PlacementCtx, PlacementPolicy, ServerLoad, UsageVector,
+    best_move, ActiveMigration, InterferenceHistory, MigrationCandidate, MigrationModel,
+    PlacementConfig, ServerLoad, UsageVector,
 };
 use perfcloud_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 use perfcloud_core::VmMetricKind;
+
+/// Minimum time between migration *starts* of the same VM. With the
+/// default [`MigrationModel`] a move itself takes ~8.5 s; a 60 s cooldown
+/// means a VM flapping between guilty and quiet can bounce at most once per
+/// minute — and in practice not at all, because its ledger penalty decays
+/// below the rule's threshold while it is quiet.
+const COOLDOWN: SimDuration = SimDuration::from_millis(60_000);
+
+/// Maximum concurrent live migrations cluster-wide (the copy streams share
+/// management-network links).
+const MAX_ACTIVE: usize = 1;
 
 /// One in-flight migration plus its driver-side progress flag.
 #[derive(Debug, Clone, Copy)]
@@ -37,13 +48,10 @@ struct Inflight {
     stopped: bool,
 }
 
-/// Executes placement decisions for one experiment run.
-#[derive(Clone)]
+/// Executes placement decisions for one experiment run. Every migration
+/// follows [`MigrationModel::default`].
+#[derive(Debug, Clone)]
 pub struct PlacementRuntime {
-    policy: Box<dyn PlacementPolicy + Send>,
-    model: MigrationModel,
-    cooldown: SimDuration,
-    max_active: usize,
     history: InterferenceHistory,
     active: Vec<Inflight>,
     /// Migration start instants per VM (cooldown hysteresis) and per-VM
@@ -55,26 +63,10 @@ pub struct PlacementRuntime {
     candidates: Vec<MigrationCandidate>,
 }
 
-impl std::fmt::Debug for PlacementRuntime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PlacementRuntime")
-            .field("policy", &self.policy.name())
-            .field("active", &self.active.len())
-            .field("history", &self.history)
-            .finish_non_exhaustive()
-    }
-}
-
 impl PlacementRuntime {
-    /// Builds the runtime from its configuration.
-    pub fn new(config: &PlacementConfig) -> Self {
-        config.model.validate();
-        assert!(config.max_active >= 1, "max_active must be at least 1");
+    /// Builds the runtime. `PlacementConfig` carries no values.
+    pub fn new(_config: &PlacementConfig) -> Self {
         PlacementRuntime {
-            policy: config.policy.build(),
-            model: config.model,
-            cooldown: config.cooldown,
-            max_active: config.max_active,
             history: InterferenceHistory::new(),
             active: Vec::new(),
             last_start: BTreeMap::new(),
@@ -151,9 +143,8 @@ impl PlacementRuntime {
 
     /// Runs one placement decision round at a sampling instant, after the
     /// node managers stepped: ingest fresh identify verdicts into the
-    /// ledger, then — capacity and cooldown permitting — ask the policy
-    /// for proposals over the currently placed low-priority VMs and start
-    /// the best one.
+    /// ledger, then — capacity and cooldown permitting — start the
+    /// [`best_move`] over the currently placed low-priority VMs, if any.
     pub fn on_sample(
         &mut self,
         now: SimTime,
@@ -170,7 +161,7 @@ impl PlacementRuntime {
             }
         }
 
-        if self.active.len() >= self.max_active {
+        if self.active.len() >= MAX_ACTIVE {
             return;
         }
 
@@ -199,7 +190,7 @@ impl PlacementRuntime {
                 if self.active.iter().any(|a| a.migration.vm == vm) {
                     continue;
                 }
-                if self.last_start.get(&vm).is_some_and(|&t| now < t + self.cooldown) {
+                if self.last_start.get(&vm).is_some_and(|&t| now < t + COOLDOWN) {
                     continue;
                 }
                 self.candidates.push(MigrationCandidate {
@@ -213,24 +204,21 @@ impl PlacementRuntime {
             return;
         }
 
-        let ctx = PlacementCtx { servers: &self.loads, history: &self.history };
-        let proposals = self.policy.propose(&self.candidates, &ctx);
-        // Best gain wins; ties break to the lowest VM id so the decision
-        // is independent of proposal order.
-        let Some(best) = proposals.iter().copied().reduce(|a, b| {
-            if (b.gain, std::cmp::Reverse(b.vm)) > (a.gain, std::cmp::Reverse(a.vm)) {
-                b
-            } else {
-                a
-            }
-        }) else {
+        let Some(best) = best_move(&self.candidates, &self.loads, &self.history) else {
             return;
         };
 
         let source = &servers[best.from.0 as usize];
         debug_assert_eq!(source.priority(best.vm), Some(Priority::Low));
         let mem = source.vm_config(best.vm).expect("candidate hosted on source").memory_bytes;
-        let migration = ActiveMigration::begin(best.vm, best.from, best.to, now, &self.model, mem);
+        let migration = ActiveMigration::begin(
+            best.vm,
+            best.from,
+            best.to,
+            now,
+            &MigrationModel::default(),
+            mem,
+        );
         let (vm, from, to) = (u64::from(best.vm.0), best.from.0, best.to.0);
         plane.announce_migration(now, FlightEvent::MigrationStart { vm, from, to });
         self.last_start.insert(best.vm, now);
@@ -242,10 +230,11 @@ impl PlacementRuntime {
     /// Re-derives every server's migration CPU tax from the in-flight set
     /// (both endpoints of each migration pay `cpu_tax_cores`).
     fn apply_taxes(&self, servers: &mut [PhysicalServer]) {
+        let cores = MigrationModel::default().cpu_tax_cores;
         let mut tax = vec![0.0f64; servers.len()];
         for a in &self.active {
-            tax[a.migration.from.0 as usize] += self.model.cpu_tax_cores;
-            tax[a.migration.to.0 as usize] += self.model.cpu_tax_cores;
+            tax[a.migration.from.0 as usize] += cores;
+            tax[a.migration.to.0 as usize] += cores;
         }
         for (server, t) in servers.iter_mut().zip(tax) {
             server.set_migration_load(t);

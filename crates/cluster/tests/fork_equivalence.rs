@@ -248,9 +248,9 @@ fn premonitoring_mitigation_swap_matches_fresh_build() {
 fn build_migration(seed: u64, hybrid: bool) -> Experiment {
     use perfcloud_place::PlacementConfig;
     let mitigation = if hybrid {
-        Mitigation::Hybrid(PerfCloudConfig::default(), PlacementConfig::default())
+        Mitigation::Hybrid(PerfCloudConfig::default(), PlacementConfig)
     } else {
-        Mitigation::MigrateOnly(PlacementConfig::default())
+        Mitigation::MigrateOnly(PlacementConfig)
     };
     let mut cluster = ClusterSpec::small_scale(seed);
     cluster.servers = 3;

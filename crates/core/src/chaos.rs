@@ -1,9 +1,8 @@
 //! Fault-injection integration for the per-server agent.
 //!
 //! [`NodeFaults`] sits between a [`NodeManager`](crate::NodeManager) and the
-//! hypervisor interface and applies a
-//! [`FaultScenario`](perfcloud_sim::FaultScenario) to everything the agent
-//! observes locally: sample deliveries can be dropped, delayed, or
+//! hypervisor interface and applies a [`FaultScenario`] to everything the
+//! agent observes locally: sample deliveries can be dropped, delayed, or
 //! duplicated; individual metric values corrupted (NaN, spike, stuck-at);
 //! and the agent itself crash-restarted. All decisions come from the
 //! stateless [`FaultInjector`], so runs are bit-reproducible from

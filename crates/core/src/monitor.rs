@@ -292,15 +292,6 @@ impl PerformanceMonitor {
         self.series(vm, kind)?.last_present().map(|(_, v)| v)
     }
 
-    /// VMs with at least one delivered sample, in ascending id order.
-    ///
-    /// Borrowed iteration — callers in the sampling loop must not pay a
-    /// fresh `Vec` per interval (the counting-allocator steady-state test
-    /// covers this).
-    pub fn monitored_vms(&self) -> impl Iterator<Item = VmId> + '_ {
-        self.vms.keys().copied()
-    }
-
     /// Drops a VM's state (it migrated away or was torn down).
     pub fn forget(&mut self, vm: VmId) {
         self.vms.remove(&vm);
@@ -508,8 +499,10 @@ mod tests {
         let mut now = SimTime::ZERO;
         mon.sample(now, &server);
         sample_after(&mut mon, &mut server, &mut now);
-        assert_eq!(mon.monitored_vms().count(), 2);
+        let cores = VmMetricKind::CpuCores;
+        assert!(mon.series(VmId(1), cores).is_some());
         mon.forget(VmId(1));
-        assert_eq!(mon.monitored_vms().collect::<Vec<_>>(), vec![VmId(0)]);
+        assert!(mon.series(VmId(1), cores).is_none());
+        assert!(mon.series(VmId(0), cores).is_some());
     }
 }

@@ -1,18 +1,18 @@
 //! The node manager: Algorithm 1 (§III-D.2).
 //!
 //! One decentralized agent per physical server. Each sampling interval it
-//! (1) fetches VM priorities and application membership from the cloud
-//! manager, (2) samples the performance monitor, (3) computes the across-VM
-//! deviations of block-iowait ratio and CPI for the high-priority
-//! application, (4) identifies antagonists by cross-correlation, and (5)
-//! runs the CUBIC CPU-control and I/O-control modules, applying the
-//! resulting caps through the hypervisor's `vcpu_quota` and blkio-throttle
-//! actuators. Caps are released once the controller has probed past the
+//! (1) takes the VM priorities and application membership the cloud
+//! manager last published to it, (2) samples the performance monitor, (3)
+//! computes the across-VM deviations of block-iowait ratio and CPI for the
+//! high-priority application, (4) identifies antagonists by
+//! cross-correlation, and (5) runs the CUBIC CPU-control and I/O-control
+//! modules, applying the resulting caps through the hypervisor's
+//! `vcpu_quota` and blkio-throttle actuators. Caps are released once the controller has probed past the
 //! point where the throttle binds.
 
 use crate::antagonist::Resource;
 use crate::chaos::{ManagerFault, NodeFaults};
-use crate::cloud::{AppId, CloudManager, Placement, PlacementEpoch};
+use crate::cloud::{AppId, Placement, PlacementEpoch};
 use crate::config::PerfCloudConfig;
 use crate::cubic::{CubicController, CubicState};
 use crate::detector::ContentionSignal;
@@ -49,8 +49,9 @@ struct Controlled {
     ref_cores: f64,
 }
 
-/// What one node-manager step observed and did.
-#[derive(Debug, Clone, PartialEq)]
+/// What one node-manager step observed and did. The default is an interval
+/// in which the manager took no action.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StepReport {
     /// The contention signal at this interval (for the controlled app).
     pub signal: Option<ContentionSignal>,
@@ -71,23 +72,9 @@ pub struct StepReport {
 }
 
 impl StepReport {
-    /// A report for an interval in which the manager took no action.
-    fn idle() -> Self {
-        StepReport {
-            signal: None,
-            io_antagonists: Vec::new(),
-            cpu_antagonists: Vec::new(),
-            io_caps: Vec::new(),
-            cpu_caps: Vec::new(),
-            stalled: false,
-            restarted: false,
-            placement_stale: false,
-        }
-    }
-
     /// Resets to the idle state, keeping the list buffers' capacity, so one
     /// report can be refilled every interval by
-    /// [`NodeManager::step_into`].
+    /// [`NodeManager::step_synced`].
     pub fn clear(&mut self) {
         self.signal = None;
         self.io_antagonists.clear();
@@ -97,12 +84,6 @@ impl StepReport {
         self.stalled = false;
         self.restarted = false;
         self.placement_stale = false;
-    }
-}
-
-impl Default for StepReport {
-    fn default() -> Self {
-        StepReport::idle()
     }
 }
 
@@ -130,7 +111,6 @@ pub struct NodeManager {
     cpu_controlled: BTreeMap<VmId, Controlled>,
     io_cap_trace: BTreeMap<VmId, TimeSeries>,
     cpu_cap_trace: BTreeMap<VmId, TimeSeries>,
-    controlled_app: Option<AppId>,
     faults: Option<NodeFaults>,
     /// Where counter samples come from. Defaults to [`SimSource`] (the
     /// direct hypervisor read); experiments can swap in a replay stream or
@@ -153,10 +133,8 @@ pub struct NodeManager {
     /// Whether the previous decision interval saw contention, so the
     /// recorder logs onset/clear *transitions* rather than every interval.
     was_contended: bool,
-    /// This interval's placement view (scratch, refilled every step).
-    placement: Placement,
-    /// Last placement view successfully fetched from the cloud manager, for
-    /// riding out desynchronization; `cache_fetched` is its fetch time.
+    /// Last placement view applied from a `PlacementUpdate`, for riding out
+    /// desynchronization; `cache_fetched` is its delivery time.
     placement_cache: Placement,
     cache_fetched: Option<SimTime>,
     /// Epoch of the last applied [`Self::apply_placement`] update; updates
@@ -165,9 +143,8 @@ pub struct NodeManager {
     /// Set by [`Self::apply_placement`], consumed by [`Self::step_synced`]:
     /// whether an update arrived since the previous step.
     placement_fresh: bool,
-    /// Colocation notices waiting to be shipped to the cloud manager (a
-    /// direct call on the in-process path, a `Colocation` message on the
-    /// control-plane path).
+    /// Colocation notices waiting to be shipped to the cloud manager as
+    /// `Colocation` messages.
     colocation_outbox: Vec<Vec<AppId>>,
     /// Scratch for VMs leaving the controlled set in [`Self::control`].
     departed: Vec<VmId>,
@@ -176,8 +153,8 @@ pub struct NodeManager {
     /// exported via [`Self::identified`]) but no throttle is ever
     /// enrolled — the migrate-only mitigation mode.
     actuation: bool,
-    /// Verdicts of the most recent decision interval, exported for
-    /// placement policies: every `(vm, resource)` the identifier fingered
+    /// Verdicts of the most recent decision interval, exported for the
+    /// placement runtime: every `(vm, resource)` the identifier fingered
     /// this step. Cleared at the start of each step.
     identified: Vec<(VmId, Resource)>,
 }
@@ -205,7 +182,6 @@ impl NodeManager {
             cpu_controlled: BTreeMap::new(),
             io_cap_trace: BTreeMap::new(),
             cpu_cap_trace: BTreeMap::new(),
-            controlled_app: None,
             faults: None,
             source: Box::new(SimSource::new()),
             sample_buf: Vec::new(),
@@ -213,7 +189,6 @@ impl NodeManager {
             collected: 0,
             flight: None,
             was_contended: false,
-            placement: Placement::default(),
             placement_cache: Placement::default(),
             cache_fetched: None,
             last_epoch: None,
@@ -326,81 +301,15 @@ impl NodeManager {
 
     /// One interval of Algorithm 1. Call every `config.sample_interval`.
     ///
-    /// Convenience wrapper over [`Self::step_into`] that returns a fresh
-    /// report; hot loops should hold one report and use `step_into`, which
-    /// is allocation-free in steady state.
-    pub fn step(
-        &mut self,
-        now: SimTime,
-        server: &mut PhysicalServer,
-        cloud: &mut CloudManager,
-    ) -> StepReport {
-        let mut report = StepReport::idle();
-        self.step_into(now, server, cloud, &mut report);
-        report
-    }
-
-    /// One interval of Algorithm 1, writing what happened into `report`
-    /// (cleared first, buffers reused).
-    ///
-    /// This is the in-process path: placement comes from a direct call into
-    /// the cloud-manager registry and colocation notices are delivered
-    /// synchronously. Cluster experiments instead run the message path —
-    /// [`Self::apply_placement`] plus [`Self::step_synced`] — where the same
-    /// information flows through the control plane.
-    pub fn step_into(
-        &mut self,
-        now: SimTime,
-        server: &mut PhysicalServer,
-        cloud: &mut CloudManager,
-        report: &mut StepReport,
-    ) {
-        report.clear();
-        self.identified.clear();
-
-        // (0) Manager-level faults: a crashed agent loses its in-memory
-        // state and restarts. (Stalls and placement desync are control-plane
-        // conditions; on this direct path they cannot occur.)
-        if let Some(faults) = self.faults.as_mut() {
-            if faults.begin_interval(now) == ManagerFault::Crashed {
-                self.crash_restart(now, server);
-                report.restarted = true;
-                return;
-            }
-        }
-
-        // (1) Fetch placement and priorities from the cloud manager.
-        cloud.placement_into(server.id, &mut self.placement);
-        self.placement_cache.clone_from(&self.placement);
-        self.cache_fetched = Some(now);
-
-        // (2) Sample all VMs (through the fault filter, when attached).
-        self.sample(now, server);
-
-        // Decide on the placement view with the scratch moved out of `self`,
-        // so the decision path can borrow the manager mutably; moving a
-        // `Placement` swaps pointers, it does not copy or allocate.
-        let placement = std::mem::take(&mut self.placement);
-        self.decide(now, server, &placement, report);
-        self.placement = placement;
-
-        // Synchronous delivery of anything the decision wanted to tell the
-        // cloud manager (a message send on the control-plane path).
-        for apps in self.colocation_outbox.drain(..) {
-            cloud.notify_colocation(server.id, apps);
-        }
-    }
-
-    /// One interval of Algorithm 1 on the message path: placement arrives
-    /// beforehand via [`Self::apply_placement`], stalls are imposed by the
-    /// control plane (`stalled`), and colocation notices are left in the
-    /// outbox for the caller to ship.
+    /// Placement arrives beforehand via [`Self::apply_placement`], stalls
+    /// are imposed by the control plane (`stalled`), and colocation notices
+    /// are left in the outbox for the caller to ship
+    /// ([`Self::take_colocation_notice`]). `report` is cleared first and its
+    /// buffers reused, so the steady-state step is allocation-free.
     ///
     /// If no update arrived since the previous step, the manager rides its
     /// cached view up to [`Self::MAX_PLACEMENT_STALENESS`] intervals, then
-    /// keeps the metric windows warm but stops making control decisions —
-    /// exactly the bounded-staleness behavior the direct path had under
-    /// placement desync.
+    /// keeps the metric windows warm but stops making control decisions.
     pub fn step_synced(
         &mut self,
         now: SimTime,
@@ -411,8 +320,8 @@ impl NodeManager {
         report.clear();
         self.identified.clear();
 
-        // (0) A crash beats a stall, as on the direct path: the process dies
-        // and restarts with clean state.
+        // (0) A crash beats a stall: the process dies and restarts with
+        // clean state.
         if let Some(faults) = self.faults.as_mut() {
             if faults.begin_interval(now) == ManagerFault::Crashed {
                 self.crash_restart(now, server);
@@ -454,17 +363,19 @@ impl NodeManager {
             }
             report.placement_stale = true;
         }
-        self.placement.clone_from(&self.placement_cache);
 
         // (2) Sample all VMs (through the fault filter, when attached).
         self.sample(now, server);
 
-        let placement = std::mem::take(&mut self.placement);
+        // Decide on the cached view moved out of `self`, so the decision
+        // path can borrow the manager mutably; moving a `Placement` swaps
+        // pointers, it does not copy or allocate.
+        let placement = std::mem::take(&mut self.placement_cache);
         self.decide(now, server, &placement, report);
-        self.placement = placement;
+        self.placement_cache = placement;
     }
 
-    /// Steps (3)–(5) of Algorithm 1 on an already-fetched placement view.
+    /// Steps (3)–(5) of Algorithm 1 on the applied placement view.
     fn decide(
         &mut self,
         now: SimTime,
@@ -478,13 +389,10 @@ impl NodeManager {
         if placement.apps.len() > 1 {
             self.colocation_outbox.push(placement.apps.clone());
         }
-        let Some(&app) = placement.apps.first() else {
+        if placement.apps.is_empty() {
             // Nothing to protect on this server; release any leftover caps.
-            self.release_all(server, now);
+            self.release_all(server);
             return;
-        };
-        if self.controlled_app != Some(app) {
-            self.controlled_app = Some(app);
         }
 
         // (3) Deviations across the application's VMs.
@@ -511,7 +419,7 @@ impl NodeManager {
             &mut report.cpu_antagonists,
         );
 
-        // Export the verdicts for placement policies, independent of
+        // Export the verdicts for the placement runtime, independent of
         // whether actuation will act on them.
         self.identified.extend(report.io_antagonists.iter().map(|&vm| (vm, Resource::Io)));
         self.identified.extend(report.cpu_antagonists.iter().map(|&vm| (vm, Resource::Cpu)));
@@ -692,7 +600,6 @@ impl NodeManager {
         self.identifier.reset();
         self.io_controlled.clear();
         self.cpu_controlled.clear();
-        self.controlled_app = None;
         self.placement_cache.clear();
         self.cache_fetched = None;
         self.last_epoch = None;
@@ -848,7 +755,7 @@ impl NodeManager {
         }
     }
 
-    fn release_all(&mut self, server: &mut PhysicalServer, _now: SimTime) {
+    fn release_all(&mut self, server: &mut PhysicalServer) {
         for (&vm, _) in self.io_controlled.iter() {
             server.set_io_throttle(vm, IoThrottle::unlimited());
         }
@@ -863,7 +770,7 @@ impl NodeManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cloud::VmRecord;
+    use crate::cloud::{CloudManager, VmRecord};
     use perfcloud_host::{Priority, ServerConfig, ServerId, VmConfig};
     use perfcloud_sim::{RngFactory, SimDuration};
     use perfcloud_workloads::{FioRandRead, SysbenchCpu};
@@ -904,6 +811,26 @@ mod tests {
         Testbed { server, cloud, nm, now: SimTime::ZERO, victims }
     }
 
+    /// One interval as the control plane's zero-latency loopback runs it:
+    /// the registry's view is applied at a fresh epoch, the agent steps,
+    /// and its colocation notices go straight to the cloud manager.
+    fn loopback_step(
+        nm: &mut NodeManager,
+        now: SimTime,
+        server: &mut PhysicalServer,
+        cloud: &mut CloudManager,
+    ) -> StepReport {
+        let mut view = Placement::default();
+        cloud.placement_into(server.id, &mut view);
+        nm.apply_placement(now, PlacementEpoch { term: 1, seq: now.as_micros() }, &view);
+        let mut report = StepReport::default();
+        nm.step_synced(now, server, false, &mut report);
+        while let Some(apps) = nm.take_colocation_notice() {
+            cloud.notify_colocation(server.id, apps);
+        }
+        report
+    }
+
     impl Testbed {
         /// Runs `n` sampling intervals (5 s each), returning all reports.
         fn run(&mut self, n: usize) -> Vec<StepReport> {
@@ -913,7 +840,12 @@ mod tests {
                     self.server.tick(DT);
                 }
                 self.now += SimDuration::from_secs(5.0);
-                reports.push(self.nm.step(self.now, &mut self.server, &mut self.cloud));
+                reports.push(loopback_step(
+                    &mut self.nm,
+                    self.now,
+                    &mut self.server,
+                    &mut self.cloud,
+                ));
             }
             reports
         }
@@ -1006,7 +938,7 @@ mod tests {
             for _ in 0..50 {
                 server.tick(DT);
             }
-            let r = nm.step(SimTime::from_secs(5 * k), &mut server, &mut cloud);
+            let r = loopback_step(&mut nm, SimTime::from_secs(5 * k), &mut server, &mut cloud);
             assert_eq!(r.signal, None);
             assert!(r.io_caps.is_empty());
         }
@@ -1078,8 +1010,6 @@ mod tests {
 
     #[test]
     fn epoch_regression_is_ignored_and_does_not_reset_staleness() {
-        use crate::cloud::PlacementEpoch;
-        use crate::node_manager::PlacementApplyOutcome;
         let mut tb = testbed((10.0, 1.0));
         let interval = SimDuration::from_secs(5.0);
         let mut view = Placement::default();
@@ -1128,47 +1058,26 @@ mod tests {
     }
 
     #[test]
-    fn step_synced_matches_direct_path_and_bounds_staleness() {
-        // Two identical testbeds: one stepped through the direct in-process
-        // path, one through the message path with an update applied each
-        // interval. Their decisions must be identical.
-        let mut direct = testbed((10.0, 1.0));
-        let mut synced = testbed((10.0, 1.0));
-        let mut view = Placement::default();
-        let mut ra = StepReport::default();
-        let mut rb = StepReport::default();
+    fn staleness_is_bounded_without_updates() {
+        // Twelve intervals with an update applied each time, then updates
+        // cut off: the manager rides its cache (stale but deciding) for
+        // MAX_PLACEMENT_STALENESS intervals, then stops deciding entirely.
+        let mut tb = testbed((10.0, 1.0));
+        tb.run(3);
+        tb.start_antagonist();
+        tb.run(9);
+        let mut report = StepReport::default();
         let interval = SimDuration::from_secs(5.0);
-        let mut now = SimTime::ZERO;
-        for k in 0..12u64 {
-            if k == 3 {
-                direct.start_antagonist();
-                synced.start_antagonist();
-            }
-            for _ in 0..50 {
-                direct.server.tick(DT);
-                synced.server.tick(DT);
-            }
-            now += interval;
-            direct.nm.step_into(now, &mut direct.server, &mut direct.cloud, &mut ra);
-            synced.cloud.placement_into(ServerId(0), &mut view);
-            let epoch = crate::cloud::PlacementEpoch { term: 1, seq: k + 1 };
-            synced.nm.apply_placement(now, epoch, &view);
-            synced.nm.step_synced(now, &mut synced.server, false, &mut rb);
-            assert_eq!(ra, rb, "direct and message paths diverged at interval {k}");
-        }
-        // Cut off updates: the synced manager rides its cache (stale but
-        // deciding) for MAX_PLACEMENT_STALENESS intervals, then stops
-        // deciding entirely.
         let mut decided_while_stale = 0;
         let mut refused = 0;
         for _ in 0..(NodeManager::MAX_PLACEMENT_STALENESS + 4) {
             for _ in 0..50 {
-                synced.server.tick(DT);
+                tb.server.tick(DT);
             }
-            now += interval;
-            synced.nm.step_synced(now, &mut synced.server, false, &mut rb);
-            assert!(rb.placement_stale);
-            if rb.signal.is_some() {
+            tb.now += interval;
+            tb.nm.step_synced(tb.now, &mut tb.server, false, &mut report);
+            assert!(report.placement_stale);
+            if report.signal.is_some() {
                 decided_while_stale += 1;
             } else {
                 refused += 1;
@@ -1177,8 +1086,8 @@ mod tests {
         assert_eq!(decided_while_stale, NodeManager::MAX_PLACEMENT_STALENESS);
         assert!(refused >= 4, "past the limit the manager must refuse to decide");
         // A stalled interval does nothing at all.
-        synced.nm.step_synced(now + interval, &mut synced.server, true, &mut rb);
-        assert!(rb.stalled && rb.signal.is_none());
+        tb.nm.step_synced(tb.now + interval, &mut tb.server, true, &mut report);
+        assert!(report.stalled && report.signal.is_none());
     }
 
     #[test]

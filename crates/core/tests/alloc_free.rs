@@ -2,15 +2,17 @@
 //!
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! long enough to grow every rolling window to its retention horizon, each
-//! call to [`NodeManager::step_into`] — placement fetch, batched sampling
-//! of every VM (through the fault filter, when one is attached), deviation
-//! detection, antagonist correlation — must perform zero heap allocations.
-//! Server ticking happens outside the measured window: the hypervisor model
-//! may allocate, the agent must not.
+//! interval of the path an experiment runs — the placement update applied
+//! through [`NodeManager::apply_placement`], then
+//! [`NodeManager::step_synced`] (batched sampling of every VM through the
+//! fault filter, when one is attached, deviation detection, antagonist
+//! correlation), then the colocation-notice drain — must perform zero heap
+//! allocations. Server ticking happens outside the measured window: the
+//! hypervisor model may allocate, the agent must not.
 
 use perfcloud_core::{
     AppId, CloudManager, DetectorKind, IdentifierKind, NodeFaults, NodeManager, PerfCloudConfig,
-    PipelineSpec, StepReport, VmRecord,
+    PipelineSpec, Placement, PlacementEpoch, StepReport, VmRecord,
 };
 use perfcloud_host::{PhysicalServer, Priority, ServerConfig, ServerId, VmConfig, VmId};
 use perfcloud_sim::faults::{FaultKind, FaultRule, FaultScenario, MessageClass};
@@ -73,8 +75,28 @@ enum Agent {
     Finemon,
 }
 
+/// One interval as the control plane's zero-latency loopback runs it: the
+/// registry's view (fetched into the reused `view`) is applied at a fresh
+/// epoch, the agent steps, and its colocation notices go straight to the
+/// cloud manager.
+fn loopback_step(
+    nm: &mut NodeManager,
+    now: SimTime,
+    server: &mut PhysicalServer,
+    cloud: &mut CloudManager,
+    view: &mut Placement,
+    report: &mut StepReport,
+) {
+    cloud.placement_into(server.id, view);
+    nm.apply_placement(now, PlacementEpoch { term: 1, seq: now.as_micros() }, view);
+    nm.step_synced(now, server, false, report);
+    while let Some(apps) = nm.take_colocation_notice() {
+        cloud.notify_colocation(server.id, apps);
+    }
+}
+
 /// Drives the steady-state testbed and returns the allocation count over
-/// 50 measured `step_into` calls.
+/// 50 measured loopback intervals.
 fn steady_state_allocs(agent: Agent) -> u64 {
     const DT: SimDuration = SimDuration::from_micros(100_000);
     const WARMUP_STEPS: usize = 210;
@@ -135,6 +157,7 @@ fn steady_state_allocs(agent: Agent) -> u64 {
     }
     let ticks_per_step = interval.as_micros() / DT.as_micros();
     let mut report = StepReport::default();
+    let mut view = Placement::default();
     let mut now = SimTime::ZERO;
     let mut step = |nm: &mut NodeManager, report: &mut StepReport, counting: bool| -> u64 {
         for _ in 0..ticks_per_step {
@@ -143,7 +166,7 @@ fn steady_state_allocs(agent: Agent) -> u64 {
         now += interval;
         let before = ALLOC_CALLS.load(Ordering::Relaxed);
         counted(counting);
-        nm.step_into(now, &mut server, &mut cloud, report);
+        loopback_step(nm, now, &mut server, &mut cloud, &mut view, report);
         counted(false);
         ALLOC_CALLS.load(Ordering::Relaxed) - before
     };
@@ -172,58 +195,6 @@ fn steady_state_allocs(agent: Agent) -> u64 {
 fn steady_state_node_manager_step_is_allocation_free() {
     let total = steady_state_allocs(Agent::Paper);
     assert_eq!(total, 0, "{total} allocations across 50 steady-state steps (expected 0)");
-}
-
-/// [`perfcloud_core::PerformanceMonitor::monitored_vms`] exists so the
-/// sampling loop can walk the monitored set without materializing a `Vec`
-/// per interval; iterating it — and chasing each VM's latest smoothed
-/// metric — must itself be allocation-free.
-#[test]
-fn monitored_vms_iteration_is_allocation_free() {
-    use perfcloud_core::VmMetricKind;
-
-    const DT: SimDuration = SimDuration::from_micros(100_000);
-    let mut server =
-        PhysicalServer::new(ServerId(0), ServerConfig::default(), RngFactory::new(9), DT);
-    let mut cloud = CloudManager::new();
-    for vm in (0..6).map(VmId) {
-        server.add_vm(vm, VmConfig::high_priority());
-        server.spawn(vm, Box::new(FioRandRead::with_rate(400.0, 4096.0, None)));
-        cloud.register(
-            vm,
-            VmRecord { server: ServerId(0), priority: Priority::High, app: Some(AppId(1)) },
-        );
-    }
-    let config =
-        PerfCloudConfig { h_io: f64::INFINITY, h_cpi: f64::INFINITY, ..Default::default() };
-    let mut nm = NodeManager::new(config);
-    let mut report = StepReport::default();
-    let mut now = SimTime::ZERO;
-    for _ in 0..20 {
-        for _ in 0..50 {
-            server.tick(DT);
-        }
-        now += SimDuration::from_secs(5.0);
-        nm.step_into(now, &mut server, &mut cloud, &mut report);
-    }
-
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    counted(true);
-    let mut seen = 0usize;
-    let mut live_series = 0usize;
-    for _ in 0..100 {
-        for vm in nm.monitor().monitored_vms() {
-            seen += 1;
-            if nm.monitor().latest_present(vm, VmMetricKind::IowaitRatio).is_some() {
-                live_series += 1;
-            }
-        }
-    }
-    counted(false);
-    let total = ALLOC_CALLS.load(Ordering::Relaxed) - before;
-    assert_eq!(seen, 600, "all six VMs visible on every pass");
-    assert_eq!(live_series, 600, "every monitored VM has a live iowait series");
-    assert_eq!(total, 0, "{total} allocations across 100 monitored_vms() walks (expected 0)");
 }
 
 #[test]

@@ -1,6 +1,9 @@
 //! Integration tests of the PerfCloud pipeline's control dynamics.
 
-use perfcloud_core::{AppId, CloudManager, NodeManager, PerfCloudConfig, VmRecord};
+use perfcloud_core::{
+    AppId, CloudManager, NodeManager, PerfCloudConfig, Placement, PlacementEpoch, StepReport,
+    VmRecord,
+};
 use perfcloud_host::{PhysicalServer, Priority, ServerConfig, ServerId, VmConfig, VmId};
 use perfcloud_sim::{RngFactory, SimDuration, SimTime};
 use perfcloud_workloads::FioRandRead;
@@ -39,7 +42,21 @@ impl Rig {
                 self.server.tick(DT);
             }
             self.now += SimDuration::from_secs(5.0);
-            self.nm.step(self.now, &mut self.server, &mut self.cloud);
+            self.loopback_step();
+        }
+    }
+
+    /// One interval as the control plane's zero-latency loopback runs it:
+    /// the registry's view is applied at a fresh epoch, the agent steps,
+    /// and its colocation notices go straight to the cloud manager.
+    fn loopback_step(&mut self) {
+        let mut view = Placement::default();
+        self.cloud.placement_into(self.server.id, &mut view);
+        let epoch = PlacementEpoch { term: 1, seq: self.now.as_micros() };
+        self.nm.apply_placement(self.now, epoch, &view);
+        self.nm.step_synced(self.now, &mut self.server, false, &mut StepReport::default());
+        while let Some(apps) = self.nm.take_colocation_notice() {
+            self.cloud.notify_colocation(self.server.id, apps);
         }
     }
 

@@ -1,10 +1,9 @@
 //! Deterministic message-passing control plane for PerfCloud.
 //!
 //! The paper's architecture has node managers "periodically contact the
-//! cloud manager" for placement information (§III-D.2). Earlier layers
-//! modeled that contact as a direct struct access; this crate makes it a
-//! real distributed-systems problem while keeping every run bit-replayable
-//! from `(seed, scenario)`:
+//! cloud manager" for placement information (§III-D.2). This crate makes
+//! that contact a real distributed-systems problem while keeping every run
+//! bit-replayable from `(seed, scenario)`:
 //!
 //! * [`net`] — a simulated network carrying control messages with per-link
 //!   latency and jitter, seed-driven drop / duplicate / extra-delay faults,
@@ -18,9 +17,9 @@
 //! * [`plane`] — the assembled [`ControlPlane`] gluing replicas, network,
 //!   node-manager endpoints, and control-plane fault windows together.
 //!
-//! With the default single-replica, zero-latency-loopback configuration the
-//! message path reproduces the old direct-fetch behavior byte-for-byte,
-//! which is what keeps the golden traces stable.
+//! With the default single-replica, zero-latency-loopback configuration an
+//! update published at a sampling instant is applied at that same instant,
+//! before the node managers step on it.
 
 #![warn(missing_docs)]
 

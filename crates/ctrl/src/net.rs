@@ -12,8 +12,8 @@
 //! `(seed, scenario, rule/label, coordinates, message-seq)`, so a run replays
 //! bit-identically from `(seed, scenario)` alone. The default [`LinkSpec`] is
 //! the zero-latency loopback: messages sent at `t` are deliverable at `t`,
-//! which is what keeps single-replica cluster experiments byte-identical to
-//! the old direct-call placement fetch.
+//! so a single-replica experiment's node managers see each publish at the
+//! instant it is made.
 
 use crate::proto::{Message, NodeId};
 use perfcloud_obs::{FlightEvent, FlightRecorder};

@@ -20,13 +20,12 @@
 //! (publishes and acks for that server are dropped); `DownReplica` windows
 //! take a whole cloud-manager replica offline. All three are evaluated with
 //! the same stateless `(seed, scenario)` hash coordinates the node-local
-//! faults use, so a scenario that stalled or desynced a manager under the
-//! old direct-mutation path replays the identical windows here.
+//! faults use.
 //!
 //! With the default spec — one replica, zero-latency loopback, no faults —
 //! an update published at the sampling instant is delivered and applied at
-//! that same instant, making the message path byte-identical to the old
-//! direct registry fetch.
+//! that same instant, so every node manager steps on the registry's current
+//! view.
 
 use crate::election::{ElectionConfig, Replica, Role};
 use crate::net::{LinkSpec, NetStats, Partition, SimNet};

@@ -2,10 +2,10 @@
 //!
 //! Everything the cloud-manager replicas and the per-server node-manager
 //! endpoints say to each other is one of the [`Payload`] variants below,
-//! wrapped in a [`Message`] envelope. Placement synchronization — formerly a
-//! direct struct access into the registry — flows as epoch-numbered
-//! [`Payload::PlacementUpdate`]s acknowledged by [`Payload::Ack`]s; replica
-//! liveness and failover use [`Payload::Heartbeat`] plus the modified-Bully
+//! wrapped in a [`Message`] envelope. Placement synchronization flows as
+//! epoch-numbered [`Payload::PlacementUpdate`]s acknowledged by
+//! [`Payload::Ack`]s; replica liveness and failover use
+//! [`Payload::Heartbeat`] plus the modified-Bully
 //! triple [`Payload::Election`] / [`Payload::Answer`] /
 //! [`Payload::Coordinator`] (the CloudP2P variant: priority-ordered, lowest
 //! `(priority, id)` wins).

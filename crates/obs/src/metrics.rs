@@ -138,15 +138,6 @@ impl MetricsRegistry {
         self.gauges[id.0].1 = value;
     }
 
-    /// Raises a gauge to `value` if it is below it (high-water tracking).
-    #[inline]
-    pub fn raise(&mut self, id: GaugeId, value: i64) {
-        let g = &mut self.gauges[id.0].1;
-        if value > *g {
-            *g = value;
-        }
-    }
-
     /// Records one observation into a histogram. Pure u64 bucket math,
     /// no floats, no allocation.
     #[inline]
@@ -260,12 +251,12 @@ mod tests {
     fn counters_gauges_histograms_snapshot() {
         let mut m = MetricsRegistry::with_capacity(8);
         let c = m.counter("events");
-        let g = m.gauge("depth_peak");
+        let g = m.gauge("depth");
         let h = m.histogram("latency_us");
         m.inc(c, 3);
         m.inc(c, 2);
-        m.raise(g, 10);
-        m.raise(g, 4); // lower: ignored
+        m.set(g, 4);
+        m.set(g, 10);
         for v in [10u64, 20, 30, 1000] {
             m.observe(h, v);
         }
@@ -273,7 +264,7 @@ mod tests {
         let snap = m.snapshot();
         let get = |k: &str| snap.iter().find(|(n, _)| n == k).map(|(_, v)| *v).unwrap();
         assert_eq!(get("events"), 5.0);
-        assert_eq!(get("depth_peak"), 10.0);
+        assert_eq!(get("depth"), 10.0);
         assert_eq!(get("latency_us_count"), 4.0);
         assert_eq!(get("latency_us_min"), 10.0);
         assert_eq!(get("latency_us_max"), 1000.0);

@@ -1,26 +1,27 @@
-//! Pluggable placement policies.
+//! The antagonist-aware migration rule.
 //!
-//! A [`PlacementPolicy`] answers two questions: where to put a new VM
-//! ([`place`](PlacementPolicy::place)), and which hosted VMs to move
-//! ([`propose`](PlacementPolicy::propose)). All four implementations are
-//! pure functions of their inputs with deterministic tie-breaking (lowest
-//! server id wins), so identical runs make identical decisions.
+//! [`best_move`] picks at most one VM to move per sampling instant: a VM
+//! whose decayed penalty marks it as a fresh antagonist of a protected
+//! application goes to the highest-affinity other server, if that actually
+//! improves its score. It is a pure function of its inputs with
+//! deterministic tie-breaking, so identical runs make identical decisions.
 
-use crate::migrate::MigrationModel;
 use crate::score::{affinity, InterferenceHistory, ServerLoad, UsageVector};
 use perfcloud_host::{ServerId, VmId};
+use std::cmp::Reverse;
 
-/// Everything a policy sees when deciding: candidate servers (index
-/// position == `ServerId`) and the interference ledger.
-#[derive(Debug, Clone, Copy)]
-pub struct PlacementCtx<'a> {
-    /// Per-server load, indexed by `ServerId.0`.
-    pub servers: &'a [ServerLoad],
-    /// Decayed identify-verdict ledger.
-    pub history: &'a InterferenceHistory,
-}
+/// Ledger penalty below which a VM is left alone. The lagged
+/// cross-correlation identifier is onset-correlated and hence transient —
+/// it may render its verdict exactly once per contention episode — so 0.9
+/// fires on any *fresh* verdict (penalty 1.0) while ignoring stale decayed
+/// ones (at most 0.8 one interval later). Flap protection is structural
+/// rather than threshold-based: the runtime's per-VM cooldown, the ledger
+/// reset on migration completion, and the rule that only interference with
+/// a protected application motivates a move (a freshly migrated antagonist
+/// lands on an unprotected server and is never proposed again).
+const MIN_PENALTY: f64 = 0.9;
 
-/// A hosted VM a policy may move.
+/// A hosted VM the rule may move.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationCandidate {
     /// The VM.
@@ -44,268 +45,69 @@ pub struct MigrationProposal {
     pub gain: f64,
 }
 
-/// A placement policy: initial placement plus rescheduling proposals.
-pub trait PlacementPolicy {
-    /// Short stable name (used in traces and bench records).
-    fn name(&self) -> &'static str;
+/// Placement has no settable values: the rule is [`best_move`] and the
+/// runtime's migration model, cooldown and concurrency bound are
+/// constants. The type remains as the payload of the placement mitigation
+/// arms.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PlacementConfig;
 
-    /// Picks a server for a new VM with profile `usage` and interference
-    /// penalty `penalty`, or `None` if no server exists.
-    fn place(&self, usage: &UsageVector, penalty: f64, ctx: &PlacementCtx<'_>) -> Option<ServerId>;
-
-    /// Proposes migrations for `candidates`. Only rescheduling policies
-    /// return anything; the default is no moves.
-    fn propose(
-        &self,
-        candidates: &[MigrationCandidate],
-        ctx: &PlacementCtx<'_>,
-    ) -> Vec<MigrationProposal> {
-        let _ = (candidates, ctx);
-        Vec::new()
-    }
-
-    /// Clones the policy behind the object (policies are tiny value types).
-    fn boxed_clone(&self) -> Box<dyn PlacementPolicy + Send>;
-}
-
-impl Clone for Box<dyn PlacementPolicy + Send> {
-    fn clone(&self) -> Self {
-        self.boxed_clone()
-    }
-}
-
-/// Picks the best server by a scoring closure, lowest id winning ties
-/// (strict `>` keeps the first — lowest — index on equal scores).
-fn argmax_server(
-    ctx: &PlacementCtx<'_>,
-    mut score: impl FnMut(usize, &ServerLoad) -> f64,
-) -> Option<ServerId> {
-    let mut best: Option<(f64, usize)> = None;
-    for (i, load) in ctx.servers.iter().enumerate() {
-        let s = score(i, load);
-        if best.is_none_or(|(b, _)| s > b) {
-            best = Some((s, i));
+/// The best move among `candidates` over `servers` (index position ==
+/// `ServerId`), or `None` if no candidate should move.
+///
+/// A candidate qualifies when its `history` penalty is at least 0.9 (a
+/// fresh verdict) and its source hosts a protected application; a
+/// penalized VM on an open server stays put, and so does one whose `from`
+/// lies outside `servers`. Its destination is the highest-affinity other
+/// server (the lowest index wins ties), and it proposes a move only if
+/// that beats staying. The largest gain wins; equal gains go to the lowest
+/// VM id, so the decision is independent of candidate order.
+pub fn best_move(
+    candidates: &[MigrationCandidate],
+    servers: &[ServerLoad],
+    history: &InterferenceHistory,
+) -> Option<MigrationProposal> {
+    let mut best: Option<MigrationProposal> = None;
+    for cand in candidates {
+        let penalty = history.penalty(cand.vm);
+        if penalty < MIN_PENALTY {
+            continue;
         }
-    }
-    best.map(|(_, i)| ServerId(i as u32))
-}
-
-/// Least-loaded placement: the server hosting the fewest VMs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Spread;
-
-impl PlacementPolicy for Spread {
-    fn name(&self) -> &'static str {
-        "spread"
-    }
-
-    fn place(
-        &self,
-        _usage: &UsageVector,
-        _penalty: f64,
-        ctx: &PlacementCtx<'_>,
-    ) -> Option<ServerId> {
-        argmax_server(ctx, |_, load| -(load.vms as f64))
-    }
-
-    fn boxed_clone(&self) -> Box<dyn PlacementPolicy + Send> {
-        Box::new(*self)
-    }
-}
-
-/// Consolidating placement: the server hosting the most VMs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Packed;
-
-impl PlacementPolicy for Packed {
-    fn name(&self) -> &'static str {
-        "packed"
-    }
-
-    fn place(
-        &self,
-        _usage: &UsageVector,
-        _penalty: f64,
-        ctx: &PlacementCtx<'_>,
-    ) -> Option<ServerId> {
-        argmax_server(ctx, |_, load| load.vms as f64)
-    }
-
-    fn boxed_clone(&self) -> Box<dyn PlacementPolicy + Send> {
-        Box::new(*self)
-    }
-}
-
-/// VUPIC-style complementary-resource placement: maximize affinity
-/// (minimal usage-vector conflict with the resident load).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Vupic;
-
-impl PlacementPolicy for Vupic {
-    fn name(&self) -> &'static str {
-        "vupic"
-    }
-
-    fn place(&self, usage: &UsageVector, penalty: f64, ctx: &PlacementCtx<'_>) -> Option<ServerId> {
-        argmax_server(ctx, |_, load| affinity(usage, penalty, load))
-    }
-
-    fn boxed_clone(&self) -> Box<dyn PlacementPolicy + Send> {
-        Box::new(*self)
-    }
-}
-
-/// Rescheduling policy driven by node-manager identify verdicts: a VM
-/// whose decayed penalty crosses `min_penalty` while colocated with a
-/// protected application is proposed for migration to the
-/// highest-affinity other server — if that actually improves its score.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AntagonistAware {
-    /// Ledger penalty below which a VM is left alone. The lagged
-    /// cross-correlation identifier is onset-correlated and hence
-    /// transient — it may render its verdict exactly once per contention
-    /// episode — so the default of 0.9 fires on any *fresh* verdict
-    /// (penalty 1.0) while ignoring stale decayed ones (at most 0.8 one
-    /// interval later). Flap protection is structural rather than
-    /// threshold-based: the runtime's per-VM cooldown, the ledger reset on
-    /// migration completion, and the rule that only interference with a
-    /// protected application motivates a move (a freshly migrated
-    /// antagonist lands on an unprotected server and is never proposed
-    /// again).
-    pub min_penalty: f64,
-}
-
-impl Default for AntagonistAware {
-    fn default() -> Self {
-        AntagonistAware { min_penalty: 0.9 }
-    }
-}
-
-impl PlacementPolicy for AntagonistAware {
-    fn name(&self) -> &'static str {
-        "antagonist-aware"
-    }
-
-    fn place(&self, usage: &UsageVector, penalty: f64, ctx: &PlacementCtx<'_>) -> Option<ServerId> {
-        Vupic.place(usage, penalty, ctx)
-    }
-
-    fn propose(
-        &self,
-        candidates: &[MigrationCandidate],
-        ctx: &PlacementCtx<'_>,
-    ) -> Vec<MigrationProposal> {
-        let mut out = Vec::new();
-        for cand in candidates {
-            let penalty = ctx.history.penalty(cand.vm);
-            if penalty < self.min_penalty {
+        let from_idx = cand.from.0 as usize;
+        let Some(source) = servers.get(from_idx) else { continue };
+        if !source.protected {
+            continue;
+        }
+        let here = affinity(&cand.usage, penalty, source);
+        let mut dest: Option<(f64, usize)> = None;
+        for (i, load) in servers.iter().enumerate() {
+            if i == from_idx {
                 continue;
             }
-            let from_idx = cand.from.0 as usize;
-            let Some(source) = ctx.servers.get(from_idx) else { continue };
-            // Only interference with a protected application motivates a
-            // move; a penalized VM on an open server stays put.
-            if !source.protected {
-                continue;
-            }
-            let here = affinity(&cand.usage, penalty, source);
-            let mut best: Option<(f64, usize)> = None;
-            for (i, load) in ctx.servers.iter().enumerate() {
-                if i == from_idx {
-                    continue;
-                }
-                let s = affinity(&cand.usage, penalty, load);
-                if best.is_none_or(|(b, _)| s > b) {
-                    best = Some((s, i));
-                }
-            }
-            if let Some((score, to)) = best {
-                if score > here {
-                    out.push(MigrationProposal {
-                        vm: cand.vm,
-                        from: cand.from,
-                        to: ServerId(to as u32),
-                        gain: score - here,
-                    });
-                }
+            let s = affinity(&cand.usage, penalty, load);
+            if dest.is_none_or(|(b, _)| s > b) {
+                dest = Some((s, i));
             }
         }
-        out
-    }
-
-    fn boxed_clone(&self) -> Box<dyn PlacementPolicy + Send> {
-        Box::new(*self)
-    }
-}
-
-/// Selector for the concrete policy, so experiment configs stay plain
-/// data (mirrors `PipelineSpec` for detectors/identifiers).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum PolicyKind {
-    /// [`Spread`].
-    Spread,
-    /// [`Packed`].
-    Packed,
-    /// [`Vupic`].
-    Vupic,
-    /// [`AntagonistAware`] with its default threshold.
-    #[default]
-    AntagonistAware,
-}
-
-impl PolicyKind {
-    /// Builds the policy object.
-    pub fn build(self) -> Box<dyn PlacementPolicy + Send> {
-        match self {
-            PolicyKind::Spread => Box::new(Spread),
-            PolicyKind::Packed => Box::new(Packed),
-            PolicyKind::Vupic => Box::new(Vupic),
-            PolicyKind::AntagonistAware => Box::new(AntagonistAware::default()),
+        let Some((score, to)) = dest else { continue };
+        if score > here {
+            let p = MigrationProposal {
+                vm: cand.vm,
+                from: cand.from,
+                to: ServerId(to as u32),
+                gain: score - here,
+            };
+            if best.is_none_or(|b| (p.gain, Reverse(p.vm)) > (b.gain, Reverse(b.vm))) {
+                best = Some(p);
+            }
         }
     }
-}
-
-/// Everything the experiment driver needs to run placement: which policy
-/// decides, the live-migration cost model, and the hysteresis bounds that
-/// keep a flapping antagonist from inducing migration ping-pong.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlacementConfig {
-    /// The deciding policy.
-    pub policy: PolicyKind,
-    /// The live-migration cost model.
-    pub model: MigrationModel,
-    /// Minimum time between migration *starts* of the same VM. With the
-    /// default model a move itself takes ~8.5 s; a 60 s cooldown means a
-    /// VM flapping between guilty and quiet can bounce at most once per
-    /// minute — and in practice not at all, because its ledger penalty
-    /// decays below the policy threshold while it is quiet.
-    pub cooldown: perfcloud_sim::SimDuration,
-    /// Maximum concurrent live migrations cluster-wide (the copy streams
-    /// share management-network links).
-    pub max_active: usize,
-}
-
-impl Default for PlacementConfig {
-    fn default() -> Self {
-        PlacementConfig {
-            policy: PolicyKind::default(),
-            model: MigrationModel::default(),
-            cooldown: perfcloud_sim::SimDuration::from_secs(60.0),
-            max_active: 1,
-        }
-    }
+    best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ctx_with<'a>(
-        servers: &'a [ServerLoad],
-        history: &'a InterferenceHistory,
-    ) -> PlacementCtx<'a> {
-        PlacementCtx { servers, history }
-    }
 
     fn loads() -> Vec<ServerLoad> {
         vec![
@@ -323,68 +125,30 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn spread_picks_emptiest_and_packed_fullest() {
-        let history = InterferenceHistory::new();
-        let servers = loads();
-        let ctx = ctx_with(&servers, &history);
-        let vm = UsageVector::default();
-        assert_eq!(Spread.place(&vm, 0.0, &ctx), Some(ServerId(2)));
-        assert_eq!(Packed.place(&vm, 0.0, &ctx), Some(ServerId(0)));
-        // Empty candidate list: nothing to pick.
-        let none = ctx_with(&[], &history);
-        assert_eq!(Spread.place(&vm, 0.0, &none), None);
+    fn disk_hog(vm: u32, from: u32) -> MigrationCandidate {
+        MigrationCandidate {
+            vm: VmId(vm),
+            from: ServerId(from),
+            usage: UsageVector { disk: 0.8, ..Default::default() },
+        }
+    }
+
+    /// A ledger in which each VM in `vms` has a fresh verdict.
+    fn guilty(vms: &[u32]) -> InterferenceHistory {
+        let mut history = InterferenceHistory::new();
+        for &vm in vms {
+            history.record_verdict(VmId(vm));
+        }
+        history
     }
 
     #[test]
-    fn ties_break_to_lowest_server_id() {
-        let history = InterferenceHistory::new();
-        let servers = vec![ServerLoad::default(); 4];
-        let ctx = ctx_with(&servers, &history);
-        let vm = UsageVector::default();
-        assert_eq!(Spread.place(&vm, 0.0, &ctx), Some(ServerId(0)));
-        assert_eq!(Packed.place(&vm, 0.0, &ctx), Some(ServerId(0)));
-        assert_eq!(Vupic.place(&vm, 0.0, &ctx), Some(ServerId(0)));
-    }
-
-    #[test]
-    fn vupic_places_complementary() {
-        let history = InterferenceHistory::new();
-        let servers = vec![
-            ServerLoad {
-                usage: UsageVector { disk: 0.9, ..Default::default() },
-                vms: 1,
-                protected: false,
-            },
-            ServerLoad {
-                usage: UsageVector { cpu: 0.9, ..Default::default() },
-                vms: 1,
-                protected: false,
-            },
-        ];
-        let ctx = ctx_with(&servers, &history);
-        let disk_hog = UsageVector { disk: 0.8, ..Default::default() };
-        assert_eq!(Vupic.place(&disk_hog, 0.0, &ctx), Some(ServerId(1)));
-        let cpu_hog = UsageVector { cpu: 0.8, ..Default::default() };
-        assert_eq!(Vupic.place(&cpu_hog, 0.0, &ctx), Some(ServerId(0)));
-    }
-
-    #[test]
-    fn antagonist_aware_moves_guilty_vm_off_protected_server() {
+    fn moves_guilty_vm_off_protected_server() {
         let mut history = InterferenceHistory::new();
         for _ in 0..4 {
             history.record_verdict(VmId(10));
         }
-        let servers = loads();
-        let ctx = ctx_with(&servers, &history);
-        let cand = MigrationCandidate {
-            vm: VmId(10),
-            from: ServerId(0),
-            usage: UsageVector { disk: 0.8, ..Default::default() },
-        };
-        let proposals = AntagonistAware::default().propose(&[cand], &ctx);
-        assert_eq!(proposals.len(), 1);
-        let p = proposals[0];
+        let p = best_move(&[disk_hog(10, 0)], &loads(), &history).expect("a move");
         assert_eq!((p.vm, p.from), (VmId(10), ServerId(0)));
         assert_ne!(p.to, ServerId(0));
         assert!(p.gain > 0.0);
@@ -396,48 +160,46 @@ mod tests {
         history.record_verdict(VmId(10));
         history.decay(); // stale verdict: penalty 0.8 < 0.9
         let servers = loads();
-        let ctx = ctx_with(&servers, &history);
-        let usage = UsageVector { disk: 0.8, ..Default::default() };
-        let guilty_but_mild = MigrationCandidate { vm: VmId(10), from: ServerId(0), usage };
-        assert!(AntagonistAware::default().propose(&[guilty_but_mild], &ctx).is_empty());
+        assert_eq!(best_move(&[disk_hog(10, 0)], &servers, &history), None);
         // Heavy penalty, but the source hosts no protected app.
         for _ in 0..8 {
             history.record_verdict(VmId(11));
         }
-        let ctx = ctx_with(&servers, &history);
-        let open_source = MigrationCandidate { vm: VmId(11), from: ServerId(1), usage };
-        assert!(AntagonistAware::default().propose(&[open_source], &ctx).is_empty());
+        assert_eq!(best_move(&[disk_hog(11, 1)], &servers, &history), None);
     }
 
     #[test]
-    fn spread_and_packed_never_propose() {
-        let mut history = InterferenceHistory::new();
-        for _ in 0..8 {
-            history.record_verdict(VmId(10));
-        }
+    fn equal_gains_go_to_the_lowest_vm_id() {
+        // Two identical candidates on the same protected server: equal
+        // gains, whichever order they come in.
+        let history = guilty(&[7, 3]);
         let servers = loads();
-        let ctx = ctx_with(&servers, &history);
-        let cand = MigrationCandidate {
-            vm: VmId(10),
-            from: ServerId(0),
-            usage: UsageVector { disk: 0.8, ..Default::default() },
-        };
-        assert!(Spread.propose(&[cand], &ctx).is_empty());
-        assert!(Packed.propose(&[cand], &ctx).is_empty());
+        let a = best_move(&[disk_hog(7, 0), disk_hog(3, 0)], &servers, &history).unwrap();
+        let b = best_move(&[disk_hog(3, 0), disk_hog(7, 0)], &servers, &history).unwrap();
+        assert_eq!((a.vm, b.vm), (VmId(3), VmId(3)));
+        assert_eq!(a, b);
     }
 
     #[test]
-    fn policy_kind_builds_named_policies() {
-        for (kind, name) in [
-            (PolicyKind::Spread, "spread"),
-            (PolicyKind::Packed, "packed"),
-            (PolicyKind::Vupic, "vupic"),
-            (PolicyKind::AntagonistAware, "antagonist-aware"),
-        ] {
-            assert_eq!(kind.build().name(), name);
-        }
-        // Box<dyn> clones through boxed_clone.
-        let b = PolicyKind::AntagonistAware.build();
-        assert_eq!(b.clone().name(), "antagonist-aware");
+    fn equal_affinity_destinations_go_to_the_lowest_server_index() {
+        let history = guilty(&[10]);
+        let protected = ServerLoad { protected: true, ..loads()[0] };
+        let servers = vec![ServerLoad::default(), protected, ServerLoad::default()];
+        let p = best_move(&[disk_hog(10, 1)], &servers, &history).unwrap();
+        assert_eq!(p.to, ServerId(0));
+        // With the source first, the tie is between indices 1 and 2.
+        let servers = vec![protected, ServerLoad::default(), ServerLoad::default()];
+        let p = best_move(&[disk_hog(10, 0)], &servers, &history).unwrap();
+        assert_eq!(p.to, ServerId(1));
+    }
+
+    #[test]
+    fn a_source_outside_the_server_list_is_skipped() {
+        let history = guilty(&[10, 11]);
+        let servers = loads();
+        assert_eq!(best_move(&[disk_hog(10, 3)], &servers, &history), None);
+        // The stray candidate does not hide a valid one behind it.
+        let p = best_move(&[disk_hog(10, 3), disk_hog(11, 0)], &servers, &history).unwrap();
+        assert_eq!(p.vm, VmId(11));
     }
 }

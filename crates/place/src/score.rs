@@ -6,8 +6,8 @@
 //! with the candidate's profile. Two disk-hungry VMs conflict; a
 //! disk-hungry VM and a CPU-hungry VM are complementary and pack well —
 //! the VUPIC placement rule. On top of that, VMs with a history of
-//! identified interference carry a decayed penalty that antagonist-aware
-//! policies use to keep them away from protected applications.
+//! identified interference carry a decayed penalty that the migration rule
+//! uses to move them away from protected applications.
 
 use perfcloud_host::VmId;
 use std::collections::BTreeMap;
@@ -60,11 +60,6 @@ impl UsageVector {
             net: self.net + other.net,
         }
     }
-
-    /// The dominant dimension's magnitude.
-    pub fn dominant(&self) -> f64 {
-        self.cpu.max(self.disk).max(self.net)
-    }
 }
 
 /// How strongly two profiles compete for the same resources: the dot
@@ -83,7 +78,7 @@ pub struct ServerLoad {
     /// Number of hosted VMs (crowding term).
     pub vms: usize,
     /// Whether a high-priority application runs there (antagonist-aware
-    /// policies keep penalized VMs off protected servers).
+    /// placement keeps penalized VMs off protected servers).
     pub protected: bool,
 }
 

@@ -156,11 +156,6 @@ impl Running {
         (self.n > 1).then(|| self.m2 / (self.n - 1) as f64)
     }
 
-    /// Running sample standard deviation.
-    pub fn sample_stddev(&self) -> Option<f64> {
-        self.sample_variance().map(f64::sqrt)
-    }
-
     /// Smallest observation; `None` if empty.
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)
@@ -202,7 +197,7 @@ mod tests {
         assert_eq!(population_variance(&[]), None);
         assert_eq!(population_stddev(&[]), None);
         let mut r = Running::new();
-        assert_eq!(r.sample_stddev(), None);
+        assert_eq!(r.sample_variance(), None);
         r.push(1.0);
         assert_eq!(r.sample_variance(), None);
     }
@@ -224,7 +219,7 @@ mod tests {
         assert_eq!(population_stddev(&xs), Some(0.0));
         let mut r = Running::new();
         xs.iter().for_each(|&x| r.push(x));
-        assert_eq!(r.sample_stddev(), Some(0.0));
+        assert_eq!(r.sample_variance(), Some(0.0));
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //!   network links with loss/duplication/reorder, heartbeat failure
 //!   detection and Bully election for cloud-manager failover, epoch-stamped
 //!   placement synchronization.
-//! * [`place`] — interference-aware placement: usage-vector scoring,
-//!   pluggable placement/rescheduling policies fed by identify verdicts,
-//!   and a pre-copy live-migration model.
+//! * [`place`] — interference-aware placement: usage-vector scoring, the
+//!   antagonist-aware migration rule fed by identify verdicts, and a
+//!   pre-copy live-migration model.
 //! * [`baselines`] — LATE speculative execution, Dolly job cloning, static
 //!   capping and the unmanaged default.
 //! * [`cluster`] — multi-server experiment assembly, workload mixes and the

@@ -236,8 +236,7 @@ fn migration_beats_throttling_on_low_signal_antagonist() {
     // scoreboard's alioth/paper cell, which does catch the low-signal
     // antagonist) migrates it to the spare server and recovers the victim.
     let alioth = PipelineSpec { detector: DetectorKind::Alioth, identifier: IdentifierKind::Paper };
-    let mut migrate =
-        low_signal_placement_run(Mitigation::MigrateOnly(PlacementConfig::default()), alioth);
+    let mut migrate = low_signal_placement_run(Mitigation::MigrateOnly(PlacementConfig), alioth);
     let migrate_jct = migrate.run().sole_jct();
     let rt = migrate.placement().expect("migrate-only runs the placement runtime");
     let vm = migrate.antagonist_vms()[0].0;
@@ -266,8 +265,7 @@ fn flapping_antagonist_does_not_ping_pong() {
     let mut cluster = ClusterSpec::small_scale(42);
     cluster.servers = 2;
     cluster.spare_servers = 1;
-    let mut cfg =
-        ExperimentConfig::new(cluster, Mitigation::MigrateOnly(PlacementConfig::default()));
+    let mut cfg = ExperimentConfig::new(cluster, Mitigation::MigrateOnly(PlacementConfig));
     cfg.jobs.push((SimTime::from_secs(5), Benchmark::Terasort.job(40)));
     for onset in [15u64, 45, 75] {
         cfg.antagonists.push(

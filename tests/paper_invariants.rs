@@ -134,9 +134,9 @@ fn placement_arms_migrate_once_and_hybrid_beats_throttling() {
         (jct, e.placement().map_or(0, |rt| rt.migrations_started()))
     };
     let (throttle_jct, _) = arm(Mitigation::PerfCloud(PerfCloudConfig::default()));
-    let (_, migrate_moves) = arm(Mitigation::MigrateOnly(PlacementConfig::default()));
+    let (_, migrate_moves) = arm(Mitigation::MigrateOnly(PlacementConfig));
     let (hybrid_jct, hybrid_moves) =
-        arm(Mitigation::Hybrid(PerfCloudConfig::default(), PlacementConfig::default()));
+        arm(Mitigation::Hybrid(PerfCloudConfig::default(), PlacementConfig));
     assert_eq!(migrate_moves, 1, "migrate-only must move the antagonist exactly once");
     assert_eq!(hybrid_moves, 1, "hybrid must move the antagonist exactly once");
     assert!(

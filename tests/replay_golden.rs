@@ -15,7 +15,7 @@ use perfcloud_telemetry::{RecordingFormat, TelemetryReader};
 use std::sync::Arc;
 
 fn hybrid() -> Mitigation {
-    Mitigation::Hybrid(PerfCloudConfig::default(), PlacementConfig::default())
+    Mitigation::Hybrid(PerfCloudConfig::default(), PlacementConfig)
 }
 
 #[test]
