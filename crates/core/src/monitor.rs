@@ -291,11 +291,6 @@ impl PerformanceMonitor {
     pub fn latest_present(&self, vm: VmId, kind: VmMetricKind) -> Option<f64> {
         self.series(vm, kind)?.last_present().map(|(_, v)| v)
     }
-
-    /// Drops a VM's state (it migrated away or was torn down).
-    pub fn forget(&mut self, vm: VmId) {
-        self.vms.remove(&vm);
-    }
 }
 
 #[cfg(test)]
@@ -490,19 +485,5 @@ mod tests {
         assert_eq!(mon.ingest(now, VmId(0), prev), IngestOutcome::Recorded);
         assert_eq!(mon.latest(VmId(0), VmMetricKind::IowaitRatio), None);
         assert_eq!(mon.latest(VmId(0), VmMetricKind::Cpi), None);
-    }
-
-    #[test]
-    fn forget_drops_vm() {
-        let mut server = busy_server();
-        let mut mon = PerformanceMonitor::new(&PerfCloudConfig::default());
-        let mut now = SimTime::ZERO;
-        mon.sample(now, &server);
-        sample_after(&mut mon, &mut server, &mut now);
-        let cores = VmMetricKind::CpuCores;
-        assert!(mon.series(VmId(1), cores).is_some());
-        mon.forget(VmId(1));
-        assert!(mon.series(VmId(1), cores).is_none());
-        assert!(mon.series(VmId(0), cores).is_some());
     }
 }

@@ -1,10 +1,13 @@
 //! The physical server: one tick of multi-resource arbitration.
 //!
-//! Each tick the server (1) steps every VM's luck processes, (2) aggregates
-//! per-VM demand, (3) applies blkio throttles, (4) arbitrates the block
-//! device, (5) evaluates the memory model to get per-VM CPI and miss rates,
-//! (6) allocates CPU time with hard caps, (7) updates cgroup counters, and
-//! (8) distributes achieved work back to processes, reaping finished ones.
+//! Each tick the server (1) steps every VM's luck processes. Steps (2)–(8)
+//! then run for the *live* VMs only — not paused, with at least one process:
+//! (2) aggregate per-VM demand, (3) apply blkio throttles, (4) arbitrate the
+//! block device, (5) evaluate the memory model to get per-VM CPI and miss
+//! rates, (6) allocate CPU time with hard caps, (7) update cgroup counters,
+//! and (8) distribute achieved work back to processes, reaping finished ones.
+//! An idle VM's row would be all +0.0 and the fills skip zero rows, so
+//! leaving it out is bit-exact (DESIGN.md §8).
 //!
 //! Jitter amplitudes use the *previous* tick's utilization — the fluid-model
 //! equivalent of queue state carrying over — which avoids a circular
@@ -73,7 +76,7 @@ pub struct PhysicalServer {
     scratch: TickScratch,
 }
 
-/// Working columns of [`PhysicalServer::tick`], one row per VM (per
+/// Working columns of [`PhysicalServer::tick`], one row per live VM (per
 /// process for `proc_demands`). Every column is cleared before it is
 /// filled, so no value outlives its tick: the columns are kept only for
 /// their capacity, which is what makes a steady-state tick allocation-free.
@@ -81,10 +84,12 @@ pub struct PhysicalServer {
 /// a fork rebuilds.
 #[derive(Default)]
 struct TickScratch {
+    /// The VM (index into `PhysicalServer::vms`) behind each row.
+    rows: Vec<usize>,
     demands: Vec<VmDemand>,
     /// Every process's demand, VM after VM in tick order.
     proc_demands: Vec<ResourceDemand>,
-    /// Where each VM's rows start in `proc_demands`, plus the end.
+    /// Where each row's processes start in `proc_demands`, plus the end.
     proc_start: Vec<usize>,
     disk_reqs: Vec<DiskRequest>,
     disk_out: Vec<DiskOutcome>,
@@ -218,11 +223,6 @@ impl PhysicalServer {
         self.migration_load = cores;
     }
 
-    /// Current migration CPU tax in cores.
-    pub fn migration_load(&self) -> f64 {
-        self.migration_load
-    }
-
     /// Starts a process on a VM, returning its server-local id.
     pub fn spawn(&mut self, vm: VmId, process: Box<dyn Process>) -> ProcessId {
         let pid = ProcessId(self.next_pid);
@@ -316,14 +316,30 @@ impl PhysicalServer {
             self.config.memory.jitter_amplitude,
             self.config.memory.jitter_floor,
         );
+        s.rows.clear();
         s.demands.clear();
         s.proc_demands.clear();
         s.proc_start.clear();
         s.disk_reqs.clear();
         s.mem_reqs.clear();
-        for vm in &mut self.vms {
-            let io_luck = luck_multiplier(vm.io_luck.step(&mut vm.io_rng), io_amp);
-            let cpi_luck = luck_multiplier(vm.cpi_luck.step(&mut vm.cpi_rng), cpi_amp);
+        for (i, vm) in self.vms.iter_mut().enumerate() {
+            let io_state = vm.io_luck.step(&mut vm.io_rng);
+            let cpi_state = vm.cpi_luck.step(&mut vm.cpi_rng);
+            // An idle VM (paused, or with no process) gets no row: its
+            // demand, outcomes and counter delta would all be +0.0, and the
+            // fills skip zero rows (DESIGN.md §8). A paused VM's processes
+            // stay frozen mid-flight, so even wall-clock-driven ones
+            // (duration-based antagonists) make no progress through the
+            // stop-and-copy window.
+            if vm.paused || vm.processes.is_empty() {
+                continue;
+            }
+            let io_luck = luck_multiplier(io_state, io_amp);
+            let cpi_luck = luck_multiplier(cpi_state, cpi_amp);
+            // Leaving idle rows out is exact only while luck is finite: an
+            // infinite multiplier gives a zero-op row the disk wait 0 · ∞ = NaN.
+            debug_assert!(io_luck.is_finite() && cpi_luck.is_finite(), "{}: luck overflow", vm.id);
+            s.rows.push(i);
 
             // 2. Aggregate demand, recording every process's share of it.
             s.proc_start.push(s.proc_demands.len());
@@ -370,7 +386,7 @@ impl PhysicalServer {
         s.proc_start.push(s.proc_demands.len());
 
         // 4. Arbitrate the block device.
-        let disk_rho = disk_allocate(
+        let mut disk_rho = disk_allocate(
             &s.disk_reqs,
             &self.config.disk,
             self.config.speed_factor,
@@ -380,11 +396,12 @@ impl PhysicalServer {
         );
 
         // 5. Memory model: per-VM CPI and miss rate.
-        let mem_rho = mem_model(&s.mem_reqs, &self.config.memory, dt_s, &mut s.mem_out);
+        let mut mem_rho = mem_model(&s.mem_reqs, &self.config.memory, dt_s, &mut s.mem_out);
 
         // 6. CPU allocation.
         s.cpu_reqs.clear();
-        s.cpu_reqs.extend(self.vms.iter().zip(&s.demands).zip(&s.mem_out).map(|((vm, d), m)| {
+        s.cpu_reqs.extend(s.rows.iter().zip(&s.demands).zip(&s.mem_out).map(|((&i, d), m)| {
+            let vm = &self.vms[i];
             let cores = vm.cpu_cap.effective_cores(vm.config.vcpus);
             let par = d.parallelism.min(cores);
             // Time needed to retire the demanded instructions at this CPI.
@@ -400,15 +417,16 @@ impl PhysicalServer {
         // untaxed capacity.
         let cpu_capacity = (self.config.cores as f64 - self.migration_load).max(0.0) * dt_s;
         let cpu_alloc = cpu_allocate(&s.cpu_reqs, cpu_capacity, &mut s.fill);
-        let cpu_used: f64 = cpu_alloc.iter().sum();
+        let mut cpu_used: f64 = cpu_alloc.iter().sum();
 
         // 7+8. Account counters, distribute achievements, reap finished.
         let mut finished = Vec::new();
-        for (i, vm) in self.vms.iter_mut().enumerate() {
-            let d = &s.demands[i];
-            let m = &s.mem_out[i];
-            let dsk = &s.disk_out[i];
-            let cpu_time = cpu_alloc[i];
+        for (k, &i) in s.rows.iter().enumerate() {
+            let vm = &mut self.vms[i];
+            let d = &s.demands[k];
+            let m = &s.mem_out[k];
+            let dsk = &s.disk_out[k];
+            let cpu_time = cpu_alloc[k];
             let cycles = cpu_time * freq;
             let instructions = (cycles / m.cpi).min(d.instructions.max(0.0));
             let llc_refs = instructions * d.refs_per_instr;
@@ -426,14 +444,6 @@ impl PhysicalServer {
             };
             vm.counters.accumulate(&delta);
 
-            // A paused VM's processes are frozen mid-flight: no demand was
-            // aggregated above, and skipping `advance` here keeps even
-            // wall-clock-driven processes (duration-based antagonists)
-            // from progressing through the stop-and-copy window.
-            if vm.paused {
-                continue;
-            }
-
             // Distribute to processes proportionally to their demands.
             let instr_frac = if d.instructions > 0.0 { instructions / d.instructions } else { 0.0 };
             let ops_demand = d.rand_ops + d.seq_ops;
@@ -441,7 +451,7 @@ impl PhysicalServer {
             let ops_frac = if ops_demand > 0.0 { dsk.ops / ops_demand } else { 0.0 };
             let bytes_frac = if bytes_demand > 0.0 { dsk.bytes / bytes_demand } else { 0.0 };
 
-            let proc_demands = &s.proc_demands[s.proc_start[i]..s.proc_start[i + 1]];
+            let proc_demands = &s.proc_demands[s.proc_start[k]..s.proc_start[k + 1]];
             let mut any_done = false;
             for ((pid, proc_), pd) in vm.processes.iter_mut().zip(proc_demands) {
                 let p_instr = pd.cpu_instructions * instr_frac;
@@ -470,6 +480,13 @@ impl PhysicalServer {
             }
         }
 
+        // With no live row every fill summed an empty column, and an empty
+        // f64 sum is −0.0. That stays the answer for a server with no VM,
+        // but one whose VMs are all idle reports the +0.0 that a sum over
+        // their zero rows gives.
+        if s.rows.is_empty() && !self.vms.is_empty() {
+            (disk_rho, mem_rho, cpu_used) = (0.0, 0.0, 0.0);
+        }
         self.last_disk_rho = disk_rho;
         self.last_mem_rho = mem_rho;
 
@@ -838,6 +855,26 @@ mod tests {
             (a.io_serviced, a.io_wait_time, b.instructions, b.cpu_time)
         };
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn idle_utilization_keeps_its_zero_sign() {
+        // An empty f64 sum is −0.0. A server with no VMs reports −0.0; one
+        // whose VMs are all idle reports +0.0, as a sum over its idle VMs'
+        // +0.0 rows does.
+        let bits = |r: TickReport| {
+            [r.disk_utilization, r.memory_utilization, r.cpu_utilization].map(f64::to_bits)
+        };
+        let mut empty = server();
+        assert_eq!(bits(empty.tick(DT)), [(-0.0f64).to_bits(); 3]);
+        let mut idle = server();
+        idle.add_vm(VmId(0), VmConfig::high_priority());
+        idle.add_vm(VmId(1), VmConfig::low_priority());
+        idle.spawn(VmId(1), Box::new(WorkProc::cpu(1e12)));
+        idle.set_paused(VmId(1), true);
+        for _ in 0..3 {
+            assert_eq!(bits(idle.tick(DT)), [0.0f64.to_bits(); 3]);
+        }
     }
 
     #[test]

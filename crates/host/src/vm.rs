@@ -100,9 +100,7 @@ impl Vm {
 
     /// Aggregates all process demands for a tick of length `dt`, appending
     /// each process's demand to `demands` in process-list order so the
-    /// caller can distribute achievements without asking again. A paused VM
-    /// demands nothing and appends nothing — identical to a VM with no
-    /// processes — so the stop-and-copy stall is a pure progress freeze.
+    /// caller can distribute achievements without asking again.
     pub(crate) fn aggregate_demand(
         &self,
         dt: perfcloud_sim::SimDuration,
@@ -113,8 +111,7 @@ impl Vm {
         let mut w_reuse = 0.0;
         let mut w_cpi = 0.0;
         let mut w_depth = 0.0;
-        let processes: &[_] = if self.paused { &[] } else { &self.processes };
-        for (_, p) in processes {
+        for (_, p) in &self.processes {
             let d = p.demand(dt);
             demands.push(d);
             agg.instructions += d.cpu_instructions;
@@ -261,7 +258,7 @@ mod tests {
     }
 
     #[test]
-    fn demands_are_recorded_in_process_order_unless_paused() {
+    fn demands_are_recorded_in_process_order() {
         let mut vm = make_vm();
         let a = ResourceDemand { cpu_instructions: 1e6, ..ResourceDemand::idle() };
         let b = ResourceDemand { io_ops: 5.0, ..ResourceDemand::idle() };
@@ -270,9 +267,5 @@ mod tests {
         let mut demands = vec![ResourceDemand::idle()];
         vm.aggregate_demand(SimDuration::from_millis(100), &mut demands);
         assert_eq!(demands, vec![ResourceDemand::idle(), a, b], "appended after existing rows");
-        vm.paused = true;
-        let d = vm.aggregate_demand(SimDuration::from_millis(100), &mut demands);
-        assert_eq!(demands.len(), 3, "a paused VM records nothing");
-        assert_eq!(d.instructions, 0.0);
     }
 }

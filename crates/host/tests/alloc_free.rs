@@ -6,10 +6,14 @@
 //! and CPU arbitration, counter accounting and the per-process
 //! distribution — must perform zero heap allocations as long as no
 //! process finishes (a finished process is reported in a fresh `Vec`).
+//! That holds with idle VMs between the busy ones and on a server whose
+//! VMs are all idle.
 
 use perfcloud_frameworks::{Phase, TaskProcess, TaskSpec};
 use perfcloud_host::throttle::{CpuCap, IoThrottle};
-use perfcloud_host::{IoPattern, PhysicalServer, ServerConfig, ServerId, VmConfig, VmId};
+use perfcloud_host::{
+    IoPattern, PhysicalServer, ServerConfig, ServerId, TickReport, VmConfig, VmId,
+};
 use perfcloud_sim::{RngFactory, SimDuration};
 use perfcloud_workloads::{FioRandRead, Stream};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -64,12 +68,33 @@ fn long_task(label: &str) -> TaskProcess {
     ))
 }
 
+/// Heap allocations made by `ticks` ticks of `server`, asserting that no
+/// process finishes; calls `each` with every tick's report.
+fn counted_ticks(
+    server: &mut PhysicalServer,
+    ticks: usize,
+    mut each: impl FnMut(&TickReport),
+) -> u64 {
+    let mut total = 0;
+    for _ in 0..ticks {
+        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        counted(true);
+        let report = server.tick(DT);
+        counted(false);
+        total += ALLOC_CALLS.load(Ordering::Relaxed) - before;
+        assert!(report.finished.is_empty(), "no process may finish in the measured window");
+        each(&report);
+    }
+    total
+}
+
 #[test]
 fn steady_state_server_tick_is_allocation_free() {
     let mut server =
         PhysicalServer::new(ServerId(0), ServerConfig::chameleon(), RngFactory::new(14), DT);
     // Eight task VMs (two processes each, so per-VM demand rows have
-    // different offsets), two fio and two STREAM antagonists.
+    // different offsets), each followed by an idle VM with no process,
+    // then two fio and two STREAM antagonists.
     for vm in (0..8).map(VmId) {
         server.add_vm(vm, VmConfig::high_priority());
         server.spawn(vm, Box::new(long_task("map")));
@@ -77,6 +102,7 @@ fn steady_state_server_tick_is_allocation_free() {
             vm,
             Box::new(TaskProcess::new(TaskSpec::new("cpu", vec![Phase::compute(1e13)]))),
         );
+        server.add_vm(VmId(vm.0 + 100), VmConfig::low_priority());
     }
     for vm in [VmId(8), VmId(9)] {
         server.add_vm(vm, VmConfig::low_priority());
@@ -96,21 +122,23 @@ fn steady_state_server_tick_is_allocation_free() {
 
     let mut disk_busy = 0;
     let mut mem_busy = 0;
-    let mut total = 0u64;
-    for _ in 0..200 {
-        let before = ALLOC_CALLS.load(Ordering::Relaxed);
-        counted(true);
-        let report = server.tick(DT);
-        counted(false);
-        total += ALLOC_CALLS.load(Ordering::Relaxed) - before;
-        assert!(report.finished.is_empty(), "no process may finish in the measured window");
+    let busy = counted_ticks(&mut server, 200, |report| {
         disk_busy += usize::from(report.disk_utilization > 0.5);
         mem_busy += usize::from(report.memory_utilization > 0.5);
-    }
+    });
 
     // The tick was genuinely contended, not idling through cheap paths.
     assert_eq!(disk_busy, 200, "the block device must stay busy");
     assert_eq!(mem_busy, 200, "memory bandwidth must stay busy");
     assert_eq!(server.process_count(VmId(3)), 2, "the paused VM keeps its processes");
-    assert_eq!(total, 0, "{total} allocations across 200 steady-state ticks (expected 0)");
+    assert_eq!(busy, 0, "{busy} allocations across 200 steady-state ticks (expected 0)");
+
+    // Pause every VM: the server keeps ticking with no live row at all.
+    for vm in server.vm_ids() {
+        server.set_paused(vm, true);
+    }
+    let idle = counted_ticks(&mut server, 200, |report| {
+        assert_eq!(report.cpu_utilization, 0.0, "a fully paused server is idle");
+    });
+    assert_eq!(idle, 0, "{idle} allocations across 200 fully idle ticks (expected 0)");
 }

@@ -9,7 +9,7 @@ use perfcloud_host::memory::{model as mem_model, MemRequest};
 use perfcloud_host::throttle::{CpuCap, IoThrottle};
 use perfcloud_host::{
     IoPattern, PhysicalServer, Process, ProcessId, ServerConfig, ServerId, TickReport, Vm,
-    VmConfig, VmId,
+    VmConfig, VmCounters, VmId,
 };
 use perfcloud_sim::{RngFactory, SimDuration};
 use perfcloud_workloads::{FioRandRead, Stream};
@@ -38,6 +38,7 @@ enum Op {
     Spawn { vm: VmId, kind: u8, size: f64 },
     Kill { vm: VmId, pid: ProcessId },
     Pause { vm: VmId, on: bool },
+    KillAll,
     Throttle { vm: VmId, iops: Option<f64> },
     Cap { vm: VmId, cores: Option<f64> },
     Extract { vm: VmId },
@@ -58,6 +59,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
                 5 => Op::Extract { vm },
                 6 => Op::Reinsert,
                 7 => Op::MigrationLoad { cores: if x < 0.5 { 0.0 } else { 4.0 * x } },
+                8 => Op::KillAll,
                 _ => Op::Tick,
             }
         }),
@@ -101,6 +103,19 @@ fn apply(server: &mut PhysicalServer, parked: &mut Vec<Vm>, op: Op) -> Option<Ti
             server.kill(vm, pid);
         }
         Op::Pause { vm, on } => server.set_paused(vm, on),
+        // Every process goes: the ticks that follow run a fully idle
+        // server until later spawns repopulate it.
+        Op::KillAll => {
+            for vm in server.vm_ids() {
+                // Every process holds a pid below the server's next one, so
+                // the sweep ends once the VM is empty.
+                let mut pid = 0;
+                while server.process_count(vm) > 0 {
+                    server.kill(vm, ProcessId(pid));
+                    pid += 1;
+                }
+            }
+        }
         Op::Throttle { vm, iops } => server.set_io_throttle(vm, IoThrottle { iops, bps: None }),
         Op::Cap { vm, cores } => server.set_cpu_cap(vm, CpuCap { cores }),
         Op::Extract { vm } => parked.extend(server.extract_vm(vm)),
@@ -114,8 +129,8 @@ fn apply(server: &mut PhysicalServer, parked: &mut Vec<Vm>, op: Op) -> Option<Ti
     None
 }
 
-/// Every observable of a tick and the server's counters, as raw bits.
-fn fingerprint(report: &TickReport, server: &PhysicalServer) -> Vec<u64> {
+/// Every observable of a tick report, as raw bits.
+fn report_bits(report: &TickReport) -> Vec<u64> {
     let mut bits = vec![
         report.disk_utilization.to_bits(),
         report.memory_utilization.to_bits(),
@@ -124,22 +139,30 @@ fn fingerprint(report: &TickReport, server: &PhysicalServer) -> Vec<u64> {
     for f in &report.finished {
         bits.extend([u64::from(f.vm.0), f.pid.0]);
     }
+    bits
+}
+
+/// One VM's cumulative counters, as raw bits.
+fn counter_bits(c: &VmCounters) -> [u64; 8] {
+    [
+        c.io_serviced,
+        c.io_service_bytes,
+        c.io_wait_time,
+        c.cpu_time,
+        c.cycles,
+        c.instructions,
+        c.llc_references,
+        c.llc_misses,
+    ]
+    .map(f64::to_bits)
+}
+
+/// Every observable of a tick and the server's counters, as raw bits.
+fn fingerprint(report: &TickReport, server: &PhysicalServer) -> Vec<u64> {
+    let mut bits = report_bits(report);
     for (vm, snap) in server.snapshots() {
-        let c = snap.counters;
         bits.push(u64::from(vm.0));
-        bits.extend(
-            [
-                c.io_serviced,
-                c.io_service_bytes,
-                c.io_wait_time,
-                c.cpu_time,
-                c.cycles,
-                c.instructions,
-                c.llc_references,
-                c.llc_misses,
-            ]
-            .map(f64::to_bits),
-        );
+        bits.extend(counter_bits(&snap.counters));
     }
     bits
 }
@@ -287,7 +310,8 @@ proptest! {
     /// continuously (its columns carrying capacity, and stale rows, from
     /// larger earlier ticks) and a clone taken mid-run (empty columns) stay
     /// bit-identical through arbitrary churn — VMs leaving and rejoining,
-    /// pauses, kills, spawns, throttles and caps between ticks.
+    /// pauses, kills, spawns, throttles and caps between ticks, and idle
+    /// stretches where every process was killed.
     #[test]
     fn tick_scratch_is_pure(
         seed in 0u64..1_000,
@@ -330,5 +354,91 @@ proptest! {
         }
         prop_assert_eq!(a.vm_ids(), b.vm_ids());
         prop_assert_eq!(parked_a.len(), parked_b.len());
+    }
+
+    /// Idle VMs are invisible: live VMs sharing a server with idle ones —
+    /// VMs with no process, or paused with processes — booted at arbitrary
+    /// positions between them tick bit-identically to the live VMs alone.
+    /// Every live VM's counters, every process's progress, the finished
+    /// list and the report's utilizations agree on every tick, and the idle
+    /// VMs' counters never move.
+    #[test]
+    fn idle_vms_are_invisible(
+        seed in 0u64..1_000,
+        cores in 2u32..24,
+        live in proptest::collection::vec(
+            (0u8..5, 0.0f64..1.0, 1u32..5, proptest::option::of(0.1f64..6.0)),
+            1..6,
+        ),
+        idle in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0u8..5, 1u32..5), 1..6),
+        ticks in 1usize..60,
+    ) {
+        let config = ServerConfig { cores, ..ServerConfig::chameleon() };
+        let mut alone = PhysicalServer::new(ServerId(0), config.clone(), RngFactory::new(seed), DT);
+        let mut shared = PhysicalServer::new(ServerId(0), config, RngFactory::new(seed), DT);
+        let live_cfg = |&(kind, _, vcpus, _): &(u8, f64, u32, Option<f64>)| {
+            let cfg = if kind < 3 { VmConfig::high_priority() } else { VmConfig::low_priority() };
+            cfg.with_vcpus(vcpus)
+        };
+
+        // The shared server's boot order: the live VMs in order, each idle
+        // VM slotted in at its drawn position.
+        let idle_ids: Vec<VmId> = (0..idle.len()).map(|j| VmId(100 + j as u32)).collect();
+        let mut order: Vec<VmId> = (0..live.len()).map(|i| VmId(i as u32)).collect();
+        for (&vm, &(pos, ..)) in idle_ids.iter().zip(&idle) {
+            let at = (pos * (order.len() + 1) as f64) as usize;
+            order.insert(at.min(order.len()), vm);
+        }
+        for &vm in &order {
+            match live.get(vm.0 as usize) {
+                Some(l) => {
+                    alone.add_vm(vm, live_cfg(l));
+                    shared.add_vm(vm, live_cfg(l));
+                }
+                None => {
+                    let vcpus = idle[vm.0 as usize - 100].3;
+                    shared.add_vm(vm, VmConfig::low_priority().with_vcpus(vcpus));
+                }
+            }
+        }
+
+        // Live processes first, so both servers hand out the same pids.
+        let mut pids = Vec::new();
+        for (i, &(kind, size, _, cap)) in live.iter().enumerate() {
+            let vm = VmId(i as u32);
+            for server in [&mut alone, &mut shared] {
+                server.set_cpu_cap(vm, CpuCap { cores: cap });
+                server.spawn(vm, process(kind, size));
+                server.spawn(vm, process((kind + 2) % 5, 1.0 - size));
+            }
+            pids.extend([(vm, ProcessId(2 * i as u64)), (vm, ProcessId(2 * i as u64 + 1))]);
+        }
+        // Half the idle VMs hold processes frozen by a pause.
+        for (&vm, &(_, paused, kind, _)) in idle_ids.iter().zip(&idle) {
+            if paused < 0.5 {
+                shared.spawn(vm, process(kind, paused));
+                shared.set_paused(vm, true);
+            }
+        }
+
+        let progress = |server: &PhysicalServer| -> Vec<Option<u64>> {
+            pids.iter().map(|&(vm, pid)| server.process_progress(vm, pid).map(f64::to_bits)).collect()
+        };
+        prop_assert!(progress(&shared).iter().all(Option::is_some), "pids count from 0 in spawn order");
+        for tick in 0..ticks {
+            let ra = alone.tick(DT);
+            let rb = shared.tick(DT);
+            prop_assert_eq!(report_bits(&ra), report_bits(&rb), "report of tick {}", tick);
+            prop_assert_eq!(progress(&alone), progress(&shared), "progress after tick {}", tick);
+            for i in 0..live.len() {
+                let vm = VmId(i as u32);
+                let (a, b) = (alone.counters(vm).unwrap(), shared.counters(vm).unwrap());
+                prop_assert_eq!(counter_bits(&a.counters), counter_bits(&b.counters), "{} after tick {}", vm, tick);
+            }
+            for &vm in &idle_ids {
+                let c = shared.counters(vm).unwrap().counters;
+                prop_assert_eq!(counter_bits(&c), counter_bits(&VmCounters::default()), "idle {}", vm);
+            }
+        }
     }
 }
