@@ -12,6 +12,7 @@
 //! violated gate exits non-zero.
 
 use perfcloud_bench::accuracy::{self, gate, run_matrix, scoreboard_json, scoreboard_table};
+use perfcloud_bench::cli::{self, Flag, Kind};
 use perfcloud_bench::golden::GoldenStatus;
 use std::path::PathBuf;
 
@@ -20,18 +21,10 @@ fn json_path() -> PathBuf {
     dir.join("BENCH_accuracy.json")
 }
 
+const FLAGS: &[Flag] = &[Flag("--check", Kind::Switch)];
+
 fn main() {
-    let mut check = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--check" => check = true,
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: accuracy_bench [--check]");
-                std::process::exit(2);
-            }
-        }
-    }
+    let check = cli::from_env("accuracy_bench", FLAGS).switch("--check");
 
     let rows = run_matrix();
     let table = scoreboard_table(&rows);

@@ -1,208 +1,4 @@
-//! Figure 11 — large-scale comparison: LATE, Dolly-2/4/6 and PerfCloud on a
-//! 152-node virtual cluster over 15 physical servers.
-//!
-//! Workload (paper §IV-C): mixes of MapReduce and Spark jobs (80% with
-//! fewer than 10 tasks, 20% with 10–50), with fio and STREAM antagonist VMs
-//! randomly distributed across the servers. Reported:
-//!
-//! * (a) breakdown of MapReduce job degradation (normalized to the job's
-//!   interference-free JCT): < 10%, 10–30%, ≥ 30%;
-//! * (b) the same for Spark jobs;
-//! * (c) mean resource-utilization efficiency (successful task time over
-//!   all task time, counting killed attempts and clones).
-//!
-//! Paper anchors: PerfCloud keeps every job under 30% degradation and the
-//! largest fraction under 10%, at efficiency ≈ 1; Dolly beats LATE and
-//! improves with more clones while its efficiency collapses (Dolly-6 worst).
-//!
-//! Flags: `--scale <f>` shrinks the mix (default 0.25 ≈ 50 jobs for a
-//! tractable default run; use `--scale 1.0` for the paper's full 200 jobs);
-//! `--heterogeneous` gives servers mixed speed factors (the paper's
-//! future-work scenario).
-
-use perfcloud_baselines::{Dolly, LatePolicy};
-use perfcloud_bench::report::{f2, pct, Table};
-use perfcloud_bench::scenarios::base_seed;
-use perfcloud_bench::{forked, sweep};
-use perfcloud_cluster::{
-    mean_efficiency, normalize_jcts, ClusterSpec, DegradationBreakdown, Experiment,
-    ExperimentConfig, Mitigation, MixConfig, WorkloadMix,
-};
-use perfcloud_core::PerfCloudConfig;
-use perfcloud_frameworks::{Benchmark, JobOutcome};
-use perfcloud_sim::{RngFactory, SimDuration, SimTime};
-use std::collections::HashMap;
-
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-}
-
-type MitigationFactory = fn() -> Mitigation;
-
-fn mitigations() -> Vec<(&'static str, MitigationFactory)> {
-    vec![
-        ("late", || Mitigation::Late(LatePolicy::default())),
-        ("dolly-2", || Mitigation::Dolly(Dolly::new(2))),
-        ("dolly-4", || Mitigation::Dolly(Dolly::new(4))),
-        ("dolly-6", || Mitigation::Dolly(Dolly::new(6))),
-        ("perfcloud", || Mitigation::PerfCloud(PerfCloudConfig::default())),
-    ]
-}
-
-/// Measures each distinct job's interference-free JCT on a clean cluster.
-/// Every baseline shares the same empty-cluster warm-up, so one parent runs
-/// that prefix (up to just before the 5 s submission instant) and each
-/// distinct job runs as a fork with its job pushed in.
-fn baselines(mix: &WorkloadMix, spec: &ClusterSpec) -> HashMap<String, f64> {
-    let jobs = mix.distinct_specs();
-    let mut cfg = ExperimentConfig::new(spec.clone(), Mitigation::Default);
-    cfg.max_sim_time = SimTime::from_secs(7_200);
-    let mut parent = Experiment::build(cfg);
-    let tick = SimDuration::from_secs(0.1);
-    while parent.now() + tick < SimTime::from_secs(5) {
-        parent.step_tick();
-    }
-    forked::sweep(&parent, jobs.len(), |i, mut e| {
-        let job = jobs[i].clone();
-        let name = job.name.clone();
-        e.push_job(SimTime::from_secs(5), job);
-        let r = e.run();
-        (name, r.outcomes[0].jct)
-    })
-    .into_iter()
-    .collect()
-}
-
-fn is_spark(outcome: &JobOutcome) -> bool {
-    Benchmark::SPARK.iter().any(|b| outcome.name.starts_with(b.name()))
-}
-
+//! Prints [`perfcloud_bench::figs::fig11`]; flags `--scale F`, `--heterogeneous`.
 fn main() {
-    let seed = base_seed();
-    let scale: f64 = arg_value("--scale").and_then(|s| s.parse().ok()).unwrap_or(0.25);
-    let heterogeneous = std::env::args().any(|a| a == "--heterogeneous");
-    println!("=== Figure 11: large-scale comparison (scale {scale}) ===\n");
-
-    let mut cluster = ClusterSpec::large_scale(seed);
-    if heterogeneous {
-        // Paper §IV-D.2 future work: a third of the servers run slower.
-        cluster.speed_factors =
-            (0..cluster.servers).map(|i| if i % 3 == 2 { 0.7 } else { 1.0 }).collect();
-        println!("(heterogeneous servers: every third server at 0.7x speed)\n");
-    }
-    let mix_cfg = MixConfig::paper(cluster.servers).scaled(scale);
-    let rng = RngFactory::new(seed);
-    let mut mix = WorkloadMix::generate(&mix_cfg, &rng);
-    mix.stagger_antagonists(&rng, 120.0);
-    println!(
-        "mix: {} jobs ({} tasks), {} antagonists over {} servers",
-        mix.jobs.len(),
-        mix.total_tasks(),
-        mix.antagonists.len(),
-        cluster.servers
-    );
-
-    println!(
-        "measuring interference-free baselines ({} distinct jobs)…",
-        mix.distinct_specs().len()
-    );
-    let base = baselines(&mix, &cluster);
-
-    let systems = mitigations();
-    println!(
-        "running {} mitigations ({} sweep workers)…",
-        systems.len(),
-        sweep::worker_count(systems.len())
-    );
-    // All five systems run the identical mix, so they share one neutral
-    // parent: its prefix ends strictly before the first job submission and
-    // the first 5 s monitoring sample, where swapping the mitigation on a
-    // fork is still exact.
-    let mut parent_cfg = ExperimentConfig::new(cluster.clone(), Mitigation::Default);
-    parent_cfg.jobs = mix.jobs.clone();
-    parent_cfg.antagonists = mix.antagonists.clone();
-    parent_cfg.max_sim_time = SimTime::from_secs(4 * 3_600);
-    let mut parent = Experiment::build(parent_cfg);
-    let first_job = mix.jobs.iter().map(|(t, _)| *t).min().unwrap_or(SimTime::MAX);
-    let cut = first_job.min(SimTime::from_secs(5));
-    let tick = SimDuration::from_secs(0.1);
-    while parent.now() + tick < cut {
-        parent.step_tick();
-    }
-    let rows = forked::sweep(&parent, systems.len(), |i, mut e| {
-        let (name, make) = systems[i];
-        e.set_mitigation(make());
-        let r = e.run();
-        let mr: Vec<JobOutcome> = r.outcomes.iter().filter(|o| !is_spark(o)).cloned().collect();
-        let spark: Vec<JobOutcome> = r.outcomes.iter().filter(|o| is_spark(o)).cloned().collect();
-        let mr_b = DegradationBreakdown::from_normalized(&normalize_jcts(&mr, &base));
-        let sp_b = DegradationBreakdown::from_normalized(&normalize_jcts(&spark, &base));
-        let eff = mean_efficiency(&r.outcomes);
-        (name.to_string(), mr_b, sp_b, eff)
-    });
-
-    for (label, pick) in [("a) MapReduce", 0usize), ("b) Spark", 1)] {
-        println!("\nFig 11({label}): fraction of jobs by degradation bucket");
-        let mut t = Table::new(vec!["system", "<10%", "10-30%", ">=30%", "<30% total"]);
-        for (name, mr_b, sp_b, _) in &rows {
-            let b = if pick == 0 { mr_b } else { sp_b };
-            t.row(vec![
-                name.clone(),
-                pct(b.under_10),
-                pct(b.from_10_to_30),
-                pct(b.over_30),
-                pct(b.under_30()),
-            ]);
-        }
-        t.print();
-    }
-
-    println!("\nFig 11(c): mean resource-utilization efficiency");
-    let mut t = Table::new(vec!["system", "efficiency"]);
-    for (name, _, _, eff) in &rows {
-        t.row(vec![name.clone(), f2(*eff)]);
-    }
-    t.print();
-
-    // Shape checks against the paper.
-    let by_name: HashMap<&str, &(String, DegradationBreakdown, DegradationBreakdown, f64)> =
-        rows.iter().map(|r| (r.0.as_str(), r)).collect();
-    let pc = by_name["perfcloud"];
-    let late = by_name["late"];
-    let d2 = by_name["dolly-2"];
-    let d6 = by_name["dolly-6"];
-    let all_under10 = |r: &(String, DegradationBreakdown, DegradationBreakdown, f64)| {
-        (r.1.under_10 * r.1.count as f64 + r.2.under_10 * r.2.count as f64)
-            / (r.1.count + r.2.count).max(1) as f64
-    };
-    println!(
-        "\nshape check (PerfCloud protects more jobs than LATE): {}",
-        if all_under10(pc) > all_under10(late) { "HOLDS" } else { "VIOLATED" }
-    );
-    if all_under10(pc) < all_under10(d2).max(all_under10(d6)) {
-        println!(
-            "note: the paper's PerfCloud also leads Dolly on the <10% bucket; here Dolly's\n\
-brute-force duplication wins that bucket because our steady-state antagonist\n\
-identification is weaker than the testbed's (see EXPERIMENTS.md) — while PerfCloud\n\
-pays no duplication cost (efficiency 1.0 vs Dolly's {:.2}).",
-            d6.3
-        );
-    }
-    println!(
-        "shape check (Dolly efficiency falls with clone count): {}",
-        if d2.3 > by_name["dolly-4"].3 && by_name["dolly-4"].3 > d6.3 {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-    );
-    println!(
-        "shape check (PerfCloud efficiency ~1, above every Dolly): {}",
-        if pc.3 > 0.95 && pc.3 > d2.3 { "HOLDS" } else { "VIOLATED" }
-    );
-    println!(
-        "shape check (more clones help Dolly's job performance): {}",
-        if all_under10(d6) >= all_under10(d2) { "HOLDS" } else { "VIOLATED" }
-    );
+    perfcloud_bench::figs::main("fig11");
 }

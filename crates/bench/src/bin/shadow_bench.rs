@@ -14,22 +14,15 @@
 //! path reproduces the live scoreboard cell-for-cell.
 
 use perfcloud_bench::accuracy::{gate, scoreboard_json, scoreboard_table};
+use perfcloud_bench::cli::{self, Flag, Kind};
 use perfcloud_bench::golden::GoldenStatus;
 use perfcloud_bench::shadow::run_shadow_matrix;
 use perfcloud_bench::Table;
 
+const FLAGS: &[Flag] = &[Flag("--check", Kind::Switch)];
+
 fn main() {
-    let mut check = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--check" => check = true,
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: shadow_bench [--check]");
-                std::process::exit(2);
-            }
-        }
-    }
+    let check = cli::from_env("shadow_bench", FLAGS).switch("--check");
 
     let cells = run_shadow_matrix();
     let mut t = Table::new(vec!["pipeline", "scenario", "samples", "bytes", "shadow"]);

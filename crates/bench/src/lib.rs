@@ -1,15 +1,18 @@
-//! Shared harness utilities for the figure-regeneration binaries.
+//! The figure suite and the shared harness utilities.
 //!
-//! Every binary in `src/bin/figN.rs` regenerates one figure of the paper's
-//! evaluation: it builds the corresponding scenario from
-//! [`perfcloud_cluster`], runs it, prints the same rows/series the paper
-//! plots alongside the paper's reported anchors, and self-checks the
-//! qualitative shape (`shape check … HOLDS/VIOLATED`). `run_all` executes
-//! everything in sequence; `--fast` shrinks the two expensive sweeps.
+//! Each module under [`figs`] regenerates one figure or ablation of the
+//! paper's evaluation: it builds the corresponding scenario from
+//! [`perfcloud_cluster`], runs it, and returns the rows/series the paper
+//! plots alongside the paper's reported anchors, with a self-check of the
+//! qualitative shape (`shape check … HOLDS/VIOLATED`). Each binary in
+//! `src/bin/` prints one harness's text; `run_all` runs the whole suite in
+//! one process, the light harnesses concurrently, and `--fast` shrinks the
+//! two expensive sweeps.
 
 pub mod accuracy;
-pub mod baseline;
 pub mod benchjson;
+pub mod cli;
+pub mod figs;
 pub mod forked;
 pub mod golden;
 pub mod report;

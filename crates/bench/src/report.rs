@@ -1,4 +1,6 @@
-//! Plain-text tables for harness output.
+//! Plain-text tables and verdict lines for harness output.
+
+use std::fmt::{self, Write};
 
 /// A simple aligned-column table printer.
 #[derive(Debug, Clone)]
@@ -54,11 +56,12 @@ impl Table {
         }
         out
     }
+}
 
-    /// Prints the table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
+/// Writes one `shape check (claim): HOLDS/VIOLATED` line, a harness's
+/// verdict on one of the paper's qualitative claims.
+pub fn shape_check(out: &mut String, claim: &str, holds: bool) -> fmt::Result {
+    writeln!(out, "shape check ({claim}): {}", if holds { "HOLDS" } else { "VIOLATED" })
 }
 
 /// Formats a float with 2 decimals.
@@ -100,6 +103,14 @@ mod tests {
         let mut t = Table::new(vec!["a", "b", "c"]);
         t.row(vec!["x"]);
         assert!(t.render().contains('x'));
+    }
+
+    #[test]
+    fn shape_check_writes_one_verdict_line() {
+        let mut out = String::new();
+        shape_check(&mut out, "a", true).unwrap();
+        shape_check(&mut out, "b", false).unwrap();
+        assert_eq!(out, "shape check (a): HOLDS\nshape check (b): VIOLATED\n");
     }
 
     #[test]

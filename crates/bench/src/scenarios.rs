@@ -1,8 +1,9 @@
-//! Canned paper scenarios shared by the figure binaries.
+//! Canned paper scenarios shared by the figure harnesses.
 
 use perfcloud_cluster::{
     AntagonistKind, AntagonistPlacement, ClusterSpec, Experiment, ExperimentConfig, Mitigation,
 };
+use perfcloud_core::antagonist::Resource;
 use perfcloud_frameworks::Benchmark;
 use perfcloud_sim::SimTime;
 
@@ -13,6 +14,11 @@ pub fn base_seed() -> u64 {
 
 /// When the job is submitted in small-scale scenarios.
 pub const JOB_START: SimTime = SimTime::from_secs(5);
+
+/// Shared-prefix length for forking at the job submission: 4.9 s, strictly
+/// before [`JOB_START`] and the first 5 s sampling instant (ticks are
+/// 100 ms), so a fork may still push its job or swap its mitigation exactly.
+pub const PREFIX_TICKS: u64 = 49;
 
 /// When antagonists arrive in detection/control scenarios — after the
 /// application has established a couple of baseline samples, as in the
@@ -46,13 +52,8 @@ pub fn small_scale_spec(
     Experiment::build(cfg)
 }
 
-/// Interference-free JCT of one benchmark at the given size. Served from
-/// the cross-figure baseline cache when `run_all` has precomputed it (the
-/// cached value is bit-identical to a fresh computation).
+/// Interference-free JCT of one benchmark at the given size.
 pub fn solo_jct(bench: Benchmark, tasks: usize, seed: u64) -> f64 {
-    if let Some(v) = crate::baseline::cached(&crate::baseline::solo_jct_key(bench, tasks, seed)) {
-        return v;
-    }
     small_scale(bench, tasks, Vec::new(), Mitigation::Default, seed).run().sole_jct()
 }
 
@@ -60,12 +61,6 @@ pub fn solo_jct(bench: Benchmark, tasks: usize, seed: u64) -> f64 {
 /// Chameleon server: its solo IOPS and bytes/s (the normalization reference
 /// for Figs. 1 and 9).
 pub fn fio_solo_reference(seed: u64) -> (f64, f64) {
-    let (iops_key, bps_key) = crate::baseline::fio_keys(seed);
-    if let (Some(iops), Some(bps)) =
-        (crate::baseline::cached(&iops_key), crate::baseline::cached(&bps_key))
-    {
-        return (iops, bps);
-    }
     let mut cfg = ExperimentConfig::new(ClusterSpec::small_scale(seed), Mitigation::Default);
     // No workers do anything; just the antagonist.
     cfg.antagonists.push(AntagonistPlacement::pinned(AntagonistKind::Fio, 0));
@@ -79,14 +74,43 @@ pub fn fio_solo_reference(seed: u64) -> (f64, f64) {
 /// The STREAM benchmark running alone: solo CPU cores used (reference for
 /// static CPU caps).
 pub fn stream_solo_cores(seed: u64) -> f64 {
-    if let Some(v) = crate::baseline::cached(&crate::baseline::stream_key(seed)) {
-        return v;
-    }
     let mut cfg = ExperimentConfig::new(ClusterSpec::small_scale(seed), Mitigation::Default);
     cfg.antagonists.push(AntagonistPlacement::pinned(AntagonistKind::Stream, 0));
     cfg.max_sim_time = SimTime::from_secs(60);
     let r = Experiment::build(cfg).run();
     r.antagonists[0].cpu_time / r.duration.as_secs_f64()
+}
+
+/// Every benchmark at 10 tasks, alone and colocated from t = 0 with one
+/// `kind` antagonist: `(solo JCT, contended JCT)` in [`Benchmark::ALL`]
+/// order. The contended runs differ only in which job arrives at
+/// [`JOB_START`], so one contended parent runs [`PREFIX_TICKS`] and each
+/// benchmark is a fork with its job pushed in.
+pub fn colocated_jcts(kind: AntagonistKind, seed: u64) -> Vec<(f64, f64)> {
+    let mut cfg = ExperimentConfig::new(ClusterSpec::small_scale(seed), Mitigation::Default);
+    cfg.antagonists.push(AntagonistPlacement::pinned(kind, 0));
+    cfg.max_sim_time = SimTime::from_secs(7_200);
+    let mut parent = Experiment::build(cfg);
+    for _ in 0..PREFIX_TICKS {
+        parent.step_tick();
+    }
+    let contended = crate::forked::sweep(&parent, Benchmark::ALL.len(), |i, mut e| {
+        e.push_job(JOB_START, Benchmark::ALL[i].job(10));
+        e.run().sole_jct()
+    });
+    let solos = crate::sweep::run(Benchmark::ALL.len(), |i| solo_jct(Benchmark::ALL[i], 10, seed));
+    solos.into_iter().zip(contended).collect()
+}
+
+/// The first node manager's `resource` deviation series as `(seconds,
+/// value)` points, skipping intervals with no value.
+pub fn deviation_points(e: &Experiment, resource: Resource) -> Vec<(f64, f64)> {
+    let s = e.node_managers[0].identifier().deviation_series(resource);
+    s.times()
+        .iter()
+        .zip(s.values())
+        .filter_map(|(&t, &v)| v.map(|v| (t.as_secs_f64(), v)))
+        .collect()
 }
 
 /// The four-antagonist colocation of the paper's §IV-B (fio + STREAM +

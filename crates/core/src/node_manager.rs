@@ -113,9 +113,9 @@ pub struct NodeManager {
     cpu_cap_trace: BTreeMap<VmId, TimeSeries>,
     faults: Option<NodeFaults>,
     /// Where counter samples come from. Defaults to [`SimSource`] (the
-    /// direct hypervisor read); experiments can swap in a replay stream or
-    /// a host-side cgroup collector. Deliberately *not* reset on
-    /// crash-restart: the collector is a separate process from the agent.
+    /// direct hypervisor read); experiments can swap in a replay stream.
+    /// Deliberately *not* reset on crash-restart: the source is not part
+    /// of the agent's state.
     source: Box<dyn CounterSource>,
     /// Scratch for the current interval's collected batch; reused so the
     /// steady-state sample path stays allocation-free.
@@ -514,16 +514,6 @@ impl NodeManager {
                         count: self.sample_buf.len() as u64,
                     },
                 );
-                for (vm, count) in self.source.take_drops() {
-                    fl.record(
-                        t,
-                        FlightEvent::SampleDropped {
-                            server: server.id.0,
-                            vm: u64::from(vm.0),
-                            count,
-                        },
-                    );
-                }
                 for s in &self.sample_buf {
                     if self.collected.is_multiple_of(SAMPLE_EVENT_DECIMATION) {
                         fl.record(
@@ -538,7 +528,6 @@ impl NodeManager {
                 }
             } else {
                 self.collected += self.sample_buf.len() as u64;
-                self.source.take_drops();
             }
         }
         match self.faults.as_mut() {
@@ -558,13 +547,12 @@ impl NodeManager {
     }
 
     /// Replaces the counter source. The default is [`SimSource`]; pass a
-    /// `ReplaySource` to re-drive a recording or a `HostCollector` to read
-    /// real cgroup files.
+    /// `ReplaySource` to re-drive a recording.
     pub fn set_source(&mut self, source: Box<dyn CounterSource>) {
         self.source = source;
     }
 
-    /// Name of the active counter source (`"sim"`, `"replay"`, `"cgroup"`).
+    /// Name of the active counter source (`"sim"` or `"replay"`).
     pub fn source_name(&self) -> &'static str {
         self.source.name()
     }

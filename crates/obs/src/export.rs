@@ -260,10 +260,9 @@ mod tests {
         let mut fr = FlightRecorder::with_capacity(8);
         fr.record(100, FlightEvent::FlushBatch { server: 0, count: 12 });
         fr.record(100, FlightEvent::SampleIngested { server: 0, vm: 3 });
-        fr.record(200, FlightEvent::SampleDropped { server: 0, vm: 7, count: 5 });
         let sources = vec![ExportSource::from_recorder(0, "server0", &fr)];
         let json = chrome_trace(&sources);
-        for needle in ["flush s0 n=12", "sample-ingest s0 vm3", "sample-drop s0 vm7 n=5"] {
+        for needle in ["flush s0 n=12", "sample-ingest s0 vm3"] {
             assert!(json.contains(needle), "chrome trace missing {needle}");
             assert!(jsonl(&sources).contains(needle), "jsonl missing {needle}");
         }

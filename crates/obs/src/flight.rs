@@ -186,15 +186,6 @@ pub enum FlightEvent {
         /// Sampled VM id.
         vm: u64,
     },
-    /// A collector ring evicted unflushed samples for a VM.
-    SampleDropped {
-        /// Server index.
-        server: u32,
-        /// VM whose samples were evicted.
-        vm: u64,
-        /// Samples lost since the previous flush.
-        count: u64,
-    },
     /// A collector flushed a batch of samples at the sampling interval.
     FlushBatch {
         /// Server index.
@@ -372,9 +363,6 @@ impl fmt::Display for FlightEvent {
                 write!(f, "ingest-reject s{server} vm{vm} {reason}")
             }
             SampleIngested { server, vm } => write!(f, "sample-ingest s{server} vm{vm}"),
-            SampleDropped { server, vm, count } => {
-                write!(f, "sample-drop s{server} vm{vm} n={count}")
-            }
             FlushBatch { server, count } => write!(f, "flush s{server} n={count}"),
             Election { replica, round } => write!(f, "elect m{replica} r={round}"),
             Coordinator { replica, term } => write!(f, "coord m{replica} t={}", Term(term)),

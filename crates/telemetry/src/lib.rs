@@ -4,13 +4,10 @@
 //! hypervisor; this reproduction normally reads them from the simulated
 //! [`PhysicalServer`](perfcloud_host::PhysicalServer). This crate abstracts
 //! that read behind the [`CounterSource`] trait so the same
-//! monitor → detector → identifier pipeline can run against three backends:
+//! monitor → detector → identifier pipeline can run against two backends:
 //!
 //! * [`SimSource`] — wraps `PhysicalServer::snapshots()`; the default, and
 //!   byte-identical to the historical direct read;
-//! * [`HostCollector`] — an rAdvisor-style cgroup v1/v2 polling collector
-//!   with per-target ring buffers and batched flush, for running the node
-//!   manager against a real Linux host;
 //! * [`ReplaySource`] — feeds a previously recorded trace back through the
 //!   pipeline deterministically, for offline A/B scoring of controllers.
 //!
@@ -26,12 +23,10 @@
 
 #![warn(missing_docs)]
 
-pub mod host;
 pub mod record;
 pub mod replay;
 pub mod source;
 
-pub use host::{CgroupTarget, CgroupVersion, CollectorStats, HostCollector};
 pub use record::{
     RecordedSample, RecordingFormat, TelemetryReader, TelemetryRecording, TelemetryWriter,
     RECORDING_MAGIC, RECORDING_VERSION,

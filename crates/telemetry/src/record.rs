@@ -55,7 +55,7 @@ pub struct RecordedSample {
 pub struct TelemetryRecording {
     /// Format version the stream was written with.
     pub version: u32,
-    /// Name of the source that produced the samples (`"sim"`, `"cgroup"`).
+    /// Name of the source that produced the samples (`"sim"`, `"replay"`).
     pub source: String,
     /// Samples in the order they were appended.
     pub samples: Vec<RecordedSample>,

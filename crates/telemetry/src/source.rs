@@ -6,10 +6,9 @@ use perfcloud_sim::SimTime;
 /// One counter read for one VM, as delivered to the monitor.
 ///
 /// `time` is when the counters were read (for [`SimSource`] this is the
-/// sampling instant; for a host collector it is the poll instant mapped
-/// onto the sim clock), and `seq` is a per-source monotone sequence number
-/// that makes the `(time, vm, seq)` triple a total order — the order every
-/// replay is normalized to.
+/// sampling instant; a replay delivers the recorded instant), and `seq` is
+/// a per-source monotone sequence number that makes the `(time, vm, seq)`
+/// triple a total order — the order every replay is normalized to.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// Instant the counters were read.
@@ -49,12 +48,11 @@ impl Clone for Box<dyn CounterSource> {
 /// thread count.
 pub trait CounterSource: Send + CloneSource {
     /// Appends every sample that is due at `now` to `out`, in delivery
-    /// order. `server` is the simulated host being sampled; host-side
-    /// sources that read real files ignore it.
+    /// order. `server` is the simulated host being sampled; a replay
+    /// ignores it.
     fn collect_into(&mut self, now: SimTime, server: &PhysicalServer, out: &mut Vec<Sample>);
 
-    /// Short stable name recorded in trace headers (`"sim"`, `"cgroup"`,
-    /// `"replay"`).
+    /// Short stable name recorded in trace headers (`"sim"`, `"replay"`).
     fn name(&self) -> &'static str;
 
     /// True for the default simulated source. The node manager suppresses
@@ -62,12 +60,6 @@ pub trait CounterSource: Send + CloneSource {
     /// stay byte-identical.
     fn is_sim(&self) -> bool {
         false
-    }
-
-    /// Samples dropped (per VM) since the last call, for ring-overflow
-    /// accounting. Only buffering sources ever report drops.
-    fn take_drops(&mut self) -> Vec<(VmId, u64)> {
-        Vec::new()
     }
 }
 
