@@ -69,11 +69,6 @@ impl NodeFaults {
         }
     }
 
-    /// The bound injector.
-    pub fn injector(&self) -> &FaultInjector {
-        &self.injector
-    }
-
     /// Evaluates process-level faults at the start of a control interval.
     /// A crash loses the in-flight delayed deliveries (they were RPCs to a
     /// process that no longer exists).

@@ -7,8 +7,7 @@
 //!
 //! * [`net`] — a simulated network carrying control messages with per-link
 //!   latency and jitter, seed-driven drop / duplicate / extra-delay faults,
-//!   and named partitions, queued on a hierarchical timer wheel
-//!   (`sim::wheel`);
+//!   and named partitions, queued in a `(deliver-at, send-seq)` heap;
 //! * [`proto`] — the wire protocol: epoch-numbered placement updates and
 //!   acks, heartbeats, and the modified-Bully election triple;
 //! * [`election`] — heartbeat failure detection and the CloudP2P-style

@@ -2,10 +2,10 @@
 //!
 //! [`SimNet`] carries [`Message`]s between control-plane participants with
 //! per-link latency and jitter, seed-driven drop/duplicate/extra-delay link
-//! faults, and named partitions. In-flight messages sit in a hierarchical
-//! [`TimerWheel`], so delivery order is the exact `(deliver-at, send-seq)`
-//! FIFO discipline — deterministic for any evaluation order or
-//! worker-thread count.
+//! faults, and named partitions. In-flight messages sit in a binary heap
+//! keyed on `(deliver-at, send-seq)`, so delivery order is that exact FIFO
+//! discipline — deterministic for any evaluation order or worker-thread
+//! count.
 //!
 //! Randomness is stateless, in the `sim::faults` discipline: jitter and every
 //! link-fault decision are pure FNV-1a hashes of
@@ -19,8 +19,9 @@ use crate::proto::{Message, NodeId};
 use perfcloud_obs::{FlightEvent, FlightRecorder};
 use perfcloud_sim::faults::{FaultInjector, FaultKind, FaultScenario};
 use perfcloud_sim::rng::fnv1a64;
-use perfcloud_sim::wheel::{Entry, TimerWheel};
 use perfcloud_sim::{SimDuration, SimTime};
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Latency model for every link in the plane.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -89,22 +90,47 @@ pub enum SendOutcome {
         /// In-flight copies (1 + duplicates).
         copies: u32,
     },
-    /// Dropped before entering the wheel.
+    /// Dropped before it was queued.
     Dropped(DropReason),
 }
 
-/// The simulated network: a timer wheel of in-flight messages plus the fault
+/// One queued copy of a message. Ordered on `key` alone, so the heap's top
+/// is the earliest `(deliver-at, send-seq)`; send-seqs are unique, so the
+/// order is total.
+#[derive(Debug, Clone)]
+struct InFlight {
+    key: Reverse<(SimTime, u64)>,
+    msg: Message,
+}
+
+impl PartialEq for InFlight {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for InFlight {}
+
+impl PartialOrd for InFlight {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for InFlight {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+
+/// The simulated network: a heap of in-flight messages plus the fault
 /// injector that decides each message's fate.
 #[derive(Debug, Clone)]
 pub struct SimNet {
     injector: FaultInjector,
     link: LinkSpec,
     partitions: Vec<Partition>,
-    wheel: TimerWheel,
-    /// In-flight message storage; wheel entries carry the slot index as
-    /// their `id`, and freed slots are reused via `free`.
-    slab: Vec<Option<Message>>,
-    free: Vec<u32>,
+    in_flight: BinaryHeap<InFlight>,
     seq: u64,
     /// Delivery counters.
     pub stats: NetStats,
@@ -122,9 +148,7 @@ impl SimNet {
             injector: FaultInjector::new(seed, scenario),
             link,
             partitions: Vec::new(),
-            wheel: TimerWheel::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
+            in_flight: BinaryHeap::new(),
             seq: 0,
             stats: NetStats::default(),
             flight: None,
@@ -145,11 +169,6 @@ impl SimNet {
     /// Adds a named partition window.
     pub fn add_partition(&mut self, p: Partition) {
         self.partitions.push(p);
-    }
-
-    /// The configured partitions.
-    pub fn partitions(&self) -> &[Partition] {
-        &self.partitions
     }
 
     /// Whether any partition severs `from → to` at `now`.
@@ -231,22 +250,18 @@ impl SimNet {
                 FlightEvent::MsgSend { from: msg.from.0, to: msg.to.0, copies },
             );
         }
-        for _ in 0..copies {
-            let slot = match self.free.pop() {
-                Some(s) => {
-                    self.slab[s as usize] = Some(msg.clone());
-                    s
-                }
-                None => {
-                    self.slab.push(Some(msg.clone()));
-                    (self.slab.len() - 1) as u32
-                }
-            };
-            let seq = self.seq;
-            self.seq += 1;
-            self.wheel.insert(Entry { time: deliver_at, seq, id: slot as u64 });
+        // Every copy is equal, so duplicates clone and the last one moves.
+        for _ in 1..copies {
+            self.enqueue(deliver_at, msg.clone());
         }
+        self.enqueue(deliver_at, msg);
         SendOutcome::Queued { copies }
+    }
+
+    /// Queues one copy under the next send-seq.
+    fn enqueue(&mut self, deliver_at: SimTime, msg: Message) {
+        self.in_flight.push(InFlight { key: Reverse((deliver_at, self.seq)), msg });
+        self.seq += 1;
     }
 
     /// Uniform jitter in `[0, link.jitter)`, a pure hash of the send seq.
@@ -266,12 +281,14 @@ impl SimNet {
     /// Drains every message deliverable at or before `now` into `out`, in
     /// `(deliver-at, send-seq)` order, appending `(deliver_at, message)`.
     pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, Message)>) {
-        while let Some(e) = self.wheel.pop_at_most(now) {
-            let slot = e.id as usize;
-            let msg = self.slab[slot].take().expect("in-flight slot occupied");
-            self.free.push(slot as u32);
+        while let Some(top) = self.in_flight.peek_mut() {
+            let Reverse((at, _)) = top.key;
+            if at > now {
+                break;
+            }
+            let msg = PeekMut::pop(top).msg;
             self.stats.delivered += 1;
-            out.push((e.time, msg));
+            out.push((at, msg));
         }
     }
 }

@@ -13,7 +13,10 @@
 //! * **Delivery determinism** — the simulated network is a pure function
 //!   of `(seed, scenario, send schedule)`: two nets fed the same schedule
 //!   produce byte-identical delivery sequences, polled in nondecreasing
-//!   time order, FIFO among simultaneous deliveries.
+//!   time order, FIFO among simultaneous deliveries, each poll delivering
+//!   exactly what is due by its instant, and a mid-schedule clone
+//!   delivering exactly what the original does. This is the proof of the
+//!   network's `(time, seq)` delivery contract.
 
 use perfcloud_core::{AppId, CloudManager, NodeManager, PerfCloudConfig, PlacementEpoch, VmRecord};
 use perfcloud_ctrl::SimNet;
@@ -226,7 +229,42 @@ fn payload_of(class: u32, index: u32) -> Payload {
     }
 }
 
-fn run_schedule(schedule: &[SendSlot], seed: u64, jitter: SimDuration) -> Vec<(SimTime, Message)> {
+/// Where every schedule ends: one poll far past the last deliver-at drains
+/// whatever is still in flight.
+const DRAIN: SimTime = SimTime::from_micros(3_600_000_000);
+
+/// One poll instant: what `poll_into(now)` delivered, and how many messages
+/// a second `poll_into(now)` at the same instant delivered after it.
+#[derive(Debug, PartialEq)]
+struct Poll {
+    now: SimTime,
+    delivered: Vec<(SimTime, Message)>,
+    repeated: usize,
+}
+
+fn poll(net: &mut SimNet, now: SimTime) -> Poll {
+    let mut delivered = Vec::new();
+    net.poll_into(now, &mut delivered);
+    let mut again = Vec::new();
+    net.poll_into(now, &mut again);
+    Poll { now, delivered, repeated: again.len() }
+}
+
+fn message(schedule: &[SendSlot], i: usize) -> Message {
+    let (from, to, _, class) = schedule[i];
+    Message { from: node_of(from), to: node_of(to), payload: payload_of(class, i as u32) }
+}
+
+/// Sends `schedule` on a fresh net with a 40 ms link, polling after every
+/// send at its send instant, then drains. Returns the polls of that run and
+/// those of a clone taken just before send `fork_at` and fed the rest of
+/// the schedule at the same instants.
+fn run_schedule(
+    schedule: &[SendSlot],
+    seed: u64,
+    jitter: SimDuration,
+    fork_at: usize,
+) -> (Vec<Poll>, Vec<Poll>) {
     let scenario = FaultScenario::named("net-fuzz")
         .rule(
             FaultRule::new("drop", FaultKind::DropMessage)
@@ -240,49 +278,87 @@ fn run_schedule(schedule: &[SendSlot], seed: u64, jitter: SimDuration) -> Vec<(S
         );
     let link = LinkSpec { latency: SimDuration::from_micros(40_000), jitter };
     let mut net = SimNet::new(seed, scenario, link);
-    let mut out = Vec::new();
-    let mut delivered = Vec::new();
+    let mut fork = None;
+    let mut polls = Vec::new();
     let mut now = SimTime::ZERO;
-    for (i, &(from, to, offset, class)) in schedule.iter().enumerate() {
+    for (i, &(_, _, offset, _)) in schedule.iter().enumerate() {
         now = now.saturating_add(SimDuration::from_micros(u64::from(offset % 50) * 1_000));
-        let msg =
-            Message { from: node_of(from), to: node_of(to), payload: payload_of(class, i as u32) };
-        net.send(now, msg);
-        net.poll_into(now, &mut out);
-        delivered.append(&mut out);
+        if i == fork_at {
+            fork = Some(net.clone());
+        }
+        net.send(now, message(schedule, i));
+        polls.push(poll(&mut net, now));
     }
-    // Drain everything still in flight.
-    net.poll_into(SimTime::from_secs(3_600), &mut out);
-    delivered.append(&mut out);
-    delivered
+    polls.push(poll(&mut net, DRAIN));
+
+    let mut fork = fork.expect("fork_at indexes the schedule");
+    let mut forked: Vec<Poll> = (fork_at..schedule.len())
+        .map(|i| {
+            fork.send(polls[i].now, message(schedule, i));
+            poll(&mut fork, polls[i].now)
+        })
+        .collect();
+    forked.push(poll(&mut fork, DRAIN));
+    (polls, forked)
+}
+
+/// Every poll delivers exactly what fell due since the previous one:
+/// `prev < at <= now`, and a second poll at the same instant finds nothing.
+/// The link latency is positive, so no send is due at its own instant.
+fn assert_polls_partition_deliveries(polls: &[Poll]) {
+    let mut prev = None;
+    for p in polls {
+        prop_assert_eq!(p.repeated, 0, "a second poll at {:?} delivered again", p.now);
+        for &(at, _) in &p.delivered {
+            prop_assert!(at <= p.now, "poll at {:?} delivered a message due at {:?}", p.now, at);
+            if let Some(prev) = prev {
+                prop_assert!(at > prev, "message due at {:?} was left behind at {:?}", at, prev);
+            }
+        }
+        prev = Some(p.now);
+    }
+}
+
+fn deliveries(polls: &[Poll]) -> Vec<&(SimTime, Message)> {
+    polls.iter().flat_map(|p| &p.delivered).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The net is deterministic in `(seed, schedule)` and delivers in
-    /// nondecreasing time order; with zero jitter, simultaneous deliveries
-    /// preserve send order (FIFO).
+    /// The net is deterministic in `(seed, schedule)`, delivers in
+    /// nondecreasing time order, and each poll delivers exactly the
+    /// messages due by its instant; with zero jitter, simultaneous
+    /// deliveries preserve send order (FIFO). A clone taken mid-schedule
+    /// delivers exactly what the original still delivers, which is what
+    /// `Experiment::fork` relies on for the messages in flight.
     #[test]
     fn delivery_sequence_is_deterministic_and_ordered(
         schedule in proptest::collection::vec((0u32..5, 0u32..5, 0u32..50, 0u32..3), 1..60),
         seed in 0u64..1_000,
+        fork_at in 0usize..60,
     ) {
-        let jittered = run_schedule(&schedule, seed, SimDuration::from_micros(25_000));
-        let again = run_schedule(&schedule, seed, SimDuration::from_micros(25_000));
+        let fork_at = fork_at % schedule.len();
+        let jitter = SimDuration::from_micros(25_000);
+        let (jittered, forked) = run_schedule(&schedule, seed, jitter, fork_at);
+        let (again, _) = run_schedule(&schedule, seed, jitter, fork_at);
         prop_assert_eq!(&jittered, &again, "same seed+schedule must replay identically");
-        for pair in jittered.windows(2) {
+        prop_assert_eq!(&forked[..], &jittered[fork_at..], "the clone diverged from the original");
+        assert_polls_partition_deliveries(&jittered);
+        for pair in deliveries(&jittered).windows(2) {
             prop_assert!(pair[0].0 <= pair[1].0, "delivery times went backwards: {:?}", pair);
         }
 
-        let fifo = run_schedule(&schedule, seed, SimDuration::ZERO);
+        let (fifo, forked) = run_schedule(&schedule, seed, SimDuration::ZERO, fork_at);
+        prop_assert_eq!(&forked[..], &fifo[fork_at..], "the clone diverged from the original");
+        assert_polls_partition_deliveries(&fifo);
         let index_of = |m: &Message| match m.payload {
             Payload::Heartbeat { term } => term.round,
             Payload::Election { round, .. } => round,
             Payload::Answer { round } => round,
             _ => unreachable!("schedule only sends the three classes above"),
         };
-        for pair in fifo.windows(2) {
+        for pair in deliveries(&fifo).windows(2) {
             prop_assert!(pair[0].0 <= pair[1].0);
             if pair[0].0 == pair[1].0 {
                 prop_assert!(

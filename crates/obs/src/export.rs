@@ -140,26 +140,13 @@ pub fn chrome_trace(sources: &[ExportSource]) -> String {
 /// Deterministic: metrics are emitted sorted by name with a `# TYPE` line
 /// each, and values use the same shortest-round-trip `Display` as the
 /// decision trace, so identical registries produce identical bytes.
-/// Counters keep their registered type; gauges and flattened histogram
-/// statistics (`_count`, `_min`, `_max`, `_mean`, `_p50`, `_p99`) are
-/// exposed as gauges, matching how `metrics_snapshot()` consumers already
-/// interpret them.
 pub fn prometheus_text(reg: &MetricsRegistry) -> String {
-    let mut entries: Vec<(String, String, f64)> = Vec::new();
-    for (name, v) in reg.counters() {
-        entries.push((name.to_string(), "counter".to_string(), v as f64));
-    }
-    for (name, v) in reg.gauges() {
-        entries.push((name.to_string(), "gauge".to_string(), v as f64));
-    }
-    for (name, v) in reg.histogram_stats() {
-        entries.push((name, "gauge".to_string(), v));
-    }
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut entries: Vec<(&str, u64)> = reg.counters().collect();
+    entries.sort_by(|a, b| a.0.cmp(b.0));
     let mut out = String::new();
-    for (name, kind, value) in entries {
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        let _ = writeln!(out, "{name} {}", json_num(value));
+    for (name, value) in entries {
+        let _ = writeln!(out, "# TYPE {name} counter");
+        let _ = writeln!(out, "{name} {}", json_num(value as f64));
     }
     out
 }
@@ -274,34 +261,19 @@ mod tests {
             let mut m = MetricsRegistry::with_capacity(8);
             let c = m.counter("ingest_recorded");
             let c2 = m.counter("telemetry_teed_samples");
-            let g = m.gauge("replicas");
-            let h = m.histogram("flush_batch");
+            let c3 = m.counter("flush_batches");
             m.inc(c, 41);
             m.inc(c2, 7);
-            m.set(g, 4);
-            m.observe(h, 12);
-            m.observe(h, 12);
+            m.inc(c3, 2);
             m
         };
         let text = prometheus_text(&build());
         assert_eq!(
             text,
-            "# TYPE flush_batch_count gauge\n\
-             flush_batch_count 2\n\
-             # TYPE flush_batch_max gauge\n\
-             flush_batch_max 12\n\
-             # TYPE flush_batch_mean gauge\n\
-             flush_batch_mean 12\n\
-             # TYPE flush_batch_min gauge\n\
-             flush_batch_min 12\n\
-             # TYPE flush_batch_p50 gauge\n\
-             flush_batch_p50 13\n\
-             # TYPE flush_batch_p99 gauge\n\
-             flush_batch_p99 13\n\
+            "# TYPE flush_batches counter\n\
+             flush_batches 2\n\
              # TYPE ingest_recorded counter\n\
              ingest_recorded 41\n\
-             # TYPE replicas gauge\n\
-             replicas 4\n\
              # TYPE telemetry_teed_samples counter\n\
              telemetry_teed_samples 7\n"
         );

@@ -478,11 +478,6 @@ impl FlightRecorder {
         self.seq
     }
 
-    /// Events lost to ring overwrite.
-    pub fn dropped(&self) -> u64 {
-        self.seq - self.buf.len() as u64
-    }
-
     /// Retained events, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &Record> {
         let (wrapped, start) = self.buf.split_at(self.head);
@@ -502,7 +497,7 @@ mod tests {
         }
         assert_eq!(fr.len(), 3);
         assert_eq!(fr.total_recorded(), 5);
-        assert_eq!(fr.dropped(), 2);
+        assert_eq!(fr.total_recorded() - fr.len() as u64, 2, "two overwritten");
         let times: Vec<u64> = fr.iter().map(|r| r.t).collect();
         assert_eq!(times, [20, 30, 40]);
         let seqs: Vec<u64> = fr.iter().map(|r| r.seq).collect();

@@ -3,10 +3,10 @@
 //! Three pieces, all dependency-free so every crate in the workspace can
 //! use them:
 //!
-//! - [`metrics`]: a fixed-capacity registry of counters, gauges and
-//!   log-linear histograms. All record-path arithmetic is u64 integer
-//!   math; after construction no path allocates. Snapshots render to the
-//!   same flat `(name, value)` pairs the `BENCH_*.json` records use.
+//! - [`metrics`]: a fixed-capacity registry of counters. Every update is
+//!   u64 integer math; after construction no path allocates. Snapshots
+//!   render to the same flat `(name, value)` pairs the `BENCH_*.json`
+//!   records use.
 //! - [`flight`]: a bounded ring buffer of typed, `Copy`, sim-time-stamped
 //!   events — a flight recorder. Every component that makes decisions
 //!   (node manager, telemetry collector, control plane, chaos injector) can
@@ -29,4 +29,4 @@ pub mod metrics;
 
 pub use export::{chrome_trace, jsonl, merged_dump, prometheus_text, ExportSource};
 pub use flight::{FlightEvent, FlightRecorder, Record, Resource, SAMPLE_EVENT_DECIMATION};
-pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
+pub use metrics::{CounterId, MetricsRegistry};

@@ -9,9 +9,6 @@
 //!   (ChaCha8-based). Every stochastic component draws from its own stream,
 //!   so adding a component never perturbs the draws seen by another.
 //! * [`faults`] — stateless, hash-keyed fault injection.
-//! * [`wheel::TimerWheel`] — a hierarchical timer wheel popping entries in
-//!   exact `(time, insertion order)` order; the control plane's delivery
-//!   queue for in-flight messages.
 //!
 //! # Example
 //!
@@ -32,7 +29,6 @@
 pub mod faults;
 pub mod rng;
 pub mod time;
-pub mod wheel;
 
 pub use faults::{
     FaultInjector, FaultKind, FaultRule, FaultScenario, FaultTarget, MessageClass, MetricClass,

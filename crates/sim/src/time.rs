@@ -4,11 +4,9 @@
 //! instants total-ordered and runs reproducible across platforms;
 //! floating-point seconds are available at the edges for human-facing I/O.
 //!
-//! The microsecond is also the tick of the hierarchical timer wheel
-//! ([`crate::wheel`]): two instants fall into the same level-0 wheel
-//! slot iff they are the same `SimTime`, which is what lets the wheel
-//! reproduce exact `(time, insertion-order)` firing without any rounding
-//! or epsilon comparisons.
+//! Because instants are integers, two events are simultaneous exactly when
+//! their `SimTime`s are equal: a queue ordered on `(time, seq)` (the control
+//! plane's in-flight messages) needs no rounding or epsilon comparisons.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};

@@ -1,36 +1,12 @@
-//! Property-based tests for the timer wheel, time arithmetic and fault
-//! decisions.
+//! Property-based tests for time arithmetic and fault decisions.
 //!
-//! Every wheel property is checked against a reference binary heap on
-//! `(time, seq)`: the wheel must pop exactly what the heap pops, in the
-//! same order, whatever mix of inserts, pops and deadline-bounded pops
-//! drives it. Fault decisions are checked against a reference that hashes
-//! one concatenated byte buffer.
+//! Fault decisions are checked against a reference that hashes one
+//! concatenated byte buffer.
 
 use perfcloud_sim::faults::{FaultInjector, FaultKind, FaultRule, FaultScenario};
 use perfcloud_sim::rng::fnv1a64;
-use perfcloud_sim::wheel::{Entry, TimerWheel};
 use perfcloud_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-fn entry(t: u64, seq: u64) -> Entry {
-    Entry { time: SimTime::from_micros(t), seq, id: seq }
-}
-
-fn key(e: Entry) -> (u64, u64) {
-    (e.time.as_micros(), e.seq)
-}
-
-/// Inserts `times` in order, `seq` = index.
-fn wheel_of(times: &[u64]) -> TimerWheel {
-    let mut w = TimerWheel::new();
-    for (seq, &t) in times.iter().enumerate() {
-        w.insert(entry(t, seq as u64));
-    }
-    w
-}
 
 /// Reference fault decision: the injector's rule, built the obvious way —
 /// every field appended to one `Vec`, then hashed with FNV-1a in one call.
@@ -89,108 +65,7 @@ fn name() -> impl Strategy<Value = String> {
         .prop_map(|bytes| bytes.into_iter().map(char::from).collect())
 }
 
-fn drain(w: &mut TimerWheel) -> Vec<(u64, u64)> {
-    std::iter::from_fn(|| w.pop()).map(key).collect()
-}
-
-/// Spreads a small draw across the wheel's levels and its overflow heap,
-/// so cascades and overflow migration are exercised alongside level 0.
-fn spread(t: u64, scale: u8) -> u64 {
-    match scale {
-        0 => t,
-        1 => t * 977,
-        2 => t << 20,
-        _ => (1 << 50) + t,
-    }
-}
-
 proptest! {
-    /// Entries pop in non-decreasing time order no matter the insertion order.
-    #[test]
-    fn pops_in_nondecreasing_time(times in proptest::collection::vec(0u64..1_000_000, 1..64)) {
-        let popped = drain(&mut wheel_of(&times));
-        prop_assert_eq!(popped.len(), times.len());
-        for pair in popped.windows(2) {
-            prop_assert!(pair[0].0 <= pair[1].0);
-        }
-    }
-
-    /// Every inserted entry pops exactly once, carrying its own time.
-    #[test]
-    fn no_entries_lost_or_duplicated(times in proptest::collection::vec(0u64..10_000, 1..128)) {
-        let mut popped = drain(&mut wheel_of(&times));
-        popped.sort_unstable_by_key(|&(_, seq)| seq);
-        let expect: Vec<(u64, u64)> =
-            times.iter().enumerate().map(|(seq, &t)| (t, seq as u64)).collect();
-        prop_assert_eq!(popped, expect);
-    }
-
-    /// `pop_at_most(d)` yields exactly the entries with time <= d, and
-    /// leaves the rest to pop afterwards.
-    #[test]
-    fn pop_at_most_partitions_entries(
-        times in proptest::collection::vec(0u64..1_000, 1..64),
-        deadline in 0u64..1_000,
-    ) {
-        let mut w = wheel_of(&times);
-        let early: Vec<(u64, u64)> =
-            std::iter::from_fn(|| w.pop_at_most(SimTime::from_micros(deadline))).map(key).collect();
-        prop_assert!(early.iter().all(|&(t, _)| t <= deadline));
-        prop_assert_eq!(early.len(), times.iter().filter(|&&t| t <= deadline).count());
-        prop_assert_eq!(w.len(), times.len() - early.len());
-        let late = drain(&mut w);
-        prop_assert!(late.iter().all(|&(t, _)| t > deadline));
-        prop_assert_eq!(early.len() + late.len(), times.len());
-    }
-
-    /// Random interleavings of inserts (with duplicated timestamps, times
-    /// behind the cursor, and times across every level and the overflow),
-    /// pops and deadline-bounded pops: the wheel pops exactly what a
-    /// reference `(time, seq)` min-heap pops, step by step.
-    #[test]
-    fn interleaved_ops_match_reference_heap(
-        ops in proptest::collection::vec((0u64..2_000, 0u8..8, 0u8..4), 1..200),
-    ) {
-        let mut w = TimerWheel::new();
-        let mut heap = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut last_time = 0u64;
-        for &(t, action, scale) in &ops {
-            match action {
-                0 | 1 => {
-                    let want = heap.pop().map(|Reverse(k)| k);
-                    prop_assert_eq!(w.pop().map(key), want);
-                }
-                2 => {
-                    let deadline = spread(t, scale);
-                    loop {
-                        let want = match heap.peek() {
-                            Some(&Reverse(k)) if k.0 <= deadline => heap.pop().map(|Reverse(k)| k),
-                            _ => None,
-                        };
-                        let got = w.pop_at_most(SimTime::from_micros(deadline)).map(key);
-                        prop_assert_eq!(got, want);
-                        if got.is_none() {
-                            break;
-                        }
-                    }
-                }
-                _ => {
-                    // Half the inserts repeat the previous timestamp, to
-                    // stress same-slot FIFO order.
-                    let time = if action < 5 { last_time } else { spread(t, scale) };
-                    w.insert(entry(time, seq));
-                    heap.push(Reverse((time, seq)));
-                    last_time = time;
-                    seq += 1;
-                }
-            }
-            prop_assert_eq!(w.len(), heap.len());
-        }
-        let rest: Vec<(u64, u64)> = std::iter::from_fn(|| heap.pop().map(|Reverse(k)| k)).collect();
-        prop_assert_eq!(drain(&mut w), rest);
-    }
-
     /// `fires` and `fires_keyed` decide exactly as the reference does, over
     /// random seeds, names, probabilities and coordinates.
     #[test]
@@ -245,17 +120,4 @@ proptest! {
         // or off by at most one microsecond of rounding.
         prop_assert!(diff <= 1, "diff {diff} for {us}");
     }
-}
-
-/// A clone taken mid-run pops the same remaining sequence as the original:
-/// what lets a forked experiment replay its in-flight messages exactly.
-#[test]
-fn cloned_wheel_replays_identically() {
-    let times: Vec<u64> = (0..500u64).map(|i| (i * 7919) % 100_000 + (i % 3) * (1 << 22)).collect();
-    let mut w = wheel_of(&times);
-    for _ in 0..100 {
-        w.pop();
-    }
-    let mut fork = w.clone();
-    assert_eq!(drain(&mut fork), drain(&mut w));
 }

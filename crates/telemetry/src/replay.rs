@@ -43,11 +43,6 @@ impl ReplaySource {
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
     }
-
-    /// Samples not yet delivered.
-    pub fn remaining(&self) -> usize {
-        self.samples.len() - self.cursor
-    }
 }
 
 impl CounterSource for ReplaySource {
@@ -127,7 +122,9 @@ mod tests {
         src.collect_into(SimTime::from_micros(10_000_000), &server, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].vm, VmId(1));
-        assert_eq!(src.remaining(), 0);
+        out.clear();
+        src.collect_into(SimTime::MAX, &server, &mut out);
+        assert!(out.is_empty(), "the stream is exhausted");
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //!
 //! This umbrella crate re-exports the whole workspace:
 //!
-//! * [`sim`] — virtual clock, named RNG streams, fault injection and the
-//!   timer wheel the control plane queues messages on.
+//! * [`sim`] — virtual clock, named RNG streams and fault injection.
 //! * [`stats`] — EWMA, cross-VM deviation, Pearson (missing-as-zero),
 //!   quantiles/boxplots/CDFs.
 //! * [`host`] — the simulated multi-tenant physical server: CPU scheduler
