@@ -8,7 +8,9 @@
 //! input. This module implements that loop on the simulated testbed: for
 //! each cell of [`crate::accuracy`]'s scenario matrix it runs the live
 //! experiment with a tee attached, replays the serialized recording
-//! through a second build of the same cell, and scores both runs.
+//! through a second build of the same cell, and scores both runs. The
+//! live run and the serialized bytes are dropped once parsed, so the
+//! replay holds the samples once, in the recording's per-server streams.
 //!
 //! Because PerfCloud is a closed loop (throttling changes the counters the
 //! collector sees next interval), a recording is only a faithful shadow
@@ -57,8 +59,11 @@ pub fn run_shadow_cell(scenario: &ScenarioSpec, pipeline: PipelineSpec) -> Shado
     live_e.enable_decision_trace();
     live_e.run();
     let live = score_run(&live_e, scenario, pipeline);
-    let bytes = live_e.take_recording().expect("tee armed");
-    let recording = TelemetryReader::parse(&bytes).expect("own recording parses");
+    let (recording, bytes) = {
+        let bytes = live_e.take_recording().expect("tee armed");
+        (TelemetryReader::parse(&bytes).expect("own recording parses"), bytes.len())
+    };
+    drop(live_e);
     let samples = recording.samples.len();
 
     let mut cfg = (scenario.build)();
@@ -69,7 +74,7 @@ pub fn run_shadow_cell(scenario: &ScenarioSpec, pipeline: PipelineSpec) -> Shado
     replay_e.run();
     let replayed = score_run(&replay_e, scenario, pipeline);
 
-    ShadowCell { live, replayed, samples, bytes: bytes.len() }
+    ShadowCell { live, replayed, samples, bytes }
 }
 
 /// Shadow-evaluates the full accuracy matrix — every pipeline over every

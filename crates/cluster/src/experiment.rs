@@ -1193,6 +1193,7 @@ mod tests {
         let ra = a.run();
         let rec = a.recording().expect("tee was armed");
         assert!(!rec.samples.is_empty());
+        let source_a = rec.source.clone();
         let bytes_a = a.take_recording().expect("tee was armed");
         assert!(a.take_recording().is_none(), "take disarms the tee");
 
@@ -1209,13 +1210,46 @@ mod tests {
             b.decision_trace().unwrap().canonical(),
             "replayed decision trace diverged"
         );
-        // The replayed run re-tees the identical sample stream; only the
-        // header's source name differs.
+        // The replayed run re-tees the identical sample stream, in the
+        // same append order; only the header's source name differs. The
+        // binary header is magic, version and name length (12 bytes), then
+        // the name.
         let rec_b = b.recording().unwrap();
         assert_eq!(rec_b.source, "replay");
-        let parsed_a =
-            perfcloud_telemetry::TelemetryReader::parse(&bytes_a).expect("recording parses");
-        assert_eq!(parsed_a.samples, rec_b.samples);
+        let bytes_b = b.take_recording().expect("tee was armed");
+        assert_eq!(bytes_a[..8], bytes_b[..8], "magic and version");
+        assert_eq!(
+            bytes_a[12 + source_a.len()..],
+            bytes_b[12 + rec_b.source.len()..],
+            "the replay re-teed different records"
+        );
+    }
+
+    #[test]
+    fn replay_rebuilds_share_the_parsed_streams() {
+        let config = || {
+            let mut cfg = one_job_config(Benchmark::Terasort, 10, Mitigation::Default, Some(15));
+            cfg.max_sim_time = SimTime::from_secs(60);
+            cfg
+        };
+        let mut recorded = config();
+        recorded.telemetry.tee = Some(RecordingFormat::Binary);
+        let mut a = Experiment::build(recorded);
+        a.run_for(SimDuration::from_secs(60.0));
+        let rec = Arc::new(a.recording().expect("tee was armed"));
+
+        let mut replayed = config();
+        replayed.telemetry.replay = Some(rec.clone());
+        let mut b = Experiment::build(replayed);
+        let servers = b.node_managers.len() as u32;
+        let counts = || -> Vec<usize> {
+            (0..servers).filter_map(|i| rec.samples.get(i)).map(Arc::strong_count).collect()
+        };
+        assert_eq!(counts().len(), servers as usize, "every server recorded samples");
+        assert!(counts().iter().all(|&n| n == 2), "each source shares its stream: {:?}", counts());
+        b.set_mitigation(Mitigation::PerfCloud(PerfCloudConfig::default()));
+        assert_eq!(b.node_managers[0].source_name(), "replay");
+        assert!(counts().iter().all(|&n| n == 2), "a rebuild copies no stream: {:?}", counts());
     }
 
     #[test]

@@ -38,7 +38,13 @@ impl Ar1 {
 
     /// Advances one step and returns the new state.
     pub fn step(&mut self, rng: &mut ChaCha8Rng) -> f64 {
-        let z = gaussian(rng);
+        self.advance(gaussian(rng))
+    }
+
+    /// Advances one step driven by the standard normal `z` and returns the
+    /// new state.
+    #[inline]
+    fn advance(&mut self, z: f64) -> f64 {
         self.state = self.a * self.state + self.noise_scale * z;
         self.state
     }
@@ -46,6 +52,43 @@ impl Ar1 {
     /// Current state without advancing.
     pub fn state(&self) -> f64 {
         self.state
+    }
+}
+
+/// An [`Ar1`] process that owns its noise stream and draws its normals
+/// four at a time.
+///
+/// A Box–Muller draw reads two `u64`s, four ChaCha8 words, so one 16-word
+/// block is exactly four draws. A refill makes those four draws at once,
+/// in the order [`Ar1::step`] would make them one per step, and later
+/// steps just read them. Because nothing else reads `rng`, every state is
+/// bit-identical to stepping an `Ar1` on the same stream.
+#[derive(Debug, Clone)]
+pub(crate) struct LuckStream {
+    ar1: Ar1,
+    rng: ChaCha8Rng,
+    /// The next normals, consumed from `next` on.
+    normals: [f64; 4],
+    /// Index of the next unread normal; 4 when the buffer is empty.
+    next: usize,
+}
+
+impl LuckStream {
+    /// Wraps `ar1` with the stream its noise is drawn from.
+    pub(crate) fn new(ar1: Ar1, rng: ChaCha8Rng) -> Self {
+        LuckStream { ar1, rng, normals: [0.0; 4], next: 4 }
+    }
+
+    /// Advances one step and returns the new state.
+    #[inline]
+    pub(crate) fn step(&mut self) -> f64 {
+        if self.next == 4 {
+            self.normals = std::array::from_fn(|_| gaussian(&mut self.rng));
+            self.next = 0;
+        }
+        let z = self.normals[self.next];
+        self.next += 1;
+        self.ar1.advance(z)
     }
 }
 
@@ -176,6 +219,25 @@ mod tests {
         // Non-finite states are not shortcut: 0 · ∞ is NaN, as before.
         for x in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
             assert!(luck_multiplier(x, 0.0).is_nan());
+        }
+    }
+
+    #[test]
+    fn luck_stream_is_bit_identical_to_stepping_ar1() {
+        let f = RngFactory::new(5);
+        let mut plain = Ar1::with_time_constant(6.0, 0.1);
+        let mut rng = f.stream("luck");
+        let mut luck = LuckStream::new(Ar1::with_time_constant(6.0, 0.1), f.stream("luck"));
+        for i in 0..1_001 {
+            let want = plain.step(&mut rng);
+            assert_eq!(luck.step().to_bits(), want.to_bits(), "step {i}");
+            if i % 97 == 0 {
+                // A clone mid-buffer resumes exactly where the original is.
+                let mut fork = luck.clone();
+                let mut ahead = plain.clone();
+                let mut ahead_rng = rng.clone();
+                assert_eq!(fork.step().to_bits(), ahead.step(&mut ahead_rng).to_bits());
+            }
         }
     }
 

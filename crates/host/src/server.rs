@@ -18,7 +18,7 @@ use crate::counters::{CounterSnapshot, VmCounters};
 use crate::cpu::{allocate as cpu_allocate, CpuRequest, Waterfill};
 use crate::demand::{Achieved, Process, ProcessId, ResourceDemand};
 use crate::disk::{allocate as disk_allocate, DiskOutcome, DiskRequest};
-use crate::jitter::{amplitude, luck_multiplier, Ar1};
+use crate::jitter::{amplitude, luck_multiplier, Ar1, LuckStream};
 use crate::memory::{model as mem_model, MemOutcome, MemRequest};
 use crate::throttle::{CpuCap, IoThrottle};
 use crate::vm::{Vm, VmDemand, VmId};
@@ -139,16 +139,13 @@ impl PhysicalServer {
     /// Boots a VM on this server. Panics if the id is already present.
     pub fn add_vm(&mut self, id: VmId, cfg: VmConfig) {
         assert!(!self.index.contains_key(&id), "duplicate VM id {id}");
-        let io_rng = self.rng.stream_indexed("io-luck", id.0 as u64);
-        let cpi_rng = self.rng.stream_indexed("cpi-luck", id.0 as u64);
-        let vm = Vm::new(
-            id,
-            cfg,
-            Ar1::with_time_constant(LUCK_TAU_SECS, self.ar1_dt),
-            Ar1::with_time_constant(LUCK_TAU_SECS, self.ar1_dt),
-            io_rng,
-            cpi_rng,
-        );
+        let luck = |name| {
+            LuckStream::new(
+                Ar1::with_time_constant(LUCK_TAU_SECS, self.ar1_dt),
+                self.rng.stream_indexed(name, id.0 as u64),
+            )
+        };
+        let vm = Vm::new(id, cfg, luck("io-luck"), luck("cpi-luck"));
         self.index.insert(id, self.vms.len());
         self.vms.push(vm);
     }
@@ -323,8 +320,8 @@ impl PhysicalServer {
         s.disk_reqs.clear();
         s.mem_reqs.clear();
         for (i, vm) in self.vms.iter_mut().enumerate() {
-            let io_state = vm.io_luck.step(&mut vm.io_rng);
-            let cpi_state = vm.cpi_luck.step(&mut vm.cpi_rng);
+            let io_state = vm.io_luck.step();
+            let cpi_state = vm.cpi_luck.step();
             // An idle VM (paused, or with no process) gets no row: its
             // demand, outcomes and counter delta would all be +0.0, and the
             // fills skip zero rows (DESIGN.md §8). A paused VM's processes

@@ -3,9 +3,8 @@
 use crate::config::VmConfig;
 use crate::counters::VmCounters;
 use crate::demand::{IoPattern, Process, ProcessId, ResourceDemand};
-use crate::jitter::Ar1;
+use crate::jitter::LuckStream;
 use crate::throttle::{CpuCap, IoThrottle};
-use rand_chacha::ChaCha8Rng;
 
 /// Cluster-wide identifier of a VM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -63,20 +62,16 @@ pub struct Vm {
     /// independent of whether (or when) a pause happened elsewhere.
     pub(crate) paused: bool,
     pub(crate) processes: Vec<(ProcessId, Box<dyn Process>)>,
-    pub(crate) io_luck: Ar1,
-    pub(crate) cpi_luck: Ar1,
-    pub(crate) io_rng: ChaCha8Rng,
-    pub(crate) cpi_rng: ChaCha8Rng,
+    pub(crate) io_luck: LuckStream,
+    pub(crate) cpi_luck: LuckStream,
 }
 
 impl Vm {
     pub(crate) fn new(
         id: VmId,
         config: VmConfig,
-        io_luck: Ar1,
-        cpi_luck: Ar1,
-        io_rng: ChaCha8Rng,
-        cpi_rng: ChaCha8Rng,
+        io_luck: LuckStream,
+        cpi_luck: LuckStream,
     ) -> Self {
         Vm {
             id,
@@ -88,8 +83,6 @@ impl Vm {
             processes: Vec::new(),
             io_luck,
             cpi_luck,
-            io_rng,
-            cpi_rng,
         }
     }
 
@@ -173,14 +166,8 @@ mod tests {
 
     fn make_vm() -> Vm {
         let f = RngFactory::new(1);
-        Vm::new(
-            VmId(0),
-            VmConfig::high_priority(),
-            Ar1::with_time_constant(5.0, 0.1),
-            Ar1::with_time_constant(5.0, 0.1),
-            f.stream("io"),
-            f.stream("cpi"),
-        )
+        let luck = |name| LuckStream::new(Ar1::with_time_constant(5.0, 0.1), f.stream(name));
+        Vm::new(VmId(0), VmConfig::high_priority(), luck("io"), luck("cpi"))
     }
 
     fn proc_with(demand: ResourceDemand) -> (ProcessId, Box<dyn Process>) {

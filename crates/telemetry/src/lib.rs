@@ -28,7 +28,7 @@ pub mod replay;
 pub mod source;
 
 pub use record::{
-    RecordedSample, RecordingFormat, TelemetryReader, TelemetryRecording, TelemetryWriter,
+    RecordingFormat, ServerStreams, TelemetryReader, TelemetryRecording, TelemetryWriter,
     RECORDING_MAGIC, RECORDING_VERSION,
 };
 pub use replay::ReplaySource;

@@ -14,13 +14,17 @@
 //!   shortest round-trip `Display`, so decode(encode(x)) is exact.
 //!
 //! [`TelemetryReader::parse`] auto-detects the encoding from the first
-//! byte. Neither encoder consults any ambient state, so identical sample
-//! streams produce identical bytes.
+//! byte and, in the pass that decodes the records, groups the samples
+//! into the per-server replay streams of [`ServerStreams`]. Neither
+//! encoder consults any ambient state, so identical sample streams
+//! produce identical bytes.
 
 use crate::source::Sample;
 use perfcloud_host::{CounterSnapshot, VmCounters, VmId};
 use perfcloud_sim::SimTime;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Magic bytes opening every recording (`PFTL`, "PerfCloud TeLemetry").
 pub const RECORDING_MAGIC: &[u8; 4] = b"PFTL";
@@ -41,24 +45,140 @@ pub enum RecordingFormat {
     Jsonl,
 }
 
-/// One recorded sample, tagged with the server it was collected on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecordedSample {
-    /// Server (node manager) the sample belongs to.
-    pub server: u32,
-    /// The sample itself.
-    pub sample: Sample,
-}
-
-/// A decoded recording: header fields plus all samples in stream order.
+/// A decoded recording: header fields plus every sample, grouped into
+/// one replay stream per server.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryRecording {
     /// Format version the stream was written with.
     pub version: u32,
     /// Name of the source that produced the samples (`"sim"`, `"replay"`).
     pub source: String,
-    /// Samples in the order they were appended.
-    pub samples: Vec<RecordedSample>,
+    /// The samples, one stream per server.
+    pub samples: ServerStreams,
+}
+
+/// The samples of a recording, stored once, as one stream per server.
+///
+/// Each stream holds that server's records in recording order, stably
+/// sorted by `(time, vm, seq)`: the order a replay delivers them in. The
+/// streams are shared (`Arc`), so every [`ReplaySource`] built from a
+/// recording, and every clone of one, reads the same storage.
+///
+/// [`ReplaySource`]: crate::ReplaySource
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServerStreams {
+    /// `(server, stream)` pairs in ascending server order. Every stream
+    /// holds at least one sample.
+    streams: Vec<(u32, Arc<Vec<Sample>>)>,
+}
+
+impl ServerStreams {
+    /// Total samples in the recording.
+    pub fn len(&self) -> usize {
+        self.streams.iter().map(|(_, s)| s.len()).sum()
+    }
+
+    /// True when the recording holds no sample.
+    pub fn is_empty(&self) -> bool {
+        self.streams.is_empty()
+    }
+
+    /// The replay stream of `server`, or `None` when the recording holds
+    /// no sample of it.
+    pub fn get(&self, server: u32) -> Option<&Arc<Vec<Sample>>> {
+        let i = self.streams.binary_search_by_key(&server, |(id, _)| *id).ok()?;
+        Some(&self.streams[i].1)
+    }
+}
+
+/// The order a replay delivers a server's samples in.
+fn replay_order(s: &Sample) -> (SimTime, VmId, u64) {
+    (s.time, s.vm, s.seq)
+}
+
+/// One server's stream while a recording is decoded.
+struct PendingStream {
+    server: u32,
+    samples: Vec<Sample>,
+    /// Whether `samples` is in replay order so far.
+    sorted: bool,
+}
+
+/// Groups samples into per-server streams as they are decoded.
+#[derive(Default)]
+struct StreamsBuilder {
+    /// Streams in ascending server order.
+    streams: Vec<PendingStream>,
+    /// Index of the stream the previous sample went to. A tee writes each
+    /// server's samples of an instant together, so this is nearly always
+    /// the next one's too.
+    last: usize,
+}
+
+impl StreamsBuilder {
+    #[inline]
+    fn push(&mut self, server: u32, sample: Sample) {
+        if self.streams.get(self.last).is_none_or(|s| s.server != server) {
+            self.last = self.find_or_insert(server);
+        }
+        let stream = &mut self.streams[self.last];
+        let samples = &mut stream.samples;
+        if let Some(prev) = samples.last() {
+            stream.sorted &= replay_order(prev) <= replay_order(&sample);
+        }
+        samples.push(sample);
+    }
+
+    #[cold]
+    fn find_or_insert(&mut self, server: u32) -> usize {
+        self.streams.binary_search_by_key(&server, |s| s.server).unwrap_or_else(|i| {
+            self.streams.insert(i, PendingStream { server, samples: Vec::new(), sorted: true });
+            i
+        })
+    }
+
+    /// A builder with one stream per server of `records`, the record
+    /// section of a binary recording, each sized to exactly its record
+    /// count. The counting pass reads only each record's length prefix and
+    /// server field. It stops at the first malformed record, which the
+    /// decoding pass then reports.
+    fn sized_for(mut records: &[u8]) -> Self {
+        let mut counts = BTreeMap::<u32, usize>::new();
+        while let Some((len, rest)) = records.split_first_chunk::<4>() {
+            let len = u32::from_le_bytes(*len) as usize;
+            if len < RECORD_LEN || rest.len() < len {
+                break;
+            }
+            let server = u32::from_le_bytes(rest[8..12].try_into().expect("4-byte field"));
+            *counts.entry(server).or_default() += 1;
+            records = &rest[len..];
+        }
+        let streams = counts
+            .into_iter()
+            .map(|(server, n)| PendingStream {
+                server,
+                samples: Vec::with_capacity(n),
+                sorted: true,
+            })
+            .collect();
+        StreamsBuilder { streams, last: 0 }
+    }
+
+    /// Puts every stream in replay order. A tee appends in that order
+    /// already, so a stream is sorted (stably) only if it is not.
+    fn finish(self) -> ServerStreams {
+        let streams = self
+            .streams
+            .into_iter()
+            .map(|PendingStream { server, mut samples, sorted }| {
+                if !sorted {
+                    samples.sort_by_key(replay_order);
+                }
+                (server, Arc::new(samples))
+            })
+            .collect();
+        ServerStreams { streams }
+    }
 }
 
 /// Accumulates teed samples and serializes them on demand.
@@ -70,7 +190,8 @@ pub struct TelemetryRecording {
 pub struct TelemetryWriter {
     format: RecordingFormat,
     source: String,
-    samples: Vec<RecordedSample>,
+    /// `(server, sample)` records in append order.
+    samples: Vec<(u32, Sample)>,
 }
 
 impl TelemetryWriter {
@@ -81,7 +202,7 @@ impl TelemetryWriter {
 
     /// Appends one sample collected on `server`.
     pub fn append(&mut self, server: u32, sample: &Sample) {
-        self.samples.push(RecordedSample { server, sample: *sample });
+        self.samples.push((server, *sample));
     }
 
     /// Number of samples appended so far.
@@ -96,23 +217,22 @@ impl TelemetryWriter {
 
     /// The recording accumulated so far, without consuming the writer.
     pub fn recording(&self) -> TelemetryRecording {
+        let mut streams = StreamsBuilder::default();
+        for &(server, sample) in &self.samples {
+            streams.push(server, sample);
+        }
         TelemetryRecording {
             version: RECORDING_VERSION,
             source: self.source.clone(),
-            samples: self.samples.clone(),
+            samples: streams.finish(),
         }
     }
 
     /// Serializes the recording and consumes the writer.
     pub fn finish(self) -> Vec<u8> {
-        let rec = TelemetryRecording {
-            version: RECORDING_VERSION,
-            source: self.source,
-            samples: self.samples,
-        };
         match self.format {
-            RecordingFormat::Binary => encode_binary(&rec),
-            RecordingFormat::Jsonl => encode_jsonl(&rec).into_bytes(),
+            RecordingFormat::Binary => encode_binary(&self.source, &self.samples),
+            RecordingFormat::Jsonl => encode_jsonl(&self.source, &self.samples).into_bytes(),
         }
     }
 }
@@ -143,42 +263,40 @@ fn counters_from_array(a: [f64; 8]) -> VmCounters {
     }
 }
 
-fn encode_binary(rec: &TelemetryRecording) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + rec.source.len() + rec.samples.len() * (4 + RECORD_LEN));
+fn encode_binary(source: &str, samples: &[(u32, Sample)]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16 + source.len() + samples.len() * (4 + RECORD_LEN));
     out.extend_from_slice(RECORDING_MAGIC);
-    out.extend_from_slice(&rec.version.to_le_bytes());
-    out.extend_from_slice(&(rec.source.len() as u32).to_le_bytes());
-    out.extend_from_slice(rec.source.as_bytes());
-    for r in &rec.samples {
+    out.extend_from_slice(&RECORDING_VERSION.to_le_bytes());
+    out.extend_from_slice(&(source.len() as u32).to_le_bytes());
+    out.extend_from_slice(source.as_bytes());
+    for (server, sample) in samples {
         out.extend_from_slice(&(RECORD_LEN as u32).to_le_bytes());
-        out.extend_from_slice(&r.sample.time.as_micros().to_le_bytes());
-        out.extend_from_slice(&r.server.to_le_bytes());
-        out.extend_from_slice(&r.sample.vm.0.to_le_bytes());
-        out.extend_from_slice(&r.sample.seq.to_le_bytes());
-        for v in counters_array(&r.sample.snapshot.counters) {
+        out.extend_from_slice(&sample.time.as_micros().to_le_bytes());
+        out.extend_from_slice(&server.to_le_bytes());
+        out.extend_from_slice(&sample.vm.0.to_le_bytes());
+        out.extend_from_slice(&sample.seq.to_le_bytes());
+        for v in counters_array(&sample.snapshot.counters) {
             out.extend_from_slice(&v.to_bits().to_le_bytes());
         }
     }
     out
 }
 
-fn encode_jsonl(rec: &TelemetryRecording) -> String {
+fn encode_jsonl(source: &str, samples: &[(u32, Sample)]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{{\"magic\":\"PFTL\",\"version\":{},\"source\":\"{}\"}}",
-        rec.version, rec.source
+        "{{\"magic\":\"PFTL\",\"version\":{RECORDING_VERSION},\"source\":\"{source}\"}}"
     );
-    for r in &rec.samples {
+    for (server, sample) in samples {
         let _ = write!(
             out,
-            "{{\"t\":{},\"server\":{},\"vm\":{},\"seq\":{},\"c\":[",
-            r.sample.time.as_micros(),
-            r.server,
-            r.sample.vm.0,
-            r.sample.seq
+            "{{\"t\":{},\"server\":{server},\"vm\":{},\"seq\":{},\"c\":[",
+            sample.time.as_micros(),
+            sample.vm.0,
+            sample.seq
         );
-        for (i, v) in counters_array(&r.sample.snapshot.counters).iter().enumerate() {
+        for (i, v) in counters_array(&sample.snapshot.counters).iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -194,8 +312,8 @@ pub struct TelemetryReader;
 
 impl TelemetryReader {
     /// Parses a recording, auto-detecting binary (`PFTL` magic) vs JSONL
-    /// (leading `{`). Returns a description of the first malformation
-    /// encountered on bad input.
+    /// (leading `{`), into one replay stream per server. Returns a
+    /// description of the first malformation encountered on bad input.
     pub fn parse(bytes: &[u8]) -> Result<TelemetryRecording, String> {
         match bytes.first() {
             Some(b'P') => decode_binary(bytes),
@@ -219,10 +337,6 @@ fn take_u32(bytes: &mut &[u8], what: &str) -> Result<u32, String> {
     Ok(u32::from_le_bytes(take(bytes, 4, what)?.try_into().unwrap()))
 }
 
-fn take_u64(bytes: &mut &[u8], what: &str) -> Result<u64, String> {
-    Ok(u64::from_le_bytes(take(bytes, 8, what)?.try_into().unwrap()))
-}
-
 fn decode_binary(mut bytes: &[u8]) -> Result<TelemetryRecording, String> {
     let magic = take(&mut bytes, 4, "magic")?;
     if magic != RECORDING_MAGIC {
@@ -235,26 +349,35 @@ fn decode_binary(mut bytes: &[u8]) -> Result<TelemetryRecording, String> {
     let name_len = take_u32(&mut bytes, "source-name length")? as usize;
     let source = String::from_utf8(take(&mut bytes, name_len, "source name")?.to_vec())
         .map_err(|e| e.to_string())?;
-    let mut samples = Vec::new();
+    let mut streams = StreamsBuilder::sized_for(bytes);
     while !bytes.is_empty() {
         let len = take_u32(&mut bytes, "record length")? as usize;
         if len < RECORD_LEN {
             return Err(format!("record too short: {len} bytes"));
         }
-        let mut body = take(&mut bytes, len, "record body")?;
-        let time = SimTime::from_micros(take_u64(&mut body, "time")?);
-        let server = take_u32(&mut body, "server")?;
-        let vm = VmId(take_u32(&mut body, "vm")?);
-        let seq = take_u64(&mut body, "seq")?;
-        let mut c = [0.0f64; 8];
-        for slot in &mut c {
-            *slot = f64::from_bits(take_u64(&mut body, "counter")?);
-        }
         // Anything past the known fields is a forward-compatible extension.
-        let snapshot = CounterSnapshot { counters: counters_from_array(c) };
-        samples.push(RecordedSample { server, sample: Sample { time, vm, seq, snapshot } });
+        let body = take(&mut bytes, len, "record body")?;
+        let (server, sample) =
+            decode_record(body[..RECORD_LEN].try_into().expect("length checked above"));
+        streams.push(server, sample);
     }
-    Ok(TelemetryRecording { version, source, samples })
+    Ok(TelemetryRecording { version, source, samples: streams.finish() })
+}
+
+/// Decodes the known fields of one binary record, at their fixed offsets:
+/// the server and the sample.
+#[inline]
+fn decode_record(r: &[u8; RECORD_LEN]) -> (u32, Sample) {
+    let u32_at = |at: usize| u32::from_le_bytes(r[at..at + 4].try_into().expect("4-byte field"));
+    let u64_at = |at: usize| u64::from_le_bytes(r[at..at + 8].try_into().expect("8-byte field"));
+    let counters = counters_from_array(std::array::from_fn(|i| f64::from_bits(u64_at(24 + 8 * i))));
+    let sample = Sample {
+        time: SimTime::from_micros(u64_at(0)),
+        vm: VmId(u32_at(12)),
+        seq: u64_at(16),
+        snapshot: CounterSnapshot { counters },
+    };
+    (u32_at(8), sample)
 }
 
 /// Extracts the number following `"key":` in a single JSON object line.
@@ -277,7 +400,7 @@ fn decode_jsonl(text: &str) -> Result<TelemetryRecording, String> {
         return Err(format!("unsupported recording version {version}"));
     }
     let source = json_field(header, "source")?.to_string();
-    let mut samples = Vec::new();
+    let mut streams = StreamsBuilder::default();
     for line in lines {
         if line.is_empty() {
             continue;
@@ -301,9 +424,9 @@ fn decode_jsonl(text: &str) -> Result<TelemetryRecording, String> {
             return Err(format!("expected 8 counters, got {n}"));
         }
         let snapshot = CounterSnapshot { counters: counters_from_array(c) };
-        samples.push(RecordedSample { server, sample: Sample { time, vm, seq, snapshot } });
+        streams.push(server, Sample { time, vm, seq, snapshot });
     }
-    Ok(TelemetryRecording { version, source, samples })
+    Ok(TelemetryRecording { version, source, samples: streams.finish() })
 }
 
 #[cfg(test)]
@@ -340,9 +463,12 @@ mod tests {
         assert_eq!(rec.version, RECORDING_VERSION);
         assert_eq!(rec.source, "sim");
         assert_eq!(rec.samples.len(), 3);
-        assert_eq!(rec.samples[0].sample, sample(1_000_000, 3, 0, 17.25));
-        assert_eq!(rec.samples[1].server, 1);
-        assert_eq!(rec.samples[2].sample, sample(2_000_000, 3, 2, 1e12 + 0.5));
+        assert_eq!(
+            **rec.samples.get(0).unwrap(),
+            [sample(1_000_000, 3, 0, 17.25), sample(2_000_000, 3, 2, 1e12 + 0.5)]
+        );
+        assert_eq!(**rec.samples.get(1).unwrap(), [sample(1_000_000, 9, 1, 0.1)]);
+        assert!(rec.samples.get(2).is_none());
     }
 
     #[test]
@@ -372,12 +498,45 @@ mod tests {
         let mut w = TelemetryWriter::new(RecordingFormat::Binary, "sim");
         w.append(0, &sample(5, 1, 0, 2.5));
         let bytes = w.finish();
-        assert!(TelemetryReader::parse(&bytes[..bytes.len() - 3]).is_err());
+        let err = |b: &[u8]| TelemetryReader::parse(b).unwrap_err();
+        assert_eq!(err(&bytes[..bytes.len() - 3]), "truncated recording: record body");
+        assert_eq!(
+            err(&bytes[..bytes.len() - RECORD_LEN - 2]),
+            "truncated recording: record length"
+        );
+        let mut short = bytes.clone();
+        let header_len = 4 + 4 + 4 + 3;
+        short[header_len..header_len + 4].copy_from_slice(&(RECORD_LEN as u32 - 1).to_le_bytes());
+        assert_eq!(err(&short), format!("record too short: {} bytes", RECORD_LEN - 1));
         assert!(TelemetryReader::parse(b"XXXX").is_err());
         assert!(TelemetryReader::parse(b"").is_err());
         assert!(
             TelemetryReader::parse(b"{\"magic\":\"NOPE\",\"version\":1,\"source\":\"x\"}").is_err()
         );
+    }
+
+    #[test]
+    fn server_major_recordings_are_not_over_allocated() {
+        // Per-host recordings concatenated: each server's samples in one
+        // run. No stream may hold more than plain doubling leaves spare.
+        for format in [RecordingFormat::Binary, RecordingFormat::Jsonl] {
+            let mut w = TelemetryWriter::new(format, "sim");
+            for server in 0..4 {
+                for t in 0..5_000 {
+                    w.append(server, &sample(t, 1, t, 2.5));
+                }
+            }
+            let rec = TelemetryReader::parse(&w.finish()).expect("parse");
+            for server in 0..4 {
+                let stream = rec.samples.get(server).unwrap();
+                assert_eq!(stream.len(), 5_000);
+                assert!(
+                    stream.capacity() <= 2 * stream.len(),
+                    "server {server}: {}",
+                    stream.capacity()
+                );
+            }
+        }
     }
 
     #[test]
@@ -404,7 +563,6 @@ mod tests {
         extended.extend_from_slice(&0xdead_beefu64.to_le_bytes());
         let rec = TelemetryReader::parse(&extended).expect("extended record parses");
         assert_eq!(rec.samples.len(), 1);
-        assert_eq!(rec.samples[0].server, 2);
-        assert_eq!(rec.samples[0].sample, sample(5, 1, 0, 2.5));
+        assert_eq!(**rec.samples.get(2).unwrap(), [sample(5, 1, 0, 2.5)]);
     }
 }

@@ -8,17 +8,21 @@ use std::sync::Arc;
 
 /// A [`CounterSource`] that re-delivers one server's recorded samples.
 ///
-/// Construction normalizes the stream to `(time, vm, seq)` order, so the
-/// delivered sequence is a pure function of the recording — independent of
-/// how the original run interleaved collection across threads.
+/// The stream is the server's [`ServerStreams`] entry, already in
+/// `(time, vm, seq)` order, so the delivered sequence is a pure function
+/// of the recording — independent of how the original run interleaved
+/// collection across threads.
 /// Each `collect_into` call delivers every not-yet-delivered sample whose
 /// timestamp is at or before `now`; late samples surface exactly where the
 /// recording put them, and the monitor's existing stale/duplicate handling
 /// applies unchanged.
 ///
 /// Cloning carries the cursor, so a forked experiment resumes replay from
-/// the fork point. The underlying samples are shared (`Arc`), making
-/// clones cheap even for multi-hour recordings.
+/// the fork point. The samples are shared (`Arc`) with the recording and
+/// with every other source built from it, so construction and clones copy
+/// nothing, even for multi-hour recordings.
+///
+/// [`ServerStreams`]: crate::ServerStreams
 #[derive(Debug, Clone)]
 pub struct ReplaySource {
     samples: Arc<Vec<Sample>>,
@@ -26,22 +30,11 @@ pub struct ReplaySource {
 }
 
 impl ReplaySource {
-    /// Builds a replay source from the samples recorded on `server`.
+    /// Builds a replay source over the samples recorded on `server`
+    /// (none if the recording holds no sample of it).
     pub fn for_server(recording: &TelemetryRecording, server: u32) -> Self {
-        let mut samples: Vec<Sample> =
-            recording.samples.iter().filter(|r| r.server == server).map(|r| r.sample).collect();
-        samples.sort_by_key(|s| (s.time, s.vm, s.seq));
-        ReplaySource { samples: Arc::new(samples), cursor: 0 }
-    }
-
-    /// Total samples in this server's stream.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when the stream is empty.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        let samples = recording.samples.get(server).cloned().unwrap_or_default();
+        ReplaySource { samples, cursor: 0 }
     }
 }
 
@@ -107,7 +100,7 @@ mod tests {
     fn replay_is_sorted_filtered_and_cursor_driven() {
         let rec = recording();
         let mut src = ReplaySource::for_server(&rec, 0);
-        assert_eq!(src.len(), 3);
+        assert_eq!(src.samples.len(), 3);
         let server = dummy_server();
         let mut out = Vec::new();
         src.collect_into(SimTime::from_micros(500_000), &server, &mut out);
@@ -125,6 +118,18 @@ mod tests {
         out.clear();
         src.collect_into(SimTime::MAX, &server, &mut out);
         assert!(out.is_empty(), "the stream is exhausted");
+    }
+
+    #[test]
+    fn sources_share_the_parsed_stream() {
+        let rec = recording();
+        let stream = rec.samples.get(0).unwrap();
+        let a = ReplaySource::for_server(&rec, 0);
+        let b = ReplaySource::for_server(&rec, 0);
+        assert!(Arc::ptr_eq(&a.samples, stream) && Arc::ptr_eq(&b.samples, stream));
+        assert_eq!(Arc::strong_count(stream), 3, "the recording and two sources, no copy");
+        let absent = ReplaySource::for_server(&rec, 7);
+        assert!(absent.samples.is_empty(), "a server the recording lacks replays nothing");
     }
 
     #[test]

@@ -112,6 +112,13 @@ impl RngCore for ChaCha8Rng {
     }
 
     fn next_u64(&mut self) -> u64 {
+        // Both words in the current block: read them without two refill
+        // checks. Otherwise the pair straddles a refill, word by word.
+        if self.cursor <= 14 {
+            let (lo, hi) = (self.block[self.cursor] as u64, self.block[self.cursor + 1] as u64);
+            self.cursor += 2;
+            return hi << 32 | lo;
+        }
         let lo = self.next_u32() as u64;
         let hi = self.next_u32() as u64;
         hi << 32 | lo
@@ -178,6 +185,23 @@ mod tests {
         }
         let mut c = r.clone();
         assert_eq!(r.next_u64(), c.next_u64());
+    }
+
+    #[test]
+    fn next_u64_is_two_words_at_any_alignment() {
+        for skip in 0..16 {
+            let mut words = ChaCha8Rng::from_seed([5u8; 32]);
+            let mut pairs = words.clone();
+            for _ in 0..skip {
+                words.next_u32();
+                pairs.next_u32();
+            }
+            for _ in 0..40 {
+                let lo = words.next_u32() as u64;
+                let hi = words.next_u32() as u64;
+                assert_eq!(pairs.next_u64(), hi << 32 | lo, "skip {skip}");
+            }
+        }
     }
 
     #[test]
