@@ -6,6 +6,13 @@
 
 use std::path::PathBuf;
 
+/// Where the record named `name` lands: `$BENCH_JSON_DIR/BENCH_<name>.json`,
+/// or `BENCH_<name>.json` in the current directory without the variable.
+pub fn json_path(name: &str) -> PathBuf {
+    let dir = std::env::var_os("BENCH_JSON_DIR").map(PathBuf::from).unwrap_or_default();
+    dir.join(format!("BENCH_{name}.json"))
+}
+
 /// One benchmark measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
@@ -52,11 +59,9 @@ impl BenchRecord {
         rest[..end].trim().parse().ok()
     }
 
-    /// The output path: `$BENCH_JSON_DIR/BENCH_<name>.json` (or the current
-    /// directory without the variable).
+    /// The output path, by [`json_path`].
     pub fn path(&self) -> PathBuf {
-        let dir = std::env::var_os("BENCH_JSON_DIR").map(PathBuf::from).unwrap_or_default();
-        dir.join(format!("BENCH_{}.json", self.name))
+        json_path(&self.name)
     }
 
     /// Writes the record, returning where it landed.

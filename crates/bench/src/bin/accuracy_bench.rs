@@ -12,14 +12,9 @@
 //! violated gate exits non-zero.
 
 use perfcloud_bench::accuracy::{self, gate, run_matrix, scoreboard_json, scoreboard_table};
+use perfcloud_bench::benchjson::json_path;
 use perfcloud_bench::cli::{self, Flag, Kind};
 use perfcloud_bench::golden::GoldenStatus;
-use std::path::PathBuf;
-
-fn json_path() -> PathBuf {
-    let dir = std::env::var_os("BENCH_JSON_DIR").map(PathBuf::from).unwrap_or_default();
-    dir.join("BENCH_accuracy.json")
-}
 
 const FLAGS: &[Flag] = &[Flag("--check", Kind::Switch)];
 
@@ -31,9 +26,13 @@ fn main() {
     print!("{table}");
 
     let json = scoreboard_json(&rows);
-    let path = json_path();
-    std::fs::write(&path, &json).expect("write BENCH_accuracy.json");
-    println!("\nwrote {}", path.display());
+    let path = json_path("accuracy");
+    // The record is a by-product: failing to write it must not skip the
+    // gate below.
+    match std::fs::write(&path, &json) {
+        Ok(()) => println!("\nwrote {}", path.display()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+    }
 
     if !check {
         return;

@@ -12,7 +12,7 @@
 use crate::report::{f3, shape_check, Table};
 use crate::scenarios::*;
 use perfcloud_cluster::Mitigation;
-use perfcloud_core::PerfCloudConfig;
+use perfcloud_core::{PerfCloudConfig, Resource};
 use perfcloud_frameworks::Benchmark;
 use perfcloud_host::VmId;
 use perfcloud_sim::SimDuration;
@@ -30,47 +30,44 @@ pub fn run(seed: u64) -> String {
             Mitigation::PerfCloud(PerfCloudConfig::default()),
             seed,
         );
+        e.enable_decision_trace();
         let _ = e.run();
         e.run_for(SimDuration::from_secs(30.0)); // watch the caps release
 
-        let nm = &e.node_managers[0];
-        let io = nm.io_cap_trace(VmId(10));
-        let cpu = nm.cpu_cap_trace(VmId(11));
+        // `(t in µs, cap)` at every server-0 step where `vm` held a `resource` cap.
+        let trace = e.decision_trace().expect("trace enabled");
+        let cap_series = |resource, vm| -> Vec<(u64, f64)> {
+            trace
+                .steps()
+                .filter(|s| s.server == 0)
+                .filter_map(|s| {
+                    let cap = s.caps(resource).iter().find(|&&(capped, _)| capped == vm)?;
+                    Some((s.now.as_micros(), cap.1))
+                })
+                .collect()
+        };
+        let io = cap_series(Resource::Io, VmId(10));
+        let cpu = cap_series(Resource::Cpu, VmId(11));
 
         writeln!(
             out,
             "normalized caps (1.0 = antagonist's usage when control began; blank = uncapped)"
         )?;
         let mut t = Table::new(vec!["t (s)", "fio I/O cap", "STREAM CPU cap"]);
-        let times: Vec<_> = {
-            let mut all: Vec<u64> = io
-                .map(|s| s.times().iter().map(|t| t.as_micros()).collect::<Vec<_>>())
-                .unwrap_or_default();
-            if let Some(c) = cpu {
-                all.extend(c.times().iter().map(|t| t.as_micros()));
-            }
-            all.sort_unstable();
-            all.dedup();
-            all
+        let mut times: Vec<u64> = io.iter().chain(&cpu).map(|&(us, _)| us).collect();
+        times.sort_unstable();
+        times.dedup();
+        let lookup = |series: &[(u64, f64)], us: u64| -> String {
+            series.iter().find(|&&(at, _)| at == us).map(|&(_, cap)| f3(cap)).unwrap_or_default()
         };
-        let lookup = |trace: Option<&perfcloud_stats::TimeSeries>, us: u64| -> String {
-            trace
-                .and_then(|s| {
-                    s.times().iter().position(|t| t.as_micros() == us).and_then(|k| s.values()[k])
-                })
-                .map(f3)
-                .unwrap_or_default()
-        };
-        for us in &times {
-            t.row(vec![format!("{:.0}", *us as f64 / 1e6), lookup(io, *us), lookup(cpu, *us)]);
+        for &us in &times {
+            t.row(vec![format!("{:.0}", us as f64 / 1e6), lookup(&io, us), lookup(&cpu, us)]);
         }
         out.push_str(&t.render());
 
         // Shape checks.
-        let io_caps: Vec<f64> =
-            io.map(|s| s.values().iter().filter_map(|v| *v).collect()).unwrap_or_default();
-        let cpu_caps: Vec<f64> =
-            cpu.map(|s| s.values().iter().filter_map(|v| *v).collect()).unwrap_or_default();
+        let io_caps: Vec<f64> = io.iter().map(|&(_, cap)| cap).collect();
+        let cpu_caps: Vec<f64> = cpu.iter().map(|&(_, cap)| cap).collect();
         let drop_to_20 = |caps: &[f64]| caps.first().is_some_and(|&c| c <= 0.21);
         let drop_ok = (!io_caps.is_empty() || !cpu_caps.is_empty())
             && (io_caps.is_empty() || drop_to_20(&io_caps))

@@ -26,9 +26,13 @@ use std::fmt::Write;
 
 const TASKS: usize = 40;
 
-fn run_system(mitigation: Mitigation, seed: u64) -> (Experiment, ExperimentResult) {
+/// Runs one compared system, recording its decision trace when `trace`.
+fn run_system(mitigation: Mitigation, seed: u64, trace: bool) -> (Experiment, ExperimentResult) {
     let mut e =
         small_scale(Benchmark::LogisticRegression, TASKS, four_antagonists(), mitigation, seed);
+    if trace {
+        e.enable_decision_trace();
+    }
     let r = e.run();
     (e, r)
 }
@@ -42,14 +46,15 @@ pub fn run(seed: u64) -> String {
         let (fio_iops, fio_bps) = fio_solo_reference(seed);
         let stream_cores = stream_solo_cores(seed);
 
-        let (e_def, r_def) = run_system(Mitigation::Default, seed);
+        let (e_def, r_def) = run_system(Mitigation::Default, seed, false);
         let static_policy = StaticCapping::new().cap_io(VmId(10), 0.2, fio_iops, fio_bps).cap_cpu(
             VmId(11),
             0.2,
             stream_cores,
         );
-        let (_e_static, r_static) = run_system(Mitigation::StaticCap(static_policy), seed);
-        let (e_pc, r_pc) = run_system(Mitigation::PerfCloud(PerfCloudConfig::default()), seed);
+        let (_e_static, r_static) = run_system(Mitigation::StaticCap(static_policy), seed, false);
+        let (e_pc, r_pc) =
+            run_system(Mitigation::PerfCloud(PerfCloudConfig::default()), seed, true);
 
         // (a) + (b): deviation series.
         for (label, resource, threshold) in [
@@ -137,8 +142,12 @@ pub fn run(seed: u64) -> String {
             improve_pc > 0.1 && improve_st > 0.1,
         )?;
 
-        let any_caps = e_pc.node_managers[0].io_cap_trace(VmId(10)).is_some()
-            || e_pc.node_managers[0].cpu_cap_trace(VmId(11)).is_some();
+        let capped = |caps: &[(VmId, f64)], vm: VmId| caps.iter().any(|&(v, _)| v == vm);
+        let any_caps = e_pc.decision_trace().expect("trace enabled").steps().any(|s| {
+            s.server == 0
+                && (capped(s.caps(Resource::Io), VmId(10))
+                    || capped(s.caps(Resource::Cpu), VmId(11)))
+        });
         shape_check(out, "PerfCloud actually throttled an antagonist", any_caps)?;
         Ok(())
     })

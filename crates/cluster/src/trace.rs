@@ -49,6 +49,8 @@ pub struct StepRow {
 
 /// A recorded node-manager step, borrowed from its trace: the
 /// [`StepReport`] it was recorded from, with slices in place of `Vec`s.
+/// The report's enrolled and released lists are not stored; only the flight
+/// recorder renders them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepView<'a> {
     /// Simulated time of the step.

@@ -18,22 +18,15 @@ use perfcloud_stats::{RollingPearson, TimeSeries};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-/// Which contended resource an identification concerns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Resource {
-    /// Disk I/O (deviation of block-iowait ratio ↔ suspect I/O throughput).
-    Io,
-    /// Shared processor resources (deviation of CPI ↔ suspect LLC misses).
-    Cpu,
-}
+pub use perfcloud_obs::flight::Resource;
 
-impl Resource {
-    /// The suspect-side metric used for correlation.
-    pub fn suspect_metric(self) -> VmMetricKind {
-        match self {
-            Resource::Io => VmMetricKind::IoBps,
-            Resource::Cpu => VmMetricKind::LlcMissRate,
-        }
+/// The suspect-side metric `resource` is correlated on: I/O throughput
+/// against the block-iowait deviation, LLC misses against the CPI
+/// deviation.
+pub fn suspect_metric(resource: Resource) -> VmMetricKind {
+    match resource {
+        Resource::Io => VmMetricKind::IoBps,
+        Resource::Cpu => VmMetricKind::LlcMissRate,
     }
 }
 
@@ -90,7 +83,7 @@ impl AntagonistIdentifier {
         // Suspects that left this server (migration, teardown) stop
         // accumulating evidence; their windows go with them.
         windows.retain(|vm, _| suspects.contains(vm));
-        let metric = resource.suspect_metric();
+        let metric = suspect_metric(resource);
         for &vm in suspects {
             // No usage series at all (the monitor has never seen the VM)
             // means no evidence either way — leave no window behind, so
@@ -311,7 +304,7 @@ mod tests {
         let cfg = PerfCloudConfig::default();
         for suspect in [VmId(10), VmId(11)] {
             let victim = ident.deviation_series(Resource::Io);
-            let usage = mon.series(suspect, Resource::Io.suspect_metric()).unwrap();
+            let usage = mon.series(suspect, suspect_metric(Resource::Io)).unwrap();
             let (mut x, mut y) = (Vec::new(), Vec::new());
             perfcloud_stats::timeseries::align_tail(victim, usage, cfg.corr_window, &mut x, &mut y);
             let batch = perfcloud_stats::pearson::pearson_victim_aware_lagged(
@@ -413,7 +406,7 @@ mod tests {
 
     #[test]
     fn suspect_metric_mapping() {
-        assert_eq!(Resource::Io.suspect_metric(), VmMetricKind::IoBps);
-        assert_eq!(Resource::Cpu.suspect_metric(), VmMetricKind::LlcMissRate);
+        assert_eq!(suspect_metric(Resource::Io), VmMetricKind::IoBps);
+        assert_eq!(suspect_metric(Resource::Cpu), VmMetricKind::LlcMissRate);
     }
 }

@@ -99,6 +99,17 @@ impl NodeFaults {
         mut flight: Option<&mut FlightRecorder>,
     ) {
         let t = now.as_micros();
+        let server = self.server;
+        let observed = flight.is_some();
+        // Every chaos event of this batch reaches the recorder through here.
+        let mut note = |event: FlightEvent| {
+            if let Some(fl) = flight.as_deref_mut() {
+                fl.record(t, event);
+            }
+        };
+        let fault = |class, vm: VmId| FlightEvent::Fault { class, server, vm: u64::from(vm.0) };
+        let rejected =
+            |vm: VmId, reason| FlightEvent::IngestRejected { server, vm: u64::from(vm.0), reason };
         // Deliver what's due, oldest first (deterministic order), before the
         // fresh poll — a late RPC arriving just ahead of the next one. After
         // the sort the due deliveries are a prefix, so they can be peeled off
@@ -106,32 +117,15 @@ impl NodeFaults {
         self.delayed.sort_by_key(|a| (a.0, a.1));
         while self.delayed.first().is_some_and(|&(due, _, _)| due <= now) {
             let (_, vm, snap) = self.delayed.remove(0);
-            let outcome = monitor.ingest(now, vm, snap);
-            if let (Some(fl), Some(reason)) = (flight.as_deref_mut(), reject_reason(outcome)) {
-                fl.record(
-                    t,
-                    FlightEvent::IngestRejected {
-                        server: self.server,
-                        vm: u64::from(vm.0),
-                        reason,
-                    },
-                );
+            if let Some(reason) = reject_reason(monitor.ingest(now, vm, snap)) {
+                note(rejected(vm, reason));
             }
         }
 
         for s in samples {
             let (at, vm, snap) = (s.time, s.vm, s.snapshot);
             if self.sample_fault(at, vm, FaultKindTag::Drop).is_some() {
-                if let Some(fl) = flight.as_deref_mut() {
-                    fl.record(
-                        t,
-                        FlightEvent::Fault {
-                            class: FaultClass::DropSample,
-                            server: self.server,
-                            vm: u64::from(vm.0),
-                        },
-                    );
-                }
+                note(fault(FaultClass::DropSample, vm));
                 continue;
             }
             if let Some(FaultKind::DelaySample { intervals }) =
@@ -139,56 +133,20 @@ impl NodeFaults {
             {
                 let due = at.saturating_add(interval.mul_f64(intervals as f64));
                 self.delayed.push((due, vm, snap));
-                if let Some(fl) = flight.as_deref_mut() {
-                    fl.record(
-                        t,
-                        FlightEvent::Fault {
-                            class: FaultClass::DelaySample,
-                            server: self.server,
-                            vm: u64::from(vm.0),
-                        },
-                    );
-                }
+                note(fault(FaultClass::DelaySample, vm));
                 continue;
             }
-            let duplicated = self.sample_fault(at, vm, FaultKindTag::Duplicate).is_some();
-            let deliver = if duplicated {
-                if let Some(fl) = flight.as_deref_mut() {
-                    fl.record(
-                        t,
-                        FlightEvent::Fault {
-                            class: FaultClass::DuplicateSample,
-                            server: self.server,
-                            vm: u64::from(vm.0),
-                        },
-                    );
-                }
+            let deliver = if self.sample_fault(at, vm, FaultKindTag::Duplicate).is_some() {
+                note(fault(FaultClass::DuplicateSample, vm));
                 monitor.previous_snapshot(vm).unwrap_or(snap)
             } else {
                 snap
             };
-            if let Some(fl) = flight.as_deref_mut() {
-                if self.corruption_fires(at, vm) {
-                    fl.record(
-                        t,
-                        FlightEvent::Fault {
-                            class: FaultClass::CorruptSample,
-                            server: self.server,
-                            vm: u64::from(vm.0),
-                        },
-                    );
-                }
+            if observed && self.corruption_fires(at, vm) {
+                note(fault(FaultClass::CorruptSample, vm));
             }
-            let outcome = self.ingest_corrupted(at, vm, deliver, monitor);
-            if let (Some(fl), Some(reason)) = (flight.as_deref_mut(), reject_reason(outcome)) {
-                fl.record(
-                    t,
-                    FlightEvent::IngestRejected {
-                        server: self.server,
-                        vm: u64::from(vm.0),
-                        reason,
-                    },
-                );
+            if let Some(reason) = reject_reason(self.ingest_corrupted(at, vm, deliver, monitor)) {
+                note(rejected(vm, reason));
             }
         }
     }

@@ -22,18 +22,8 @@ use perfcloud_host::throttle::{CpuCap, IoThrottle};
 use perfcloud_host::{PhysicalServer, VmId};
 use perfcloud_obs::{FlightEvent, FlightRecorder, SAMPLE_EVENT_DECIMATION};
 use perfcloud_sim::SimTime;
-use perfcloud_stats::TimeSeries;
 use perfcloud_telemetry::{CounterSource, Sample, SimSource};
 use std::collections::BTreeMap;
-
-/// Maps the agent's resource dimension onto the obs crate's copy of it
-/// (obs is dependency-free and cannot use [`Resource`] directly).
-fn obs_resource(resource: Resource) -> perfcloud_obs::flight::Resource {
-    match resource {
-        Resource::Io => perfcloud_obs::flight::Resource::Io,
-        Resource::Cpu => perfcloud_obs::flight::Resource::Cpu,
-    }
-}
 
 /// Floors below which an observed usage is not worth capping at; avoids
 /// freezing a VM that happened to be momentarily idle when control began.
@@ -49,8 +39,9 @@ struct Controlled {
     ref_cores: f64,
 }
 
-/// What one node-manager step observed and did. The default is an interval
-/// in which the manager took no action.
+/// What one node-manager step observed and did: the agent's only record of
+/// its decisions, which the decision trace stores and the flight recorder
+/// renders. The default is an interval in which the manager took no action.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StepReport {
     /// The contention signal at this interval (for the controlled app).
@@ -63,6 +54,16 @@ pub struct StepReport {
     pub io_caps: Vec<(VmId, f64)>,
     /// Normalized CPU caps currently applied (VM, cap fraction).
     pub cpu_caps: Vec<(VmId, f64)>,
+    /// VMs newly enrolled for I/O control this interval, in identification
+    /// order; their first caps are in `io_caps`.
+    pub io_enrolled: Vec<VmId>,
+    /// VMs newly enrolled for CPU control this interval.
+    pub cpu_enrolled: Vec<VmId>,
+    /// VMs still hosted here whose I/O cap came off this interval because
+    /// they left the suspect set.
+    pub io_released: Vec<VmId>,
+    /// VMs still hosted here whose CPU cap came off for the same reason.
+    pub cpu_released: Vec<VmId>,
     /// The manager was stalled and skipped this interval entirely.
     pub stalled: bool,
     /// The manager crash-restarted this interval, losing its windows.
@@ -81,6 +82,10 @@ impl StepReport {
         self.cpu_antagonists.clear();
         self.io_caps.clear();
         self.cpu_caps.clear();
+        self.io_enrolled.clear();
+        self.cpu_enrolled.clear();
+        self.io_released.clear();
+        self.cpu_released.clear();
         self.stalled = false;
         self.restarted = false;
         self.placement_stale = false;
@@ -109,8 +114,6 @@ pub struct NodeManager {
     identifier: Box<dyn Identifier>,
     io_controlled: BTreeMap<VmId, Controlled>,
     cpu_controlled: BTreeMap<VmId, Controlled>,
-    io_cap_trace: BTreeMap<VmId, TimeSeries>,
-    cpu_cap_trace: BTreeMap<VmId, TimeSeries>,
     faults: Option<NodeFaults>,
     /// Where counter samples come from. Defaults to [`SimSource`] (the
     /// direct hypervisor read); experiments can swap in a replay stream.
@@ -132,6 +135,7 @@ pub struct NodeManager {
     flight: Option<FlightRecorder>,
     /// Whether the previous decision interval saw contention, so the
     /// recorder logs onset/clear *transitions* rather than every interval.
+    /// Only [`Self::record_flight`] reads or writes it.
     was_contended: bool,
     /// Last placement view applied from a `PlacementUpdate`, for riding out
     /// desynchronization; `cache_fetched` is its delivery time.
@@ -180,8 +184,6 @@ impl NodeManager {
             pipeline,
             io_controlled: BTreeMap::new(),
             cpu_controlled: BTreeMap::new(),
-            io_cap_trace: BTreeMap::new(),
-            cpu_cap_trace: BTreeMap::new(),
             faults: None,
             source: Box::new(SimSource::new()),
             sample_buf: Vec::new(),
@@ -253,16 +255,6 @@ impl NodeManager {
         self.pipeline
     }
 
-    /// Trace of normalized I/O caps applied to `vm` over time.
-    pub fn io_cap_trace(&self, vm: VmId) -> Option<&TimeSeries> {
-        self.io_cap_trace.get(&vm)
-    }
-
-    /// Trace of normalized CPU caps applied to `vm` over time.
-    pub fn cpu_cap_trace(&self, vm: VmId) -> Option<&TimeSeries> {
-        self.cpu_cap_trace.get(&vm)
-    }
-
     /// Epoch of the last applied placement update, if any arrived via
     /// [`Self::apply_placement`].
     pub fn last_epoch(&self) -> Option<PlacementEpoch> {
@@ -322,57 +314,109 @@ impl NodeManager {
 
         // (0) A crash beats a stall: the process dies and restarts with
         // clean state.
-        if let Some(faults) = self.faults.as_mut() {
-            if faults.begin_interval(now) == ManagerFault::Crashed {
-                self.crash_restart(now, server);
-                report.restarted = true;
-                return;
+        let crashed = self
+            .faults
+            .as_mut()
+            .is_some_and(|faults| faults.begin_interval(now) == ManagerFault::Crashed);
+        if crashed {
+            self.crash_restart(server);
+            report.restarted = true;
+        } else if stalled {
+            report.stalled = true;
+        } else {
+            // (1) Use the placement update that arrived this interval — or
+            // ride the cached view up to the bounded-staleness limit.
+            report.placement_stale = !std::mem::take(&mut self.placement_fresh);
+            let limit = self.config.sample_interval.mul_f64(Self::MAX_PLACEMENT_STALENESS as f64);
+            let decides = !report.placement_stale
+                || self.cache_fetched.is_some_and(|fetched| now.saturating_since(fetched) <= limit);
+
+            // (2) Sample all VMs (through the fault filter, when attached).
+            // Past the limit the cached view is too old to act on safely:
+            // the metric windows stay warm but no control decision is made.
+            self.sample(now, server);
+
+            if decides {
+                // Decide on the cached view moved out of `self`, so the
+                // decision path can borrow the manager mutably; moving a
+                // `Placement` swaps pointers, it does not copy or allocate.
+                let placement = std::mem::take(&mut self.placement_cache);
+                self.decide(now, server, &placement, report);
+                self.placement_cache = placement;
             }
         }
-        if stalled {
-            report.stalled = true;
+        if self.flight.is_some() {
+            self.record_flight(now, server.id.0, report);
+        }
+    }
+
+    /// Renders the step's decisions, as `report` holds them, into the
+    /// attached flight recorder: the one place the node manager records its
+    /// decision events. Collector and chaos events are recorded where they
+    /// happen, during sampling, so a step's `PlacementStale` follows them.
+    fn record_flight(&mut self, now: SimTime, server: u32, report: &StepReport) {
+        let Some(fl) = self.flight.as_mut() else { return };
+        let t = now.as_micros();
+        if report.restarted {
+            self.was_contended = false;
+            fl.record(t, FlightEvent::ManagerRestart { server });
             return;
         }
-
-        // (1) Use the placement update that arrived this interval — or ride
-        // the cached view up to the bounded-staleness limit.
-        if !std::mem::take(&mut self.placement_fresh) {
-            let limit = self.config.sample_interval.mul_f64(Self::MAX_PLACEMENT_STALENESS as f64);
-            let fresh_enough =
-                self.cache_fetched.is_some_and(|fetched| now.saturating_since(fetched) <= limit);
-            if let Some(fl) = self.flight.as_mut() {
-                let staleness = match self.cache_fetched {
-                    Some(fetched) => {
-                        (now.saturating_since(fetched).as_micros()
-                            / self.config.sample_interval.as_micros())
-                            as u32
-                    }
-                    None => u32::MAX,
-                };
-                fl.record(
-                    now.as_micros(),
-                    FlightEvent::PlacementStale { server: server.id.0, staleness },
-                );
-            }
-            if !fresh_enough {
-                // The cached view is too old to act on safely. Keep the
-                // metric windows warm but make no control decisions.
-                self.sample(now, server);
-                report.placement_stale = true;
-                return;
-            }
-            report.placement_stale = true;
+        if report.placement_stale {
+            let staleness = self.cache_fetched.map_or(u32::MAX, |fetched| {
+                (now.saturating_since(fetched).as_micros()
+                    / self.config.sample_interval.as_micros()) as u32
+            });
+            fl.record(t, FlightEvent::PlacementStale { server, staleness });
         }
+        let Some(signal) = report.signal else { return };
+        let contended = signal.io_contended || signal.cpu_contended;
+        if contended && !self.was_contended {
+            let (io, cpu) = (signal.io_contended, signal.cpu_contended);
+            fl.record(t, FlightEvent::DetectOnset { server, io, cpu });
+        } else if !contended && self.was_contended {
+            fl.record(t, FlightEvent::DetectClear { server });
+        }
+        self.was_contended = contended;
 
-        // (2) Sample all VMs (through the fault filter, when attached).
-        self.sample(now, server);
-
-        // Decide on the cached view moved out of `self`, so the decision
-        // path can borrow the manager mutably; moving a `Placement` swaps
-        // pointers, it does not copy or allocate.
-        let placement = std::mem::take(&mut self.placement_cache);
-        self.decide(now, server, &placement, report);
-        self.placement_cache = placement;
+        let lists = [
+            (
+                Resource::Io,
+                &report.io_antagonists,
+                &report.io_caps,
+                &report.io_enrolled,
+                &report.io_released,
+            ),
+            (
+                Resource::Cpu,
+                &report.cpu_antagonists,
+                &report.cpu_caps,
+                &report.cpu_enrolled,
+                &report.cpu_released,
+            ),
+        ];
+        // Identified and not yet under control: missing from this step's
+        // caps, or enrolled by it.
+        for (resource, antagonists, caps, enrolled, _) in lists {
+            for &vm in antagonists {
+                if enrolled.contains(&vm) || !caps.iter().any(|&(capped, _)| capped == vm) {
+                    let vm = u64::from(vm.0);
+                    fl.record(t, FlightEvent::AntagonistIdentified { server, vm, resource });
+                }
+            }
+        }
+        for (resource, _, caps, enrolled, released) in lists {
+            for &vm in released {
+                fl.record(t, FlightEvent::Release { server, vm: u64::from(vm.0) });
+            }
+            for &vm in enrolled {
+                fl.record(t, FlightEvent::Throttle { server, vm: u64::from(vm.0), resource });
+            }
+            for &(vm, level) in caps {
+                let vm = u64::from(vm.0);
+                fl.record(t, FlightEvent::CapUpdate { server, vm, resource, level });
+            }
+        }
     }
 
     /// Steps (3)–(5) of Algorithm 1 on the applied placement view.
@@ -424,69 +468,9 @@ impl NodeManager {
         self.identified.extend(report.io_antagonists.iter().map(|&vm| (vm, Resource::Io)));
         self.identified.extend(report.cpu_antagonists.iter().map(|&vm| (vm, Resource::Cpu)));
 
-        // Flight: detection transitions and newly identified antagonists
-        // (ones not yet under control — enrollment records the throttle).
-        if let Some(fl) = self.flight.as_mut() {
-            let t = now.as_micros();
-            let contended = signal.io_contended || signal.cpu_contended;
-            if contended && !self.was_contended {
-                fl.record(
-                    t,
-                    FlightEvent::DetectOnset {
-                        server: server.id.0,
-                        io: signal.io_contended,
-                        cpu: signal.cpu_contended,
-                    },
-                );
-            } else if !contended && self.was_contended {
-                fl.record(t, FlightEvent::DetectClear { server: server.id.0 });
-            }
-            self.was_contended = contended;
-            for &vm in report.io_antagonists.iter() {
-                if !self.io_controlled.contains_key(&vm) {
-                    fl.record(
-                        t,
-                        FlightEvent::AntagonistIdentified {
-                            server: server.id.0,
-                            vm: u64::from(vm.0),
-                            resource: perfcloud_obs::flight::Resource::Io,
-                        },
-                    );
-                }
-            }
-            for &vm in report.cpu_antagonists.iter() {
-                if !self.cpu_controlled.contains_key(&vm) {
-                    fl.record(
-                        t,
-                        FlightEvent::AntagonistIdentified {
-                            server: server.id.0,
-                            vm: u64::from(vm.0),
-                            resource: perfcloud_obs::flight::Resource::Cpu,
-                        },
-                    );
-                }
-            }
-        }
-
         // (5) Control modules.
-        self.control(
-            Resource::Io,
-            signal.io_contended,
-            &report.io_antagonists,
-            &placement.suspects,
-            server,
-            now,
-            &mut report.io_caps,
-        );
-        self.control(
-            Resource::Cpu,
-            signal.cpu_contended,
-            &report.cpu_antagonists,
-            &placement.suspects,
-            server,
-            now,
-            &mut report.cpu_caps,
-        );
+        self.control(Resource::Io, signal.io_contended, &placement.suspects, server, report);
+        self.control(Resource::Cpu, signal.cpu_contended, &placement.suspects, server, report);
 
         report.signal = Some(signal);
     }
@@ -578,11 +562,7 @@ impl NodeManager {
     /// process finds hypervisor caps it has no record of and releases them —
     /// clean-slate recovery; re-detection re-applies them within a bounded
     /// number of intervals (the windows re-warm from empty).
-    fn crash_restart(&mut self, now: SimTime, server: &mut PhysicalServer) {
-        if let Some(fl) = self.flight.as_mut() {
-            fl.record(now.as_micros(), FlightEvent::ManagerRestart { server: server.id.0 });
-        }
-        self.was_contended = false;
+    fn crash_restart(&mut self, server: &mut PhysicalServer) {
         self.monitor = PerformanceMonitor::new(&self.config);
         self.detector.reset();
         self.identifier.reset();
@@ -604,20 +584,33 @@ impl NodeManager {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Runs the `resource` control module: releases VMs that left the
+    /// suspect set, enrolls the report's newly identified antagonists while
+    /// contention persists, and steps every controlled VM's CUBIC cap,
+    /// filling the report's cap, enrolled and released lists for
+    /// `resource`.
     fn control(
         &mut self,
         resource: Resource,
         contended: bool,
-        antagonists: &[VmId],
         suspects: &[VmId],
         server: &mut PhysicalServer,
-        now: SimTime,
-        applied: &mut Vec<(VmId, f64)>,
+        report: &mut StepReport,
     ) {
-        applied.clear();
-        let sid = server.id.0;
-        let mut flight = self.flight.as_mut();
+        let (antagonists, applied, enrolled, released) = match resource {
+            Resource::Io => (
+                &report.io_antagonists,
+                &mut report.io_caps,
+                &mut report.io_enrolled,
+                &mut report.io_released,
+            ),
+            Resource::Cpu => (
+                &report.cpu_antagonists,
+                &mut report.cpu_caps,
+                &mut report.cpu_enrolled,
+                &mut report.cpu_released,
+            ),
+        };
         // Drop control state for VMs that left the suspect set. One that is
         // still hosted here (deregistered or promoted in the cloud manager)
         // must have its cap released — nothing else will ever do it; one
@@ -637,12 +630,7 @@ impl NodeManager {
                         Resource::Io => server.set_io_throttle(vm, IoThrottle::unlimited()),
                         Resource::Cpu => server.set_cpu_cap(vm, CpuCap::unlimited()),
                     }
-                    if let Some(fl) = flight.as_deref_mut() {
-                        fl.record(
-                            now.as_micros(),
-                            FlightEvent::Release { server: sid, vm: u64::from(vm.0) },
-                        );
-                    }
+                    released.push(vm);
                 }
             }
         }
@@ -678,16 +666,7 @@ impl NodeManager {
                     Resource::Io => self.io_controlled.insert(vm, c),
                     Resource::Cpu => self.cpu_controlled.insert(vm, c),
                 };
-                if let Some(fl) = flight.as_deref_mut() {
-                    fl.record(
-                        now.as_micros(),
-                        FlightEvent::Throttle {
-                            server: sid,
-                            vm: u64::from(vm.0),
-                            resource: obs_resource(resource),
-                        },
-                    );
-                }
+                enrolled.push(vm);
             }
         }
 
@@ -718,28 +697,6 @@ impl NodeManager {
                 }
             }
             applied.push((vm, cap));
-            if let Some(fl) = flight.as_deref_mut() {
-                fl.record(
-                    now.as_micros(),
-                    FlightEvent::CapUpdate {
-                        server: sid,
-                        vm: u64::from(vm.0),
-                        resource: obs_resource(resource),
-                        level: cap,
-                    },
-                );
-            }
-        }
-
-        // Trace the applied caps for the Fig. 10 harness.
-        let trace = match resource {
-            Resource::Io => &mut self.io_cap_trace,
-            Resource::Cpu => &mut self.cpu_cap_trace,
-        };
-        for &(vm, cap) in applied.iter() {
-            let series = trace.entry(vm).or_default();
-            series.push(now, Some(cap));
-            series.retain_last(4096);
         }
     }
 
@@ -843,6 +800,17 @@ mod tests {
         fn start_antagonist(&mut self) {
             self.server.spawn(VmId(10), Box::new(FioRandRead::with_rate(20_000.0, 4096.0, None)));
         }
+
+        /// The flight events the agent recorded at `t`, in order.
+        fn events_at(&self, t: SimTime) -> Vec<FlightEvent> {
+            let fl = self.nm.flight().expect("recorder attached");
+            fl.iter().filter(|r| r.t == t.as_micros()).map(|r| r.event).collect()
+        }
+    }
+
+    /// An I/O cap update for `vm` on server 0.
+    fn io_cap(vm: u64, level: f64) -> FlightEvent {
+        FlightEvent::CapUpdate { server: 0, vm, resource: Resource::Io, level }
     }
 
     #[test]
@@ -865,7 +833,6 @@ mod tests {
             reports.iter().any(|r| r.io_caps.iter().any(|&(vm, _)| vm == VmId(10))),
             "no cap applied"
         );
-        assert!(tb.nm.io_cap_trace(VmId(10)).is_some());
     }
 
     #[test]
@@ -896,9 +863,11 @@ mod tests {
         let mut tb = testbed((10.0, 1.0));
         tb.run(3);
         tb.start_antagonist();
-        tb.run(30);
-        let trace = tb.nm.io_cap_trace(VmId(10)).expect("trace exists");
-        let caps: Vec<f64> = trace.values().iter().filter_map(|v| *v).collect();
+        let caps: Vec<f64> = tb
+            .run(30)
+            .iter()
+            .flat_map(|r| r.io_caps.iter().filter(|&&(vm, _)| vm == VmId(10)).map(|&(_, cap)| cap))
+            .collect();
         assert!(caps.len() >= 3);
         // First applied cap is the multiplicative decrease (≈ 0.2).
         assert!((caps[0] - 0.2).abs() < 1e-9, "first cap should be 1-β = 0.2, got {}", caps[0]);
@@ -1054,22 +1023,29 @@ mod tests {
         tb.run(3);
         tb.start_antagonist();
         tb.run(9);
+        tb.nm.attach_flight(256);
         let mut report = StepReport::default();
         let interval = SimDuration::from_secs(5.0);
         let mut decided_while_stale = 0;
         let mut refused = 0;
-        for _ in 0..(NodeManager::MAX_PLACEMENT_STALENESS + 4) {
+        for staleness in 1..=(NodeManager::MAX_PLACEMENT_STALENESS + 4) {
             for _ in 0..50 {
                 tb.server.tick(DT);
             }
             tb.now += interval;
             tb.nm.step_synced(tb.now, &mut tb.server, false, &mut report);
             assert!(report.placement_stale);
+            // Each stale step opens with its staleness; a deciding one then
+            // records the antagonist's cap, a refusing one nothing more.
+            let mut expect = vec![FlightEvent::PlacementStale { server: 0, staleness }];
             if report.signal.is_some() {
                 decided_while_stale += 1;
+                assert_eq!(report.io_caps.len(), 1);
+                expect.push(io_cap(10, report.io_caps[0].1));
             } else {
                 refused += 1;
             }
+            assert_eq!(tb.events_at(tb.now), expect, "stale step {staleness}");
         }
         assert_eq!(decided_while_stale, NodeManager::MAX_PLACEMENT_STALENESS);
         assert!(refused >= 4, "past the limit the manager must refuse to decide");
@@ -1090,14 +1066,28 @@ mod tests {
         let ra = plain.run(10);
         let rb = observed.run(10);
         assert_eq!(ra, rb, "attaching a flight recorder must not change any decision");
-        let fl = observed.nm.flight().expect("recorder attached");
-        assert!(fl.total_recorded() > 0);
-        let has = |pred: fn(&FlightEvent) -> bool| fl.iter().any(|r| pred(&r.event));
-        assert!(has(|e| matches!(e, FlightEvent::DetectOnset { io: true, .. })));
-        assert!(has(|e| matches!(e, FlightEvent::AntagonistIdentified { vm: 10, .. })));
-        assert!(has(|e| matches!(e, FlightEvent::Throttle { vm: 10, .. })));
-        assert!(has(|e| matches!(e, FlightEvent::CapUpdate { vm: 10, .. })));
+        // The first contended interval (t = 20 s) records onset, the
+        // identification, the enrollment and the first cap (1 − β), in
+        // that order; later intervals record only the cap until the
+        // episode clears (t = 35 s).
+        let level = |k: usize| rb[k].io_caps[0].1;
+        assert!((level(0) - 0.2).abs() < 1e-9);
+        assert_eq!(
+            observed.events_at(SimTime::from_secs(20)),
+            [
+                FlightEvent::DetectOnset { server: 0, io: true, cpu: false },
+                FlightEvent::AntagonistIdentified { server: 0, vm: 10, resource: Resource::Io },
+                FlightEvent::Throttle { server: 0, vm: 10, resource: Resource::Io },
+                io_cap(10, level(0)),
+            ]
+        );
+        assert_eq!(observed.events_at(SimTime::from_secs(25)), [io_cap(10, level(1))]);
+        assert_eq!(
+            observed.events_at(SimTime::from_secs(35)),
+            [FlightEvent::DetectClear { server: 0 }, io_cap(10, level(3))]
+        );
         // Events come out time-ordered with contiguous sequence numbers.
+        let fl = observed.nm.flight().expect("recorder attached");
         let recs: Vec<_> = fl.iter().collect();
         assert!(recs.windows(2).all(|w| w[0].t <= w[1].t && w[0].seq + 1 == w[1].seq));
     }
@@ -1116,14 +1106,20 @@ mod tests {
         );
         tb.nm.attach_faults(crate::chaos::NodeFaults::new(1, scenario, 0));
         tb.run(1);
-        let fl = tb.nm.flight().unwrap();
-        assert!(fl.iter().any(|r| matches!(r.event, FlightEvent::ManagerRestart { server: 0 })));
-        // Deregistering the antagonist must log the cap release.
-        tb.run(8);
+        // The restart is the crashed interval's only event: the caps it
+        // drops are not releases.
+        assert_eq!(tb.events_at(crash_at), [FlightEvent::ManagerRestart { server: 0 }]);
+        // Deregistering the antagonist must log the cap release, after the
+        // detection transition and with no cap update.
+        let reports = tb.run(8);
+        assert!(reports.last().unwrap().io_caps.iter().any(|&(vm, _)| vm == VmId(10)));
         tb.cloud.deregister(VmId(10));
-        tb.run(1);
-        let fl = tb.nm.flight().unwrap();
-        assert!(fl.iter().any(|r| matches!(r.event, FlightEvent::Release { vm: 10, .. })));
+        let released = tb.run(1).pop().unwrap();
+        assert_eq!(released.io_released, [VmId(10)]);
+        assert_eq!(
+            tb.events_at(tb.now),
+            [FlightEvent::DetectClear { server: 0 }, FlightEvent::Release { server: 0, vm: 10 }]
+        );
     }
 
     #[test]

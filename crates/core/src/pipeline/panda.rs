@@ -18,7 +18,7 @@
 //!    magnitude is co-suffering, not causation.
 
 use super::Identifier;
-use crate::antagonist::Resource;
+use crate::antagonist::{suspect_metric, Resource};
 use crate::config::PerfCloudConfig;
 use crate::monitor::PerformanceMonitor;
 use perfcloud_host::VmId;
@@ -159,7 +159,7 @@ impl Identifier for PandaIdentifier {
         out: &mut Vec<VmId>,
     ) {
         out.clear();
-        let metric = resource.suspect_metric();
+        let metric = suspect_metric(resource);
         let (dev, scores) = match resource {
             Resource::Io => (&self.io_deviation, &mut self.io_scores),
             Resource::Cpu => (&self.cpi_deviation, &mut self.cpu_scores),

@@ -36,33 +36,46 @@ fn rig(victims: u32) -> Rig {
 }
 
 impl Rig {
-    fn intervals(&mut self, n: usize) {
-        for _ in 0..n {
-            for _ in 0..50 {
-                self.server.tick(DT);
-            }
-            self.now += SimDuration::from_secs(5.0);
-            self.loopback_step();
-        }
+    /// Runs `n` sampling intervals (5 s each), returning their reports.
+    fn intervals(&mut self, n: usize) -> Vec<StepReport> {
+        (0..n)
+            .map(|_| {
+                for _ in 0..50 {
+                    self.server.tick(DT);
+                }
+                self.now += SimDuration::from_secs(5.0);
+                self.loopback_step()
+            })
+            .collect()
     }
 
     /// One interval as the control plane's zero-latency loopback runs it:
     /// the registry's view is applied at a fresh epoch, the agent steps,
     /// and its colocation notices go straight to the cloud manager.
-    fn loopback_step(&mut self) {
+    fn loopback_step(&mut self) -> StepReport {
         let mut view = Placement::default();
         self.cloud.placement_into(self.server.id, &mut view);
         let epoch = PlacementEpoch { term: 1, seq: self.now.as_micros() };
         self.nm.apply_placement(self.now, epoch, &view);
-        self.nm.step_synced(self.now, &mut self.server, false, &mut StepReport::default());
+        let mut report = StepReport::default();
+        self.nm.step_synced(self.now, &mut self.server, false, &mut report);
         while let Some(apps) = self.nm.take_colocation_notice() {
             self.cloud.notify_colocation(self.server.id, apps);
         }
+        report
     }
 
     fn start_antagonist(&mut self) {
         self.server.spawn(VmId(50), Box::new(FioRandRead::new(None).with_modulation(3)));
     }
+}
+
+/// The I/O caps the reports applied to the antagonist (VM 50), in order.
+fn antagonist_caps(reports: &[StepReport]) -> Vec<f64> {
+    reports
+        .iter()
+        .flat_map(|r| r.io_caps.iter().filter(|&&(vm, _)| vm == VmId(50)).map(|&(_, cap)| cap))
+        .collect()
 }
 
 #[test]
@@ -74,14 +87,8 @@ fn control_is_persistent_across_quiet_periods() {
     let mut r = rig(6);
     r.intervals(3);
     r.start_antagonist();
-    r.intervals(30);
-    let trace = r.nm.io_cap_trace(VmId(50)).expect("antagonist was controlled");
-    assert!(
-        trace.len() >= 20,
-        "control must persist, not release: only {} cap samples",
-        trace.len()
-    );
-    let caps: Vec<f64> = trace.values().iter().filter_map(|v| *v).collect();
+    let caps = antagonist_caps(&r.intervals(30));
+    assert!(caps.len() >= 20, "control must persist, not release: only {} cap samples", caps.len());
     let ceiling = PerfCloudConfig::default().release_level;
     assert!(caps.iter().all(|&c| c <= ceiling + 1e-9), "caps bounded by the probe ceiling");
     // The cap visits both throttled and non-binding levels (the limit cycle).
@@ -92,8 +99,7 @@ fn control_is_persistent_across_quiet_periods() {
 #[test]
 fn no_throttle_is_ever_applied_without_an_antagonist() {
     let mut r = rig(6);
-    r.intervals(20);
-    assert!(r.nm.io_cap_trace(VmId(50)).is_none());
+    assert!(antagonist_caps(&r.intervals(20)).is_empty());
     assert!(!r.server.io_throttle(VmId(50)).unwrap().is_throttled());
 }
 
@@ -102,14 +108,12 @@ fn deregistered_vm_is_dropped_from_control() {
     let mut r = rig(6);
     r.intervals(3);
     r.start_antagonist();
-    r.intervals(10);
-    assert!(r.nm.io_cap_trace(VmId(50)).is_some(), "precondition: control engaged");
+    let engaged = antagonist_caps(&r.intervals(10));
+    assert!(!engaged.is_empty(), "precondition: control engaged");
     // The VM disappears from the registry (teardown / migration).
     r.cloud.deregister(VmId(50));
-    let before = r.nm.io_cap_trace(VmId(50)).map(|t| t.len()).unwrap_or(0);
-    r.intervals(5);
-    let after = r.nm.io_cap_trace(VmId(50)).map(|t| t.len()).unwrap_or(0);
-    assert_eq!(before, after, "no further caps applied to a deregistered VM");
+    let after = antagonist_caps(&r.intervals(5));
+    assert!(after.is_empty(), "no further caps applied to a deregistered VM");
 }
 
 #[test]
@@ -118,6 +122,5 @@ fn two_victim_vms_are_the_minimum_for_detection() {
     // fire (and must not panic).
     let mut r = rig(1);
     r.start_antagonist();
-    r.intervals(10);
-    assert!(r.nm.io_cap_trace(VmId(50)).is_none());
+    assert!(antagonist_caps(&r.intervals(10)).is_empty());
 }

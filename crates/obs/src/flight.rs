@@ -18,12 +18,15 @@ use std::fmt;
 /// ring within a few intervals.
 pub const SAMPLE_EVENT_DECIMATION: u64 = 64;
 
-/// The resource dimension an event refers to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// A contended resource dimension: what the node manager detects,
+/// identifies and caps along, and what its events refer to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Resource {
-    /// Disk I/O (IOPS / bandwidth caps).
+    /// Disk I/O: block-iowait deviation, suspect I/O throughput, IOPS and
+    /// bandwidth caps.
     Io,
-    /// CPU (core caps).
+    /// Shared processor resources: CPI deviation, suspect LLC misses, core
+    /// caps.
     Cpu,
 }
 
@@ -57,8 +60,8 @@ impl fmt::Display for RejectReason {
     }
 }
 
-/// Which chaos fault fired (mirrors `core::chaos::FaultKind` without the
-/// dependency).
+/// Which per-sample chaos fault fired (the sample faults of
+/// `perfcloud_sim::FaultKind`, without the dependency).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultClass {
     /// A metric sample was dropped.
@@ -69,14 +72,6 @@ pub enum FaultClass {
     DuplicateSample,
     /// A metric value was corrupted (NaN / spike / stuck-at).
     CorruptSample,
-    /// A node manager was stalled.
-    StallManager,
-    /// A node manager crashed and restarted.
-    CrashRestart,
-    /// A placement view was desynchronized.
-    DesyncPlacement,
-    /// A control-plane replica went down.
-    DownReplica,
 }
 
 impl fmt::Display for FaultClass {
@@ -86,10 +81,6 @@ impl fmt::Display for FaultClass {
             FaultClass::DelaySample => "delay-sample",
             FaultClass::DuplicateSample => "dup-sample",
             FaultClass::CorruptSample => "corrupt-sample",
-            FaultClass::StallManager => "stall",
-            FaultClass::CrashRestart => "crash",
-            FaultClass::DesyncPlacement => "desync",
-            FaultClass::DownReplica => "down-replica",
         })
     }
 }
@@ -324,7 +315,7 @@ pub enum FlightEvent {
         class: FaultClass,
         /// Server index the fault applied to.
         server: u32,
-        /// VM it applied to, or `u64::MAX` for server-scoped faults.
+        /// VM the faulted sample belonged to.
         vm: u64,
     },
 }
@@ -397,13 +388,7 @@ impl fmt::Display for FlightEvent {
                 )
             }
             MsgDelay { from, to, micros } => write!(f, "msg-delay {from}->{to} +{micros}us"),
-            Fault { class, server, vm } => {
-                if vm == u64::MAX {
-                    write!(f, "fault {class} s{server}")
-                } else {
-                    write!(f, "fault {class} s{server} vm{vm}")
-                }
-            }
+            Fault { class, server, vm } => write!(f, "fault {class} s{server} vm{vm}"),
         }
     }
 }

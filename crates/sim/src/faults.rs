@@ -333,20 +333,6 @@ impl FaultInjector {
         let u = (h >> 11) as f64 / (1u64 << 53) as f64;
         u < rule.probability
     }
-
-    /// Iterates over rules matching a predicate that fire at the coordinate.
-    pub fn firing<'a>(
-        &'a self,
-        now: SimTime,
-        server: u32,
-        vm: Option<u32>,
-        filter: impl Fn(&FaultKind) -> bool + 'a,
-    ) -> impl Iterator<Item = &'a FaultRule> + 'a {
-        self.scenario
-            .rules
-            .iter()
-            .filter(move |r| filter(&r.kind) && self.fires(r, now, server, vm))
-    }
 }
 
 #[cfg(test)]

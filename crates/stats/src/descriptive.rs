@@ -151,11 +151,6 @@ impl Running {
         self.population_variance().map(f64::sqrt)
     }
 
-    /// Running sample variance (n - 1 denominator).
-    pub fn sample_variance(&self) -> Option<f64> {
-        (self.n > 1).then(|| self.m2 / (self.n - 1) as f64)
-    }
-
     /// Smallest observation; `None` if empty.
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)
@@ -196,10 +191,6 @@ mod tests {
         assert_eq!(mean(&[]), None);
         assert_eq!(population_variance(&[]), None);
         assert_eq!(population_stddev(&[]), None);
-        let mut r = Running::new();
-        assert_eq!(r.sample_variance(), None);
-        r.push(1.0);
-        assert_eq!(r.sample_variance(), None);
     }
 
     #[test]
@@ -208,18 +199,12 @@ mod tests {
         assert_eq!(mean(&xs), Some(5.0));
         assert_eq!(population_variance(&xs), Some(4.0));
         assert_eq!(population_stddev(&xs), Some(2.0));
-        let mut r = Running::new();
-        xs.iter().for_each(|&x| r.push(x));
-        assert!((r.sample_variance().unwrap() - 32.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
     fn constant_series_has_zero_spread() {
         let xs = [3.5; 10];
         assert_eq!(population_stddev(&xs), Some(0.0));
-        let mut r = Running::new();
-        xs.iter().for_each(|&x| r.push(x));
-        assert_eq!(r.sample_variance(), Some(0.0));
     }
 
     #[test]
@@ -234,9 +219,6 @@ mod tests {
         assert!(
             (r.population_variance().unwrap() - population_variance(&xs).unwrap()).abs() < 1e-12
         );
-        let n = xs.len() as f64;
-        let sample_variance = population_variance(&xs).unwrap() * n / (n - 1.0);
-        assert!((r.sample_variance().unwrap() - sample_variance).abs() < 1e-12);
         assert_eq!(r.min(), Some(-7.25));
         assert_eq!(r.max(), Some(10.0));
     }
