@@ -43,7 +43,7 @@ fn main() {
     // movement — better or worse — must show up in the diff and be
     // re-blessed consciously.
     let artifact = format!("{json}{table}");
-    match perfcloud_bench::golden::check("accuracy_scoreboard", &artifact) {
+    match perfcloud_bench::golden::check("accuracy_scoreboard", &artifact, &[]) {
         GoldenStatus::Match => {
             println!("scoreboard matches tests/golden/accuracy_scoreboard.trace")
         }

@@ -17,7 +17,7 @@
 //! `--trace-out PATH` switches to trace-export mode instead of running the
 //! figure suite: it replays one golden scenario (default
 //! `ctrl_coordinator_crash`, override with `--trace-scenario NAME`) with
-//! flight recorders attached and writes the merged Chrome-trace-event JSON
+//! observability on and writes the merged Chrome-trace-event JSON
 //! to PATH — open it in [Perfetto](https://ui.perfetto.dev). The scenario
 //! run is single-seeded and tick-deterministic, so the trace bytes are
 //! identical regardless of `PERFCLOUD_THREADS`.
@@ -62,7 +62,7 @@ fn run_harness(seed: u64, (harness, args): (&Harness, &[&str])) -> (String, f64)
     (text, start.elapsed().as_secs_f64())
 }
 
-/// Replays one golden scenario with recorders attached and writes its
+/// Replays one golden scenario with observability on and writes its
 /// Chrome trace. Exits the process (0 on success).
 fn export_trace(scenario: &str, path: &str) -> ! {
     let Some(sc) = golden::scenarios().into_iter().find(|s| s.name == scenario) else {

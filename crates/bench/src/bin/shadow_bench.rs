@@ -56,7 +56,7 @@ fn main() {
         // the strongest form of "shadow mode reproduces the scoreboard".
         let rows: Vec<_> = cells.iter().map(|c| c.replayed.clone()).collect();
         let artifact = format!("{}{}", scoreboard_json(&rows), scoreboard_table(&rows));
-        match perfcloud_bench::golden::check("accuracy_scoreboard", &artifact) {
+        match perfcloud_bench::golden::check("accuracy_scoreboard", &artifact, &[]) {
             GoldenStatus::Match => {
                 println!("replayed scoreboard matches tests/golden/accuracy_scoreboard.trace")
             }

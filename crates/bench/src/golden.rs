@@ -24,7 +24,7 @@ use perfcloud_cluster::{
 use perfcloud_core::PerfCloudConfig;
 use perfcloud_ctrl::{ControlPlaneSpec, LinkSpec, NodeId, Partition};
 use perfcloud_frameworks::Benchmark;
-use perfcloud_obs::{merged_dump, ExportSource};
+use perfcloud_obs::{ExportSource, FlightEvent};
 use perfcloud_place::PlacementConfig;
 use perfcloud_sim::{
     FaultKind, FaultRule, FaultScenario, MessageClass, MetricClass, SimDuration, SimTime,
@@ -41,35 +41,26 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// override, or the suite would fail for anyone with the variable set.
 pub const GOLDEN_SEED: u64 = 42;
 
-/// Flight events each recorder retains during a golden run.
+/// Flight events each track retains during a golden run.
 pub const FLIGHT_CAPACITY: usize = 4096;
 
-/// Merged flight events a golden mismatch dumps for context.
-pub const FLIGHT_DUMP_EVENTS: usize = 48;
-
-/// Whether golden runs attach flight recorders (the default). The
+/// Whether golden runs turn observability on (the default). The
 /// `golden_obs_off` suite clears this in its own process to prove the
 /// artifacts are byte-identical without observability; recording is pure
 /// observation, so the artifact bytes must not depend on this flag.
 pub static OBSERVE_GOLDENS: AtomicBool = AtomicBool::new(true);
 
 thread_local! {
-    /// Flight-recorder sources of the most recent golden run built on this
-    /// thread, consumed by [`check`] to annotate first-divergence reports
-    /// and by `run_all --trace-out` to export a full Perfetto trace.
+    /// Flight tracks of the most recent golden run built on this thread,
+    /// taken to annotate first-divergence reports ([`check`]) and by
+    /// `run_all --trace-out` to export a full Perfetto trace.
     static LAST_FLIGHT_SOURCES: RefCell<Vec<ExportSource>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Takes (and clears) the flight-recorder sources of the most recent
-/// golden run built on this thread. Empty when the run had no recorders.
+/// Takes (and clears) the flight tracks of the most recent golden run
+/// built on this thread. Empty when the run was not observed.
 pub fn take_flight_sources() -> Vec<ExportSource> {
     LAST_FLIGHT_SOURCES.with(|s| std::mem::take(&mut *s.borrow_mut()))
-}
-
-/// Takes (and clears) this thread's flight sources, rendered as the
-/// newest [`FLIGHT_DUMP_EVENTS`] merged events — the mismatch context.
-pub fn take_flight_dump() -> String {
-    merged_dump(&take_flight_sources(), FLIGHT_DUMP_EVENTS)
 }
 
 /// One named golden scenario: `build()` renders the canonical artifact.
@@ -545,23 +536,12 @@ pub fn golden_dir() -> PathBuf {
 /// Diffs `actual` against `tests/golden/<name>.trace`. With `BLESS=1` the
 /// file is rewritten instead and [`GoldenStatus::Regenerated`] returned.
 ///
-/// On mismatch, the report carries the flight-recorder dump of the run
-/// that produced `actual` (when one was recorded on this thread): the
-/// last [`FLIGHT_DUMP_EVENTS`] events on the diverging side, so a failure
-/// shows not just *which* decision changed but what the agents
-/// and control plane were doing around it.
-pub fn check(name: &str, actual: &str) -> GoldenStatus {
-    // Always consume this thread's dump so a scenario that records nothing
-    // cannot inherit a stale dump from a previous run on the same worker.
-    let dump = take_flight_dump();
-    check_with_dump(name, actual, &dump)
-}
-
-/// [`check`] with an explicitly captured flight dump — for callers that
-/// render scenarios on sweep worker threads, where the thread-local dump
-/// lives on the worker rather than the checking thread. Capture it inside
-/// the worker closure with [`take_flight_dump`] and pass it here.
-pub fn check_with_dump(name: &str, actual: &str, dump: &str) -> GoldenStatus {
+/// On mismatch, the report carries the causal chain of the first diverging
+/// line ([`causal_chain`]) from `sources`, the flight tracks of the run
+/// that produced `actual` ([`take_flight_sources`] on the thread that built
+/// it; empty for an unobserved artifact), so a failure shows not just
+/// *which* decision changed but what led up to it.
+pub fn check(name: &str, actual: &str, sources: &[ExportSource]) -> GoldenStatus {
     let dir = golden_dir();
     let path = dir.join(format!("{name}.trace"));
     let bless = std::env::var("BLESS").map(|v| v == "1").unwrap_or(false);
@@ -582,17 +562,21 @@ pub fn check_with_dump(name: &str, actual: &str, dump: &str) -> GoldenStatus {
         }
     };
     if expected == actual {
-        GoldenStatus::Match
-    } else {
-        let mut diff = first_divergence(name, &expected, actual);
-        if !dump.is_empty() {
-            let _ = write!(
-                diff,
-                "\nlast {FLIGHT_DUMP_EVENTS} flight-recorder events of the diverging run:\n{dump}"
-            );
-        }
-        GoldenStatus::Mismatch { diff }
+        return GoldenStatus::Match;
     }
+    let mut diff = first_divergence(name, &expected, actual);
+    // The first actual line that differs, or the expected line it lacks.
+    let mut exp = expected.lines();
+    let line = actual.lines().find(|&a| exp.next() != Some(a)).or_else(|| exp.next());
+    let chain = causal_chain(sources, line.unwrap_or_default());
+    if !chain.is_empty() {
+        let _ = write!(
+            diff,
+            "\nflight-recorder events of the diverging run, from the last detect-onset up to \
+             that line:\n{chain}"
+        );
+    }
+    GoldenStatus::Mismatch { diff }
 }
 
 /// Renders the first line where `expected` and `actual` diverge, with the
@@ -620,6 +604,41 @@ pub fn first_divergence(name: &str, expected: &str, actual: &str) -> String {
     format!("golden trace '{name}': traces differ only in trailing whitespace")
 }
 
+/// The flight events that led to an artifact `line`, one per line prefixed
+/// with its track name: the line's server track (`t=<secs> s=<i> …`) from
+/// its last `detect-onset` at or before the line's instant up to that
+/// instant — samples, then detect, identify, cap. A control-plane line
+/// (`t=<secs> ctrl …`) gets the `ctrl` track over the window that starts
+/// at the latest onset on any server. A line without an instant (a summary
+/// header) is judged at the end of the run, on every server track.
+pub fn causal_chain(sources: &[ExportSource], line: &str) -> String {
+    let mut words = line.split(' ');
+    let secs = words.next().and_then(|w| w.strip_prefix("t=")?.parse::<f64>().ok());
+    let until = secs.map_or(u64::MAX, |secs| (secs * 1e6).round() as u64);
+    let onset = |src: &ExportSource| {
+        let mut upto = src.records.iter().rev().filter(|r| r.t <= until);
+        upto.find(|r| matches!(r.event, FlightEvent::DetectOnset { .. })).map_or(0, |r| r.t)
+    };
+    let server = |src: &&ExportSource| src.name.starts_with("server");
+    let ctrl_from = sources.iter().filter(server).map(onset).max().unwrap_or(0);
+    let track = secs.and(words.next());
+    let mut out = String::new();
+    for src in sources {
+        let from = match track {
+            None if server(&src) => onset(src),
+            Some("ctrl") if src.name == "ctrl" => ctrl_from,
+            Some(s) if s.strip_prefix("s=").is_some_and(|i| src.name == format!("server{i}")) => {
+                onset(src)
+            }
+            _ => continue,
+        };
+        for r in src.records.iter().filter(|r| (from..=until).contains(&r.t)) {
+            let _ = writeln!(out, "[{}] {r}", src.name);
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,6 +656,93 @@ mod tests {
         let d = first_divergence("x", "a\nb\n", "a\n");
         assert!(d.contains("line 2"), "{d}");
         assert!(d.contains("expected has extra"), "{d}");
+    }
+
+    #[test]
+    fn causal_chain_walks_back_to_the_last_onset() {
+        use perfcloud_obs::{Record, Resource};
+        use FlightEvent::*;
+        let track = |name: &str, rank, events: &[(u64, FlightEvent)]| ExportSource {
+            name: name.into(),
+            rank,
+            records: (0..)
+                .zip(events)
+                .map(|(seq, &(secs, event))| Record { t: secs * 1_000_000, seq, event })
+                .collect(),
+        };
+        let cap =
+            |secs, level| (secs, CapUpdate { server: 0, vm: 10, resource: Resource::Io, level });
+        let sources = [
+            track(
+                "server0",
+                0,
+                &[
+                    (5, DetectOnset { server: 0, io: true, cpu: false }),
+                    (10, DetectClear { server: 0 }),
+                    (20, FlushBatch { server: 0, count: 6 }),
+                    (20, DetectOnset { server: 0, io: true, cpu: false }),
+                    (20, AntagonistIdentified { server: 0, vm: 10, resource: Resource::Io }),
+                    cap(20, 0.2),
+                    cap(25, 0.35),
+                    cap(30, 0.5),
+                ],
+            ),
+            track("server1", 1, &[(8, DetectOnset { server: 1, io: false, cpu: true })]),
+            track(
+                "ctrl",
+                2,
+                &[(12, Election { replica: 1, round: 2 }), (22, Election { replica: 1, round: 3 })],
+            ),
+        ];
+        // A step line: its server's track from the last onset to its instant.
+        assert_eq!(
+            causal_chain(&sources, "t=25 s=0 dio=12.5 dcpi=- io=1 cpu=0"),
+            "[server0] t=20 flush s0 n=6\n\
+             [server0] t=20 detect-onset s0 io=1 cpu=0\n\
+             [server0] t=20 identify s0 vm10 io\n\
+             [server0] t=20 cap s0 vm10 io=0.2\n\
+             [server0] t=25 cap s0 vm10 io=0.35\n"
+        );
+        // A ctrl line: the ctrl track from the latest onset on any server.
+        assert_eq!(causal_chain(&sources, "t=24 ctrl elect m1 r=3"), "[ctrl] t=22 elect m1 r=3\n");
+        assert_eq!(causal_chain(&sources, "t=13 ctrl elect m1 r=2"), "[ctrl] t=12 elect m1 r=2\n");
+        // A header has no instant: every server track, to the end of the run.
+        let header = causal_chain(&sources, "# jct=40");
+        assert!(header.starts_with("[server0] t=20 flush s0 n=6\n"), "{header}");
+        assert!(header.contains("[server0] t=30 cap s0 vm10 io=0.5\n"), "{header}");
+        assert!(header.ends_with("[server1] t=8 detect-onset s1 io=0 cpu=1\n"), "{header}");
+        assert!(causal_chain(&[], "t=25 s=0").is_empty());
+    }
+
+    #[test]
+    fn a_mismatch_dumps_the_chain_of_its_first_diverging_line() {
+        use perfcloud_obs::Record;
+        if std::env::var("BLESS").is_ok_and(|v| v == "1") {
+            return; // never bless a deliberately tampered artifact
+        }
+        let golden = std::fs::read_to_string(golden_dir().join("chaos_crash.trace")).unwrap();
+        let onset = FlightEvent::DetectOnset { server: 0, io: true, cpu: false };
+        let records = [(20, onset), (25, FlightEvent::DetectClear { server: 0 })]
+            .map(|(secs, event)| Record { t: secs * 1_000_000, seq: 0, event });
+        let sources = [ExportSource { name: "server0".into(), rank: 0, records: records.into() }];
+        // Line 7 (t=25) changed: the dump runs from the onset at 20 s to 25 s.
+        let tampered = golden.replacen("t=25 s=0 dio=6", "t=25 s=0 dio=7", 1);
+        let GoldenStatus::Mismatch { diff } = check("chaos_crash", &tampered, &sources) else {
+            panic!("tampered artifact matched");
+        };
+        assert!(diff.contains("diverges at line 7"), "{diff}");
+        assert!(
+            diff.ends_with(
+                "[server0] t=20 detect-onset s0 io=1 cpu=0\n[server0] t=25 detect-clear s0\n"
+            ),
+            "{diff}"
+        );
+        // A line the tampered artifact lacks is judged by the golden's version.
+        let cut = golden.lines().take(5).map(|l| format!("{l}\n")).collect::<String>();
+        let GoldenStatus::Mismatch { diff } = check("chaos_crash", &cut, &sources) else {
+            panic!("truncated artifact matched");
+        };
+        assert!(diff.ends_with("[server0] t=20 detect-onset s0 io=1 cpu=0\n"), "{diff}");
     }
 
     #[test]

@@ -217,8 +217,8 @@ pub struct Experiment {
     /// The pipeline spec from the build config (only in effect under a
     /// PerfCloud mitigation).
     pipeline: PipelineSpec,
-    /// Flight-recorder capacity if observability is on; re-attached to
-    /// rebuilt node managers by [`Self::set_mitigation`].
+    /// Capacity of each exported flight track if observability is on; node
+    /// managers rebuilt by [`Self::set_mitigation`] are observed too.
     flight_capacity: Option<usize>,
     trace: Option<DecisionTrace>,
     /// Reused step-report buffer: one per experiment, refilled by every
@@ -260,24 +260,12 @@ impl Experiment {
         }
         let pending_antagonists: Vec<usize> = (0..antagonist_vms.len()).collect();
 
-        let MitigationParts { policy, dolly, pc_config, pipeline, placement, actuation } =
-            resolve_mitigation(config.mitigation, config.pipeline, &mut tb.servers);
-
-        let mut node_managers: Vec<NodeManager> = (0..tb.servers.len())
-            .map(|_| {
-                let mut nm = NodeManager::with_pipeline(pc_config.clone(), pipeline);
-                nm.set_actuation(actuation);
-                nm
-            })
-            .collect();
+        let parts = resolve_mitigation(config.mitigation, config.pipeline, &mut tb.servers);
         let chaos_seed = tb.rng.child("chaos").master_seed();
+        let chaos = config.faults.as_ref().map(|scenario| (chaos_seed, scenario));
+        let node_managers = parts.node_managers(tb.servers.len(), chaos, &config.telemetry, false);
+        let MitigationParts { policy, dolly, pc_config, placement, .. } = parts;
         let scenario = config.faults.clone().unwrap_or_default();
-        if let Some(scenario) = &config.faults {
-            for (i, nm) in node_managers.iter_mut().enumerate() {
-                nm.attach_faults(NodeFaults::new(chaos_seed, scenario.clone(), i as u32));
-            }
-        }
-        apply_telemetry(&config.telemetry, &mut node_managers);
         let tee_writer = config.telemetry.tee.map(|fmt| {
             let source = node_managers.first().map_or("sim", |nm| nm.source_name());
             TelemetryWriter::new(fmt, source)
@@ -341,33 +329,37 @@ impl Experiment {
     }
 
     /// Starts recording a canonical decision trace of every node-manager
-    /// step from this point on.
+    /// step from this point on; one already recording (the store of the
+    /// flight tracks, when observed) is kept.
     pub fn enable_decision_trace(&mut self) {
-        self.trace = Some(DecisionTrace::new());
+        self.trace.get_or_insert_with(DecisionTrace::new);
     }
 
-    /// Attaches flight recorders everywhere: one per node manager, one on
-    /// the control plane, one on its network — each retaining the last
-    /// `capacity` events. Recording is pure observation; enabling it
-    /// changes no decision, trace, or result byte.
+    /// Turns observation on: the decision trace (kept if already on) stores
+    /// every node-manager event, and each exported track (server, control
+    /// plane, network) holds its last `capacity` events. Observation is
+    /// pure: it changes no decision, canonical trace line, or result byte.
     pub fn enable_observability(&mut self, capacity: usize) {
         self.flight_capacity = Some(capacity);
+        self.trace.get_or_insert_with(DecisionTrace::new);
         for nm in &mut self.node_managers {
-            nm.attach_flight(capacity);
+            nm.set_observed(true);
         }
         self.plane.attach_flight(capacity);
     }
 
-    /// Snapshots every attached flight recorder into export sources with
-    /// stable ranks: server `i` → rank `i`, the control plane → rank `n`,
-    /// its network → rank `n + 1`. Empty when observability is off.
+    /// The flight tracks as export sources with stable ranks: server `i`
+    /// (rendered from the decision trace) → rank `i`, the control plane's
+    /// ring → `n`, its network's → `n + 1`. Empty when observability is off.
     pub fn flight_sources(&self) -> Vec<ExportSource> {
-        let mut out = Vec::new();
-        for (i, nm) in self.node_managers.iter().enumerate() {
-            if let Some(fl) = nm.flight() {
-                out.push(ExportSource::from_recorder(i as u32, &format!("server{i}"), fl));
-            }
-        }
+        let (Some(capacity), Some(trace)) = (self.flight_capacity, &self.trace) else {
+            return Vec::new();
+        };
+        let tracks = trace.flight_tracks(self.node_managers.len(), capacity);
+        let mut out: Vec<ExportSource> = (0u32..)
+            .zip(tracks)
+            .map(|(i, records)| ExportSource { name: format!("server{i}"), rank: i, records })
+            .collect();
         let n = self.node_managers.len() as u32;
         if let Some(fl) = self.plane.flight() {
             out.push(ExportSource::from_recorder(n, "ctrl", fl));
@@ -378,20 +370,14 @@ impl Experiment {
         out
     }
 
-    /// Chrome-trace-event JSON of every attached recorder (Perfetto-loadable).
+    /// Chrome-trace-event JSON of every flight track (Perfetto-loadable).
     pub fn chrome_trace(&self) -> String {
         perfcloud_obs::chrome_trace(&self.flight_sources())
     }
 
-    /// JSONL trace of every attached recorder.
+    /// JSONL trace of every flight track.
     pub fn jsonl_trace(&self) -> String {
         perfcloud_obs::jsonl(&self.flight_sources())
-    }
-
-    /// Decoded text of the newest `n` flight events across all recorders,
-    /// merged in deterministic order — the golden-failure dump.
-    pub fn flight_dump(&self, n: usize) -> String {
-        perfcloud_obs::merged_dump(&self.flight_sources(), n)
     }
 
     /// Monitor ingest tallies summed across all node managers.
@@ -489,7 +475,7 @@ impl Experiment {
     /// positions), the cloud registry, the framework scheduler, every node
     /// manager (monitor windows, CUBIC controllers, pipeline state), the
     /// control plane with its in-flight network messages, the decision
-    /// trace, and any attached flight recorders — so continuing the fork
+    /// trace, and the control plane's flight rings — so continuing the fork
     /// is byte-identical to continuing the parent, and neither observes
     /// the other.
     ///
@@ -597,33 +583,17 @@ impl Experiment {
             self.now
         );
         self.mitigation_name = mitigation.name();
-        let MitigationParts { policy, dolly, pc_config, pipeline, placement, actuation } =
-            resolve_mitigation(mitigation, self.pipeline, &mut self.servers);
+        let parts = resolve_mitigation(mitigation, self.pipeline, &mut self.servers);
         assert_eq!(
-            pc_config.sample_interval, self.sample_interval,
+            parts.pc_config.sample_interval, self.sample_interval,
             "set_mitigation cannot change the sampling cadence"
         );
-        self.policy = policy;
-        self.dolly = dolly;
-        self.placement = placement.as_ref().map(PlacementRuntime::new);
-        self.node_managers = (0..self.servers.len())
-            .map(|_| {
-                let mut nm = NodeManager::with_pipeline(pc_config.clone(), pipeline);
-                nm.set_actuation(actuation);
-                nm
-            })
-            .collect();
-        if let Some(scenario) = &self.fault_scenario {
-            for (i, nm) in self.node_managers.iter_mut().enumerate() {
-                nm.attach_faults(NodeFaults::new(self.chaos_seed, scenario.clone(), i as u32));
-            }
-        }
-        if let Some(capacity) = self.flight_capacity {
-            for nm in &mut self.node_managers {
-                nm.attach_flight(capacity);
-            }
-        }
-        apply_telemetry(&self.telemetry, &mut self.node_managers);
+        let (n, observed) = (self.servers.len(), self.flight_capacity.is_some());
+        let chaos = self.fault_scenario.as_ref().map(|scenario| (self.chaos_seed, scenario));
+        self.node_managers = parts.node_managers(n, chaos, &self.telemetry, observed);
+        self.policy = parts.policy;
+        self.dolly = parts.dolly;
+        self.placement = parts.placement.as_ref().map(PlacementRuntime::new);
     }
 
     /// Advances one tick.
@@ -836,20 +806,6 @@ impl Experiment {
     }
 }
 
-/// Applies a telemetry spec to freshly built node managers: swaps in each
-/// server's replay stream and arms the tee. Idempotent, so rebuilds
-/// ([`Experiment::set_mitigation`]) can re-apply it.
-fn apply_telemetry(spec: &TelemetrySpec, node_managers: &mut [NodeManager]) {
-    for (i, nm) in node_managers.iter_mut().enumerate() {
-        if let Some(rec) = &spec.replay {
-            nm.set_source(Box::new(ReplaySource::for_server(rec, i as u32)));
-        }
-        if spec.tee.is_some() {
-            nm.enable_tee();
-        }
-    }
-}
-
 /// A PerfCloud configuration that samples and records but never detects
 /// contention (thresholds at infinity) — used to trace deviations under
 /// non-PerfCloud mitigations.
@@ -869,6 +825,36 @@ struct MitigationParts {
     /// keeps the full detect/identify pipeline but turns actuation off, so
     /// migration is the sole mitigation.
     actuation: bool,
+}
+
+impl MitigationParts {
+    /// One node manager per server, with its fault stream (`chaos`: seed
+    /// and scenario), telemetry and observation.
+    fn node_managers(
+        &self,
+        servers: usize,
+        chaos: Option<(u64, &FaultScenario)>,
+        telemetry: &TelemetrySpec,
+        observed: bool,
+    ) -> Vec<NodeManager> {
+        (0..servers as u32)
+            .map(|i| {
+                let mut nm = NodeManager::with_pipeline(self.pc_config.clone(), self.pipeline);
+                nm.set_actuation(self.actuation);
+                if let Some((seed, scenario)) = chaos {
+                    nm.attach_faults(NodeFaults::new(seed, scenario.clone(), i));
+                }
+                if let Some(rec) = &telemetry.replay {
+                    nm.set_source(Box::new(ReplaySource::for_server(rec, i)));
+                }
+                if telemetry.tee.is_some() {
+                    nm.enable_tee();
+                }
+                nm.set_observed(observed);
+                nm
+            })
+            .collect()
+    }
 }
 
 /// Resolves a mitigation into its parts, applying immediate side effects
@@ -1082,13 +1068,29 @@ mod tests {
         );
         assert_eq!(json, observed.chrome_trace());
         assert!(!observed.jsonl_trace().is_empty());
-        assert!(!observed.flight_dump(32).is_empty());
         // Metrics surface ingest and network tallies in BENCH flat form.
         let snap = observed.metrics_snapshot();
         let get = |k: &str| snap.iter().find(|(n, _)| n == k).map(|(_, v)| *v).unwrap();
         assert!(get("ingest_recorded") > 0.0);
         assert!(get("net_sent") > 0.0);
         assert_eq!(get("ingest_rejected"), 0.0, "no faults: nothing rejected");
+    }
+
+    #[test]
+    fn a_late_decision_trace_keeps_the_flight_tracks() {
+        // The server tracks are rendered from the decision trace, so
+        // enabling the trace after observability must not restart it.
+        let pc = Mitigation::PerfCloud(PerfCloudConfig::default());
+        let mut e = Experiment::build(one_job_config(Benchmark::Terasort, 10, pc, Some(15)));
+        e.enable_observability(4096);
+        e.run_for(SimDuration::from_secs(40.0));
+        let before = e.flight_sources();
+        assert!(before[0]
+            .records
+            .iter()
+            .any(|r| matches!(r.event, perfcloud_obs::FlightEvent::CapUpdate { .. })));
+        e.enable_decision_trace();
+        assert_eq!(e.flight_sources()[0].records, before[0].records);
     }
 
     fn migration_testbed(mitigation: Mitigation) -> ExperimentConfig {

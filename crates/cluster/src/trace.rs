@@ -2,9 +2,12 @@
 //!
 //! A [`DecisionTrace`] records, per node-manager step, everything the agent
 //! observed and did: the deviation signal, contention flags, identified
-//! antagonists, applied caps, and fault flags. Between the steps it records
-//! the control plane's decisions as the typed [`FlightEvent`]s the plane
-//! emits. It stores typed rows; the text is only a rendering of them.
+//! antagonists, applied caps, enrolled and released VMs, fault flags, and
+//! the step's other events: it is the only store of what the node managers
+//! did. Between the steps it records the control plane's decisions as the
+//! typed [`FlightEvent`]s the plane emits. It stores typed rows; the text
+//! and each server's flight track ([`DecisionTrace::flight_tracks`]) are
+//! renderings of them.
 //!
 //! The canonical encoding ([`DecisionTrace::canonical`]) is one line per
 //! entry in a fixed field order, with `f64` values printed via Rust's `{}`
@@ -16,7 +19,8 @@
 
 use perfcloud_core::{ContentionSignal, Resource, StepReport};
 use perfcloud_host::VmId;
-use perfcloud_obs::FlightEvent;
+use perfcloud_obs::flight::{FaultClass, RejectReason};
+use perfcloud_obs::{FlightEvent, Record};
 use perfcloud_sim::rng::{fnv1a64_extend, FNV1A64_OFFSET};
 use perfcloud_sim::SimTime;
 use std::fmt::{self, Write};
@@ -31,26 +35,28 @@ pub enum TraceEntry {
 }
 
 /// A stored node-manager step: the [`StepReport`]'s scalar fields plus the
-/// position of its VM and cap lists in the owning trace's flat columns.
+/// position of its lists in the owning trace's flat columns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepRow {
     now: SimTime,
     server: u32,
     signal: Option<ContentionSignal>,
-    /// `[start, io_end, cpu_end]` of the row's antagonists in the trace's
-    /// `vms` column: the I/O list, then the CPU list.
+    /// `[start, io_end, cpu_end]` of the row's I/O then CPU list in the
+    /// trace's column of the same name (`vms` holds the antagonists).
     vms: [u32; 3],
-    /// `[start, io_end, cpu_end]` of the row's caps in the `caps` column.
     caps: [u32; 3],
+    enrolled: [u32; 3],
+    released: [u32; 3],
+    /// `[start, end]` of the row's events in the `events` column.
+    events: [u32; 2],
     stalled: bool,
     restarted: bool,
     placement_stale: bool,
 }
 
 /// A recorded node-manager step, borrowed from its trace: the
-/// [`StepReport`] it was recorded from, with slices in place of `Vec`s.
-/// The report's enrolled and released lists are not stored; only the flight
-/// recorder renders them.
+/// [`StepReport`] it was recorded from, with slices in place of `Vec`s and
+/// each I/O and CPU pair of lists held in [`Resource`] declaration order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepView<'a> {
     /// Simulated time of the step.
@@ -60,14 +66,17 @@ pub struct StepView<'a> {
     /// The contention signal, `None` when the manager made no decision
     /// (idle, stalled, and placement-refused steps).
     pub signal: Option<ContentionSignal>,
-    /// VMs identified as I/O antagonists.
-    pub io_antagonists: &'a [VmId],
-    /// VMs identified as processor antagonists.
-    pub cpu_antagonists: &'a [VmId],
-    /// Applied I/O caps (VM, normalized cap).
-    pub io_caps: &'a [(VmId, f64)],
-    /// Applied CPU caps (VM, normalized cap).
-    pub cpu_caps: &'a [(VmId, f64)],
+    /// Identified antagonists, I/O then CPU.
+    antagonists: [&'a [VmId]; 2],
+    /// Applied caps (VM, normalized cap), I/O then CPU.
+    caps: [&'a [(VmId, f64)]; 2],
+    /// Newly enrolled VMs, I/O then CPU.
+    enrolled: [&'a [VmId]; 2],
+    /// VMs whose cap came off, I/O then CPU.
+    released: [&'a [VmId]; 2],
+    /// The step's other events (collector, chaos, placement staleness), in
+    /// order; empty unless the manager was observed.
+    events: &'a [StoredEvent],
     /// The manager was stalled and skipped the interval.
     pub stalled: bool,
     /// The manager crash-restarted this interval.
@@ -97,17 +106,103 @@ impl<'a> StepView<'a> {
 
     /// The identification list for `resource`.
     pub fn antagonists(&self, resource: Resource) -> &'a [VmId] {
-        match resource {
-            Resource::Io => self.io_antagonists,
-            Resource::Cpu => self.cpu_antagonists,
-        }
+        self.antagonists[resource as usize]
     }
 
     /// The applied caps for `resource`.
     pub fn caps(&self, resource: Resource) -> &'a [(VmId, f64)] {
-        match resource {
-            Resource::Io => self.io_caps,
-            Resource::Cpu => self.cpu_caps,
+        self.caps[resource as usize]
+    }
+
+    /// The VMs newly enrolled for `resource` control.
+    pub fn enrolled(&self, resource: Resource) -> &'a [VmId] {
+        self.enrolled[resource as usize]
+    }
+
+    /// The VMs whose `resource` cap came off.
+    pub fn released(&self, resource: Resource) -> &'a [VmId] {
+        self.released[resource as usize]
+    }
+
+    /// Emits the step's flight events: the stored events; `ManagerRestart`;
+    /// `DetectOnset` / `DetectClear` against `contended`, the verdict of the
+    /// previous deciding step since the last restart (updated here);
+    /// `AntagonistIdentified` for each antagonist missing from the caps or
+    /// enrolled now; then per resource, I/O first, `Release`, `Throttle`
+    /// and `CapUpdate` for the released, enrolled and capped VMs.
+    fn render_flight(&self, contended: &mut bool, mut emit: impl FnMut(FlightEvent)) {
+        let (server, id) = (offset(self.server), |vm: VmId| u64::from(vm.0));
+        self.events.iter().for_each(|stored| emit(stored.event(server)));
+        if self.restarted {
+            *contended = false;
+            emit(FlightEvent::ManagerRestart { server });
+        }
+        let resources = [Resource::Io, Resource::Cpu];
+        if let Some(signal) = self.signal {
+            let (io, cpu) = (signal.io_contended, signal.cpu_contended);
+            if (io || cpu) && !*contended {
+                emit(FlightEvent::DetectOnset { server, io, cpu });
+            } else if !(io || cpu) && *contended {
+                emit(FlightEvent::DetectClear { server });
+            }
+            *contended = io || cpu;
+            for resource in resources {
+                let (caps, enrolled) = (self.caps(resource), self.enrolled(resource));
+                for &vm in self.antagonists(resource) {
+                    if enrolled.contains(&vm) || !caps.iter().any(|&(c, _)| c == vm) {
+                        emit(FlightEvent::AntagonistIdentified { server, vm: id(vm), resource });
+                    }
+                }
+            }
+        }
+        for resource in resources {
+            for &vm in self.released(resource) {
+                emit(FlightEvent::Release { server, vm: id(vm) });
+            }
+            for &vm in self.enrolled(resource) {
+                emit(FlightEvent::Throttle { server, vm: id(vm), resource });
+            }
+            for &(vm, level) in self.caps(resource) {
+                emit(FlightEvent::CapUpdate { server, vm: id(vm), resource, level });
+            }
+        }
+    }
+}
+
+/// A node manager's non-decision event as the trace stores it: 8 bytes in
+/// place of a [`FlightEvent`]'s 40, since the row holds the server and the
+/// VM ids and counts fit in 32 bits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum StoredEvent {
+    Flush(u32),
+    Sample(u32),
+    Fault(FaultClass, u32),
+    Rejected(RejectReason, u32),
+    Stale(u32),
+}
+
+impl StoredEvent {
+    fn new(event: &FlightEvent) -> Self {
+        let narrow = |x: u64| u32::try_from(x).expect("event payload exceeds u32");
+        match *event {
+            FlightEvent::FlushBatch { count, .. } => Self::Flush(narrow(count)),
+            FlightEvent::SampleIngested { vm, .. } => Self::Sample(narrow(vm)),
+            FlightEvent::Fault { class, vm, .. } => Self::Fault(class, narrow(vm)),
+            FlightEvent::IngestRejected { vm, reason, .. } => Self::Rejected(reason, narrow(vm)),
+            FlightEvent::PlacementStale { staleness, .. } => Self::Stale(staleness),
+            ref other => panic!("a step report cannot carry `{other}`"),
+        }
+    }
+
+    fn event(self, server: u32) -> FlightEvent {
+        match self {
+            Self::Flush(count) => FlightEvent::FlushBatch { server, count: count.into() },
+            Self::Sample(vm) => FlightEvent::SampleIngested { server, vm: vm.into() },
+            Self::Fault(class, vm) => FlightEvent::Fault { class, server, vm: vm.into() },
+            Self::Rejected(reason, vm) => {
+                FlightEvent::IngestRejected { server, vm: vm.into(), reason }
+            }
+            Self::Stale(staleness) => FlightEvent::PlacementStale { server, staleness },
         }
     }
 }
@@ -161,10 +256,11 @@ impl fmt::Display for StepView<'_> {
         }
         let vm = |f: &mut fmt::Formatter<'_>, vm: &VmId| write!(f, "{}", vm.0);
         let cap = |f: &mut fmt::Formatter<'_>, (vm, cap): &(VmId, f64)| write!(f, "{}:{cap}", vm.0);
-        write_list(f, "aio", self.io_antagonists, vm)?;
-        write_list(f, "acpu", self.cpu_antagonists, vm)?;
-        write_list(f, "cio", self.io_caps, cap)?;
-        write_list(f, "ccpu", self.cpu_caps, cap)?;
+        let ([aio, acpu], [cio, ccpu]) = (self.antagonists, self.caps);
+        write_list(f, "aio", aio, vm)?;
+        write_list(f, "acpu", acpu, vm)?;
+        write_list(f, "cio", cio, cap)?;
+        write_list(f, "ccpu", ccpu, cap)?;
         let flags = [(self.stalled, 'S'), (self.restarted, 'R'), (self.placement_stale, 'P')];
         f.write_str(" f=")?;
         if flags.iter().all(|&(set, _)| !set) {
@@ -192,16 +288,19 @@ fn append<T: Copy>(column: &mut Vec<T>, io: &[T], cpu: &[T]) -> [u32; 3] {
 /// An append-only record of node-manager steps and control-plane decisions,
 /// rendered to its canonical text on demand.
 ///
-/// Recording does no per-entry heap allocation: step rows keep their VM and
-/// cap lists in two trace-level flat columns, so the only allocations are
-/// the amortized growth of three `Vec`s.
+/// Recording does no per-entry heap allocation: step rows keep their lists
+/// in five trace-level flat columns, so the only allocations are the
+/// amortized growth of six `Vec`s.
 #[derive(Debug, Default, Clone)]
 pub struct DecisionTrace {
     entries: Vec<TraceEntry>,
-    /// Every step's identified VMs, row after row.
+    /// The flat columns: every step's identified VMs, applied caps, newly
+    /// enrolled VMs, released VMs and other events, row after row.
     vms: Vec<VmId>,
-    /// Every step's applied caps, row after row.
     caps: Vec<(VmId, f64)>,
+    enrolled: Vec<VmId>,
+    released: Vec<VmId>,
+    events: Vec<StoredEvent>,
 }
 
 impl DecisionTrace {
@@ -215,12 +314,19 @@ impl DecisionTrace {
     pub fn record(&mut self, now: SimTime, server: usize, report: &StepReport) {
         let vms = append(&mut self.vms, &report.io_antagonists, &report.cpu_antagonists);
         let caps = append(&mut self.caps, &report.io_caps, &report.cpu_caps);
+        let enrolled = append(&mut self.enrolled, &report.io_enrolled, &report.cpu_enrolled);
+        let released = append(&mut self.released, &report.io_released, &report.cpu_released);
+        let start = offset(self.events.len());
+        self.events.extend(report.events.iter().map(StoredEvent::new));
         self.entries.push(TraceEntry::Step(StepRow {
             now,
             server: offset(server),
             signal: report.signal,
             vms,
             caps,
+            enrolled,
+            released,
+            events: [start, offset(self.events.len())],
             stalled: report.stalled,
             restarted: report.restarted,
             placement_stale: report.placement_stale,
@@ -239,18 +345,23 @@ impl DecisionTrace {
         &self.entries
     }
 
-    /// Borrows a stored step row with its VM and cap lists.
+    /// Borrows a stored step row with its lists.
     fn view(&self, row: &StepRow) -> StepView<'_> {
-        let ([start, io, cpu], [cap_start, cap_io, cap_cpu]) =
-            (row.vms.map(|o| o as usize), row.caps.map(|o| o as usize));
+        /// The I/O and CPU lists at a row's `[start, io_end, cpu_end]`.
+        fn pair<T>(column: &[T], offsets: [u32; 3]) -> [&[T]; 2] {
+            let [start, io, cpu] = offsets.map(|o| o as usize);
+            [&column[start..io], &column[io..cpu]]
+        }
+        let [start, end] = row.events.map(|o| o as usize);
         StepView {
             now: row.now,
             server: row.server as usize,
             signal: row.signal,
-            io_antagonists: &self.vms[start..io],
-            cpu_antagonists: &self.vms[io..cpu],
-            io_caps: &self.caps[cap_start..cap_io],
-            cpu_caps: &self.caps[cap_io..cap_cpu],
+            antagonists: pair(&self.vms, row.vms),
+            caps: pair(&self.caps, row.caps),
+            enrolled: pair(&self.enrolled, row.enrolled),
+            released: pair(&self.released, row.released),
+            events: &self.events[start..end],
             stalled: row.stalled,
             restarted: row.restarted,
             placement_stale: row.placement_stale,
@@ -263,6 +374,25 @@ impl DecisionTrace {
             TraceEntry::Step(row) => Some(self.view(row)),
             TraceEntry::Ctrl(..) => None,
         })
+    }
+
+    /// Renders the flight track of each of `servers` servers from its step
+    /// rows: the events [`StepView`]'s renderer derives, numbered from 0 in
+    /// order per server, of which the last `capacity` are kept — what a
+    /// per-server ring of that capacity would hold.
+    pub fn flight_tracks(&self, servers: usize, capacity: usize) -> Vec<Vec<Record>> {
+        let mut tracks = vec![Vec::new(); servers];
+        let mut contended = vec![false; servers];
+        for step in self.steps() {
+            let (t, track) = (step.now.as_micros(), &mut tracks[step.server]);
+            step.render_flight(&mut contended[step.server], |event| {
+                track.push(Record { t, seq: track.len() as u64, event });
+            });
+        }
+        for track in &mut tracks {
+            track.drain(..track.len().saturating_sub(capacity));
+        }
+        tracks
     }
 
     /// Appends `entry`'s canonical line, newline included, to `out`.
@@ -380,6 +510,191 @@ mod tests {
             }
         }
         assert_eq!(b.digest(), fnv1a64(b.canonical().as_bytes()));
+    }
+
+    fn contended(io: bool) -> Option<ContentionSignal> {
+        let dev = Some(if io { 12.5 } else { 1.5 });
+        Some(ContentionSignal {
+            io_deviation: dev,
+            cpi_deviation: None,
+            io_contended: io,
+            cpu_contended: false,
+        })
+    }
+
+    /// Server 0's rendered track, one `t=<secs> <event>` line per record.
+    fn track(trace: &DecisionTrace, capacity: usize) -> Vec<String> {
+        trace.flight_tracks(1, capacity).remove(0).iter().map(|r| r.to_string()).collect()
+    }
+
+    #[test]
+    fn renders_onset_identify_throttle_cap_then_clear() {
+        let mut trace = DecisionTrace::new();
+        let at = SimTime::from_secs;
+        trace.record(at(15), 0, &StepReport { signal: contended(false), ..StepReport::default() });
+        let onset = StepReport {
+            signal: contended(true),
+            io_antagonists: vec![VmId(10)],
+            io_enrolled: vec![VmId(10)],
+            io_caps: vec![(VmId(10), 0.2)],
+            ..StepReport::default()
+        };
+        trace.record(at(20), 0, &onset);
+        // Still identified but already capped: only the cap moves.
+        let held = StepReport { io_caps: vec![(VmId(10), 0.35)], ..onset.clone() };
+        trace.record(at(25), 0, &StepReport { io_enrolled: Vec::new(), ..held });
+        let clear = StepReport {
+            signal: contended(false),
+            io_caps: vec![(VmId(10), 0.5)],
+            ..StepReport::default()
+        };
+        trace.record(at(30), 0, &clear);
+        assert_eq!(
+            track(&trace, 64),
+            [
+                "t=20 detect-onset s0 io=1 cpu=0",
+                "t=20 identify s0 vm10 io",
+                "t=20 throttle s0 vm10 io",
+                "t=20 cap s0 vm10 io=0.2",
+                "t=25 cap s0 vm10 io=0.35",
+                "t=30 detect-clear s0",
+                "t=30 cap s0 vm10 io=0.5",
+            ]
+        );
+    }
+
+    #[test]
+    fn renders_a_release_when_the_antagonist_leaves() {
+        let mut trace = DecisionTrace::new();
+        let capped = StepReport {
+            signal: contended(true),
+            io_caps: vec![(VmId(10), 0.2)],
+            cpu_caps: vec![(VmId(11), 0.3)],
+            ..StepReport::default()
+        };
+        trace.record(SimTime::from_secs(5), 0, &capped);
+        let left = StepReport {
+            signal: contended(false),
+            io_released: vec![VmId(10)],
+            cpu_caps: vec![(VmId(11), 0.4)],
+            ..StepReport::default()
+        };
+        trace.record(SimTime::from_secs(10), 0, &left);
+        assert_eq!(
+            track(&trace, 64)[3..],
+            ["t=10 detect-clear s0", "t=10 release s0 vm10", "t=10 cap s0 vm11 cpu=0.4"]
+        );
+    }
+
+    #[test]
+    fn a_restart_renders_alone_and_resets_the_onset() {
+        let mut trace = DecisionTrace::new();
+        let busy = StepReport { signal: contended(true), ..StepReport::default() };
+        trace.record(SimTime::from_secs(5), 0, &busy);
+        let restart = StepReport { restarted: true, ..StepReport::default() };
+        trace.record(SimTime::from_secs(10), 0, &restart);
+        // Contended before and after the crash: the restarted manager sees
+        // a fresh onset.
+        trace.record(SimTime::from_secs(15), 0, &busy);
+        assert_eq!(
+            track(&trace, 64),
+            [
+                "t=5 detect-onset s0 io=1 cpu=0",
+                "t=10 manager-restart s0",
+                "t=15 detect-onset s0 io=1 cpu=0",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_stale_row_renders_its_stored_events_first() {
+        use perfcloud_obs::flight::{FaultClass, RejectReason};
+        let mut trace = DecisionTrace::new();
+        let stale = StepReport {
+            signal: contended(true),
+            io_caps: vec![(VmId(10), 0.2)],
+            placement_stale: true,
+            events: vec![
+                FlightEvent::FlushBatch { server: 0, count: 6 },
+                FlightEvent::SampleIngested { server: 0, vm: 3 },
+                FlightEvent::Fault { class: FaultClass::DropSample, server: 0, vm: 4 },
+                FlightEvent::IngestRejected { server: 0, vm: 5, reason: RejectReason::Stale },
+                FlightEvent::PlacementStale { server: 0, staleness: 2 },
+            ],
+            ..StepReport::default()
+        };
+        trace.record(SimTime::from_secs(5), 0, &stale);
+        assert_eq!(
+            track(&trace, 64),
+            [
+                "t=5 flush s0 n=6",
+                "t=5 sample-ingest s0 vm3",
+                "t=5 fault drop-sample s0 vm4",
+                "t=5 ingest-reject s0 vm5 stale",
+                "t=5 placement-stale s0 n=2",
+                "t=5 detect-onset s0 io=1 cpu=0",
+                "t=5 cap s0 vm10 io=0.2",
+            ]
+        );
+    }
+
+    #[test]
+    fn releases_render_on_a_row_without_a_signal() {
+        // Nothing left to protect: every cap comes off with no decision.
+        let mut trace = DecisionTrace::new();
+        let released = StepReport {
+            io_released: vec![VmId(10)],
+            cpu_released: vec![VmId(10)],
+            ..StepReport::default()
+        };
+        trace.record(SimTime::from_secs(5), 0, &released);
+        assert_eq!(track(&trace, 64), ["t=5 release s0 vm10", "t=5 release s0 vm10"]);
+    }
+
+    #[test]
+    fn a_track_keeps_its_last_events_with_their_sequence_numbers() {
+        let mut trace = DecisionTrace::new();
+        let restart = StepReport { restarted: true, ..StepReport::default() };
+        for t in 1..=5 {
+            trace.record(SimTime::from_secs(t), (t % 2) as usize, &restart);
+        }
+        let tracks = trace.flight_tracks(3, 2);
+        // Server 1 restarted at 1, 3 and 5 s; server 0 at 2 and 4 s; server
+        // 2 never reported but still has its (empty) track.
+        let seqs = |k: usize| tracks[k].iter().map(|r| (r.t, r.seq)).collect::<Vec<_>>();
+        assert_eq!(seqs(1), [(3_000_000, 1), (5_000_000, 2)]);
+        assert_eq!(seqs(0), [(2_000_000, 0), (4_000_000, 1)]);
+        assert!(tracks[2].is_empty());
+        assert!(tracks[1].iter().all(|r| r.event == FlightEvent::ManagerRestart { server: 1 }));
+    }
+
+    #[test]
+    fn step_views_carry_the_enrolled_released_and_event_lists() {
+        let mut trace = DecisionTrace::new();
+        let report = StepReport {
+            io_enrolled: vec![VmId(10)],
+            cpu_enrolled: vec![VmId(11)],
+            io_released: vec![VmId(12)],
+            cpu_released: vec![VmId(13), VmId(14)],
+            events: vec![FlightEvent::FlushBatch { server: 2, count: 3 }],
+            ..busy_report()
+        };
+        trace.record(SimTime::from_secs(5), 2, &StepReport::default());
+        trace.record(SimTime::from_secs(10), 2, &report);
+        let step = trace.steps().nth(1).expect("two steps");
+        assert_eq!(step.enrolled(Resource::Io), [VmId(10)]);
+        assert_eq!(step.enrolled(Resource::Cpu), [VmId(11)]);
+        assert_eq!(step.released(Resource::Io), [VmId(12)]);
+        assert_eq!(step.released(Resource::Cpu), [VmId(13), VmId(14)]);
+        let server = offset(step.server);
+        assert!(step.events.iter().map(|e| e.event(server)).eq(report.events.iter().copied()));
+        // Stored events are a fifth of a flight event's size.
+        assert_eq!(std::mem::size_of::<StoredEvent>(), 8);
+        // None of it reaches the canonical line.
+        assert_eq!(
+            trace.canonical().lines().nth(1),
+            Some("t=10 s=2 dio=12.5 dcpi=- io=1 cpu=0 aio=10 acpu=- cio=10:0.2,11:0.5 ccpu=- f=R")
+        );
     }
 
     #[test]

@@ -18,13 +18,13 @@
 use crate::monitor::{IngestOutcome, PerformanceMonitor, VmMetricKind};
 use perfcloud_host::{CounterSnapshot, VmId};
 use perfcloud_obs::flight::{FaultClass, RejectReason};
-use perfcloud_obs::{FlightEvent, FlightRecorder};
+use perfcloud_obs::FlightEvent;
 use perfcloud_sim::faults::{FaultInjector, FaultKind, FaultScenario, MetricClass};
 use perfcloud_sim::{SimDuration, SimTime};
 use perfcloud_telemetry::Sample;
 use std::collections::BTreeMap;
 
-/// Maps a rejection outcome to its flight-recorder reason, `None` for
+/// Maps a rejection outcome to its flight-event reason, `None` for
 /// accepted deliveries.
 pub(crate) fn reject_reason(outcome: IngestOutcome) -> Option<RejectReason> {
     match outcome {
@@ -96,15 +96,14 @@ impl NodeFaults {
         interval: SimDuration,
         monitor: &mut PerformanceMonitor,
         samples: &[Sample],
-        mut flight: Option<&mut FlightRecorder>,
+        mut events: Option<&mut Vec<FlightEvent>>,
     ) {
-        let t = now.as_micros();
         let server = self.server;
-        let observed = flight.is_some();
-        // Every chaos event of this batch reaches the recorder through here.
+        let observed = events.is_some();
+        // Every chaos event of this batch reaches `events` through here.
         let mut note = |event: FlightEvent| {
-            if let Some(fl) = flight.as_deref_mut() {
-                fl.record(t, event);
+            if let Some(events) = events.as_deref_mut() {
+                events.push(event);
             }
         };
         let fault = |class, vm: VmId| FlightEvent::Fault { class, server, vm: u64::from(vm.0) };

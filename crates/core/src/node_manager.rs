@@ -20,7 +20,7 @@ use crate::monitor::{PerformanceMonitor, VmMetricKind};
 use crate::pipeline::{Detector, Identifier, PipelineSpec};
 use perfcloud_host::throttle::{CpuCap, IoThrottle};
 use perfcloud_host::{PhysicalServer, VmId};
-use perfcloud_obs::{FlightEvent, FlightRecorder, SAMPLE_EVENT_DECIMATION};
+use perfcloud_obs::{FlightEvent, SAMPLE_EVENT_DECIMATION};
 use perfcloud_sim::SimTime;
 use perfcloud_telemetry::{CounterSource, Sample, SimSource};
 use std::collections::BTreeMap;
@@ -40,8 +40,9 @@ struct Controlled {
 }
 
 /// What one node-manager step observed and did: the agent's only record of
-/// its decisions, which the decision trace stores and the flight recorder
-/// renders. The default is an interval in which the manager took no action.
+/// its decisions and events, which the decision trace stores and renders
+/// into the server's flight track. The default is an interval in which the
+/// manager took no action.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StepReport {
     /// The contention signal at this interval (for the controlled app).
@@ -60,10 +61,15 @@ pub struct StepReport {
     /// VMs newly enrolled for CPU control this interval.
     pub cpu_enrolled: Vec<VmId>,
     /// VMs still hosted here whose I/O cap came off this interval because
-    /// they left the suspect set.
+    /// they left the suspect set, or because no high-priority application
+    /// is left here to protect.
     pub io_released: Vec<VmId>,
-    /// VMs still hosted here whose CPU cap came off for the same reason.
+    /// VMs still hosted here whose CPU cap came off for the same reasons.
     pub cpu_released: Vec<VmId>,
+    /// The interval's other events in order, filled only while observed
+    /// ([`NodeManager::set_observed`]): collector (`FlushBatch`, decimated
+    /// `SampleIngested`), chaos (`Fault`, `IngestRejected`), `PlacementStale`.
+    pub events: Vec<FlightEvent>,
     /// The manager was stalled and skipped this interval entirely.
     pub stalled: bool,
     /// The manager crash-restarted this interval, losing its windows.
@@ -86,6 +92,7 @@ impl StepReport {
         self.cpu_enrolled.clear();
         self.io_released.clear();
         self.cpu_released.clear();
+        self.events.clear();
         self.stalled = false;
         self.restarted = false;
         self.placement_stale = false;
@@ -112,8 +119,9 @@ pub struct NodeManager {
     monitor: PerformanceMonitor,
     detector: Box<dyn Detector>,
     identifier: Box<dyn Identifier>,
-    io_controlled: BTreeMap<VmId, Controlled>,
-    cpu_controlled: BTreeMap<VmId, Controlled>,
+    /// VMs under CUBIC control per resource, indexed by `Resource as usize`
+    /// (I/O, then CPU).
+    controlled: [BTreeMap<VmId, Controlled>; 2],
     faults: Option<NodeFaults>,
     /// Where counter samples come from. Defaults to [`SimSource`] (the
     /// direct hypervisor read); experiments can swap in a replay stream.
@@ -129,14 +137,9 @@ pub struct NodeManager {
     /// Samples collected since construction, for decimating
     /// `SampleIngested` flight events.
     collected: u64,
-    /// Optional flight recorder; all hooks are a single branch when absent
-    /// and record fixed-size `Copy` events when present (never allocating
-    /// either way). Pure observation: attaching one changes no decision.
-    flight: Option<FlightRecorder>,
-    /// Whether the previous decision interval saw contention, so the
-    /// recorder logs onset/clear *transitions* rather than every interval.
-    /// Only [`Self::record_flight`] reads or writes it.
-    was_contended: bool,
+    /// Whether the step fills the report's `events` list. Every hook is a
+    /// single branch on it. Pure observation: it changes no decision.
+    observed: bool,
     /// Last placement view applied from a `PlacementUpdate`, for riding out
     /// desynchronization; `cache_fetched` is its delivery time.
     placement_cache: Placement,
@@ -182,15 +185,13 @@ impl NodeManager {
             identifier: pipeline.build_identifier(&config),
             config,
             pipeline,
-            io_controlled: BTreeMap::new(),
-            cpu_controlled: BTreeMap::new(),
+            controlled: Default::default(),
             faults: None,
             source: Box::new(SimSource::new()),
             sample_buf: Vec::new(),
             tee: None,
             collected: 0,
-            flight: None,
-            was_contended: false,
+            observed: false,
             placement_cache: Placement::default(),
             cache_fetched: None,
             last_epoch: None,
@@ -226,18 +227,10 @@ impl NodeManager {
         self.faults = Some(faults);
     }
 
-    /// Attaches a flight recorder retaining the last `capacity` agent
-    /// events (detection onset/clear, antagonist identification, throttle
-    /// and release, cap updates, crash/restart, placement staleness, and
-    /// ingest rejections). All recorder storage is allocated here; the
-    /// record path stays allocation-free.
-    pub fn attach_flight(&mut self, capacity: usize) {
-        self.flight = Some(FlightRecorder::with_capacity(capacity));
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn flight(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
+    /// Turns on the report's `events` list: collector, chaos and
+    /// placement-staleness events join every later step's report.
+    pub fn set_observed(&mut self, on: bool) {
+        self.observed = on;
     }
 
     /// The underlying monitor (read access for experiments).
@@ -334,7 +327,14 @@ impl NodeManager {
             // (2) Sample all VMs (through the fault filter, when attached).
             // Past the limit the cached view is too old to act on safely:
             // the metric windows stay warm but no control decision is made.
-            self.sample(now, server);
+            self.sample(now, server, report);
+            if self.observed && report.placement_stale {
+                let staleness = self.cache_fetched.map_or(u32::MAX, |fetched| {
+                    (now.saturating_since(fetched).as_micros()
+                        / self.config.sample_interval.as_micros()) as u32
+                });
+                report.events.push(FlightEvent::PlacementStale { server: server.id.0, staleness });
+            }
 
             if decides {
                 // Decide on the cached view moved out of `self`, so the
@@ -343,78 +343,6 @@ impl NodeManager {
                 let placement = std::mem::take(&mut self.placement_cache);
                 self.decide(now, server, &placement, report);
                 self.placement_cache = placement;
-            }
-        }
-        if self.flight.is_some() {
-            self.record_flight(now, server.id.0, report);
-        }
-    }
-
-    /// Renders the step's decisions, as `report` holds them, into the
-    /// attached flight recorder: the one place the node manager records its
-    /// decision events. Collector and chaos events are recorded where they
-    /// happen, during sampling, so a step's `PlacementStale` follows them.
-    fn record_flight(&mut self, now: SimTime, server: u32, report: &StepReport) {
-        let Some(fl) = self.flight.as_mut() else { return };
-        let t = now.as_micros();
-        if report.restarted {
-            self.was_contended = false;
-            fl.record(t, FlightEvent::ManagerRestart { server });
-            return;
-        }
-        if report.placement_stale {
-            let staleness = self.cache_fetched.map_or(u32::MAX, |fetched| {
-                (now.saturating_since(fetched).as_micros()
-                    / self.config.sample_interval.as_micros()) as u32
-            });
-            fl.record(t, FlightEvent::PlacementStale { server, staleness });
-        }
-        let Some(signal) = report.signal else { return };
-        let contended = signal.io_contended || signal.cpu_contended;
-        if contended && !self.was_contended {
-            let (io, cpu) = (signal.io_contended, signal.cpu_contended);
-            fl.record(t, FlightEvent::DetectOnset { server, io, cpu });
-        } else if !contended && self.was_contended {
-            fl.record(t, FlightEvent::DetectClear { server });
-        }
-        self.was_contended = contended;
-
-        let lists = [
-            (
-                Resource::Io,
-                &report.io_antagonists,
-                &report.io_caps,
-                &report.io_enrolled,
-                &report.io_released,
-            ),
-            (
-                Resource::Cpu,
-                &report.cpu_antagonists,
-                &report.cpu_caps,
-                &report.cpu_enrolled,
-                &report.cpu_released,
-            ),
-        ];
-        // Identified and not yet under control: missing from this step's
-        // caps, or enrolled by it.
-        for (resource, antagonists, caps, enrolled, _) in lists {
-            for &vm in antagonists {
-                if enrolled.contains(&vm) || !caps.iter().any(|&(capped, _)| capped == vm) {
-                    let vm = u64::from(vm.0);
-                    fl.record(t, FlightEvent::AntagonistIdentified { server, vm, resource });
-                }
-            }
-        }
-        for (resource, _, caps, enrolled, released) in lists {
-            for &vm in released {
-                fl.record(t, FlightEvent::Release { server, vm: u64::from(vm.0) });
-            }
-            for &vm in enrolled {
-                fl.record(t, FlightEvent::Throttle { server, vm: u64::from(vm.0), resource });
-            }
-            for &(vm, level) in caps {
-                let vm = u64::from(vm.0);
-                fl.record(t, FlightEvent::CapUpdate { server, vm, resource, level });
             }
         }
     }
@@ -434,8 +362,10 @@ impl NodeManager {
             self.colocation_outbox.push(placement.apps.clone());
         }
         if placement.apps.is_empty() {
-            // Nothing to protect on this server; release any leftover caps.
-            self.release_all(server);
+            // Nothing to protect on this server: every cap comes off, as if
+            // every suspect had left.
+            self.control(Resource::Io, false, &[], server, report);
+            self.control(Resource::Cpu, false, &[], server, report);
             return;
         }
 
@@ -477,42 +407,29 @@ impl NodeManager {
 
     /// Samples all VMs: collect from the configured [`CounterSource`], tee
     /// the raw batch if a recording is active, then ingest through the
-    /// fault filter when one is attached.
-    fn sample(&mut self, now: SimTime, server: &PhysicalServer) {
+    /// fault filter when one is attached. Collector and chaos events go to
+    /// `report.events` when observed.
+    fn sample(&mut self, now: SimTime, server: &PhysicalServer, report: &mut StepReport) {
         self.sample_buf.clear();
         self.source.collect_into(now, server, &mut self.sample_buf);
         if let Some(tee) = self.tee.as_mut() {
             tee.extend_from_slice(&self.sample_buf);
         }
-        // Collector flight events are gated on telemetry actually being in
-        // play (a tee or a non-sim source) so the default simulated path
-        // emits byte-identical flight traces to before this seam existed.
-        let telemetry_active = self.tee.is_some() || !self.source.is_sim();
-        if telemetry_active {
-            if let Some(fl) = self.flight.as_mut() {
-                let t = now.as_micros();
-                fl.record(
-                    t,
-                    FlightEvent::FlushBatch {
-                        server: server.id.0,
-                        count: self.sample_buf.len() as u64,
-                    },
-                );
-                for s in &self.sample_buf {
-                    if self.collected.is_multiple_of(SAMPLE_EVENT_DECIMATION) {
-                        fl.record(
-                            t,
-                            FlightEvent::SampleIngested {
-                                server: server.id.0,
-                                vm: u64::from(s.vm.0),
-                            },
-                        );
+        // Collector events are gated on telemetry actually being in play (a
+        // tee or a non-sim source) so the default simulated path emits
+        // byte-identical flight tracks to before this seam existed.
+        if self.tee.is_some() || !self.source.is_sim() {
+            if self.observed {
+                let (server, count) = (server.id.0, self.sample_buf.len() as u64);
+                report.events.push(FlightEvent::FlushBatch { server, count });
+                for (k, s) in (self.collected..).zip(&self.sample_buf) {
+                    if k.is_multiple_of(SAMPLE_EVENT_DECIMATION) {
+                        let vm = u64::from(s.vm.0);
+                        report.events.push(FlightEvent::SampleIngested { server, vm });
                     }
-                    self.collected += 1;
                 }
-            } else {
-                self.collected += self.sample_buf.len() as u64;
             }
+            self.collected += self.sample_buf.len() as u64;
         }
         match self.faults.as_mut() {
             Some(faults) => faults.sample(
@@ -520,7 +437,7 @@ impl NodeManager {
                 self.config.sample_interval,
                 &mut self.monitor,
                 &self.sample_buf,
-                self.flight.as_mut(),
+                self.observed.then_some(&mut report.events),
             ),
             None => {
                 for s in &self.sample_buf {
@@ -566,8 +483,7 @@ impl NodeManager {
         self.monitor = PerformanceMonitor::new(&self.config);
         self.detector.reset();
         self.identifier.reset();
-        self.io_controlled.clear();
-        self.cpu_controlled.clear();
+        self.controlled = Default::default();
         self.placement_cache.clear();
         self.cache_fetched = None;
         self.last_epoch = None;
@@ -611,27 +527,21 @@ impl NodeManager {
                 &mut report.cpu_released,
             ),
         };
+        let controlled = &mut self.controlled[resource as usize];
         // Drop control state for VMs that left the suspect set. One that is
         // still hosted here (deregistered or promoted in the cloud manager)
         // must have its cap released — nothing else will ever do it; one
         // that migrated keeps its caps, which travel with the hypervisor.
-        {
-            let departed = &mut self.departed;
-            let controlled = match resource {
-                Resource::Io => &mut self.io_controlled,
-                Resource::Cpu => &mut self.cpu_controlled,
-            };
-            departed.clear();
-            departed.extend(controlled.keys().filter(|vm| !suspects.contains(vm)).copied());
-            for &vm in departed.iter() {
-                controlled.remove(&vm);
-                if server.hosts(vm) {
-                    match resource {
-                        Resource::Io => server.set_io_throttle(vm, IoThrottle::unlimited()),
-                        Resource::Cpu => server.set_cpu_cap(vm, CpuCap::unlimited()),
-                    }
-                    released.push(vm);
+        self.departed.clear();
+        self.departed.extend(controlled.keys().filter(|vm| !suspects.contains(vm)).copied());
+        for &vm in &self.departed {
+            controlled.remove(&vm);
+            if server.hosts(vm) {
+                match resource {
+                    Resource::Io => server.set_io_throttle(vm, IoThrottle::unlimited()),
+                    Resource::Cpu => server.set_cpu_cap(vm, CpuCap::unlimited()),
                 }
+                released.push(vm);
             }
         }
         // Enroll newly identified antagonists while contention persists —
@@ -639,33 +549,19 @@ impl NodeManager {
         // verdicts are exported but no cap is ever applied.
         if contended && self.actuation {
             for &vm in antagonists {
-                let already = match resource {
-                    Resource::Io => self.io_controlled.contains_key(&vm),
-                    Resource::Cpu => self.cpu_controlled.contains_key(&vm),
-                };
-                if already {
+                if controlled.contains_key(&vm) {
                     continue;
                 }
-                let ref_iops = self
-                    .monitor
-                    .latest_present(vm, VmMetricKind::IoIops)
-                    .unwrap_or(0.0)
-                    .max(MIN_REF_IOPS);
-                let ref_bps = self
-                    .monitor
-                    .latest_present(vm, VmMetricKind::IoBps)
-                    .unwrap_or(0.0)
-                    .max(MIN_REF_BPS);
-                let ref_cores = self
-                    .monitor
-                    .latest_present(vm, VmMetricKind::CpuCores)
-                    .unwrap_or(0.0)
-                    .max(MIN_REF_CORES);
-                let c = Controlled { state: CubicState::new(), ref_iops, ref_bps, ref_cores };
-                match resource {
-                    Resource::Io => self.io_controlled.insert(vm, c),
-                    Resource::Cpu => self.cpu_controlled.insert(vm, c),
+                let usage = |kind, floor: f64| {
+                    self.monitor.latest_present(vm, kind).unwrap_or(0.0).max(floor)
                 };
+                let c = Controlled {
+                    state: CubicState::new(),
+                    ref_iops: usage(VmMetricKind::IoIops, MIN_REF_IOPS),
+                    ref_bps: usage(VmMetricKind::IoBps, MIN_REF_BPS),
+                    ref_cores: usage(VmMetricKind::CpuCores, MIN_REF_CORES),
+                };
+                controlled.insert(vm, c);
                 enrolled.push(vm);
             }
         }
@@ -678,10 +574,6 @@ impl NodeManager {
         // identification.
         let controller = self.controller;
         let ceiling = self.config.release_level;
-        let controlled = match resource {
-            Resource::Io => &mut self.io_controlled,
-            Resource::Cpu => &mut self.cpu_controlled,
-        };
         for (&vm, c) in controlled.iter_mut() {
             let cap = controller.step(&mut c.state, contended).min(ceiling);
             c.state.cap = cap;
@@ -698,17 +590,6 @@ impl NodeManager {
             }
             applied.push((vm, cap));
         }
-    }
-
-    fn release_all(&mut self, server: &mut PhysicalServer) {
-        for (&vm, _) in self.io_controlled.iter() {
-            server.set_io_throttle(vm, IoThrottle::unlimited());
-        }
-        for (&vm, _) in self.cpu_controlled.iter() {
-            server.set_cpu_cap(vm, CpuCap::unlimited());
-        }
-        self.io_controlled.clear();
-        self.cpu_controlled.clear();
     }
 }
 
@@ -800,17 +681,6 @@ mod tests {
         fn start_antagonist(&mut self) {
             self.server.spawn(VmId(10), Box::new(FioRandRead::with_rate(20_000.0, 4096.0, None)));
         }
-
-        /// The flight events the agent recorded at `t`, in order.
-        fn events_at(&self, t: SimTime) -> Vec<FlightEvent> {
-            let fl = self.nm.flight().expect("recorder attached");
-            fl.iter().filter(|r| r.t == t.as_micros()).map(|r| r.event).collect()
-        }
-    }
-
-    /// An I/O cap update for `vm` on server 0.
-    fn io_cap(vm: u64, level: f64) -> FlightEvent {
-        FlightEvent::CapUpdate { server: 0, vm, resource: Resource::Io, level }
     }
 
     #[test]
@@ -1023,7 +893,7 @@ mod tests {
         tb.run(3);
         tb.start_antagonist();
         tb.run(9);
-        tb.nm.attach_flight(256);
+        tb.nm.set_observed(true);
         let mut report = StepReport::default();
         let interval = SimDuration::from_secs(5.0);
         let mut decided_while_stale = 0;
@@ -1035,17 +905,17 @@ mod tests {
             tb.now += interval;
             tb.nm.step_synced(tb.now, &mut tb.server, false, &mut report);
             assert!(report.placement_stale);
-            // Each stale step opens with its staleness; a deciding one then
-            // records the antagonist's cap, a refusing one nothing more.
-            let mut expect = vec![FlightEvent::PlacementStale { server: 0, staleness }];
+            // Each stale step reports its staleness; a deciding one also
+            // caps the antagonist, a refusing one does nothing more.
+            let stale = FlightEvent::PlacementStale { server: 0, staleness };
+            assert_eq!(report.events, [stale], "stale step {staleness}");
             if report.signal.is_some() {
                 decided_while_stale += 1;
                 assert_eq!(report.io_caps.len(), 1);
-                expect.push(io_cap(10, report.io_caps[0].1));
             } else {
                 refused += 1;
+                assert!(report.io_caps.is_empty());
             }
-            assert_eq!(tb.events_at(tb.now), expect, "stale step {staleness}");
         }
         assert_eq!(decided_while_stale, NodeManager::MAX_PLACEMENT_STALENESS);
         assert!(refused >= 4, "past the limit the manager must refuse to decide");
@@ -1055,47 +925,56 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_captures_agent_events_without_changing_decisions() {
+    fn observing_fills_events_without_changing_decisions() {
+        // Both agents tee, so their collectors are in play; only one is
+        // observed and reports the collector events.
         let mut plain = testbed((10.0, 1.0));
         let mut observed = testbed((10.0, 1.0));
-        observed.nm.attach_flight(512);
-        plain.run(3);
-        observed.run(3);
+        plain.nm.enable_tee();
+        observed.nm.enable_tee();
+        observed.nm.set_observed(true);
+        let mut ra = plain.run(3);
+        let mut rb = observed.run(3);
         plain.start_antagonist();
         observed.start_antagonist();
-        let ra = plain.run(10);
-        let rb = observed.run(10);
-        assert_eq!(ra, rb, "attaching a flight recorder must not change any decision");
-        // The first contended interval (t = 20 s) records onset, the
-        // identification, the enrollment and the first cap (1 − β), in
-        // that order; later intervals record only the cap until the
-        // episode clears (t = 35 s).
-        let level = |k: usize| rb[k].io_caps[0].1;
-        assert!((level(0) - 0.2).abs() < 1e-9);
-        assert_eq!(
-            observed.events_at(SimTime::from_secs(20)),
-            [
-                FlightEvent::DetectOnset { server: 0, io: true, cpu: false },
-                FlightEvent::AntagonistIdentified { server: 0, vm: 10, resource: Resource::Io },
-                FlightEvent::Throttle { server: 0, vm: 10, resource: Resource::Io },
-                io_cap(10, level(0)),
-            ]
-        );
-        assert_eq!(observed.events_at(SimTime::from_secs(25)), [io_cap(10, level(1))]);
-        assert_eq!(
-            observed.events_at(SimTime::from_secs(35)),
-            [FlightEvent::DetectClear { server: 0 }, io_cap(10, level(3))]
-        );
-        // Events come out time-ordered with contiguous sequence numbers.
-        let fl = observed.nm.flight().expect("recorder attached");
-        let recs: Vec<_> = fl.iter().collect();
-        assert!(recs.windows(2).all(|w| w[0].t <= w[1].t && w[0].seq + 1 == w[1].seq));
+        ra.extend(plain.run(10));
+        rb.extend(observed.run(10));
+        let without_events: Vec<StepReport> =
+            rb.iter().map(|r| StepReport { events: Vec::new(), ..r.clone() }).collect();
+        assert_eq!(ra, without_events, "observing must not change any decision");
+        assert!(ra.iter().all(|r| r.events.is_empty()));
+        // Every observed step flushes the six VMs' samples; one sample in
+        // 64 is reported as ingested (the 1st and the 65th of 78).
+        for r in &rb {
+            assert_eq!(r.events[0], FlightEvent::FlushBatch { server: 0, count: 6 });
+        }
+        let ingested: Vec<&FlightEvent> = rb
+            .iter()
+            .flat_map(|r| &r.events[1..])
+            .filter(|e| matches!(e, FlightEvent::SampleIngested { .. }))
+            .collect();
+        assert_eq!(ingested.len(), 2);
+        // The first contended interval (t = 20 s) identifies and enrolls
+        // the antagonist at the first cap (1 − β); later intervals only
+        // step the cap, through the episode's end (t = 35 s).
+        let first = &rb[3];
+        assert!(rb[2].signal.is_some_and(|s| !s.io_contended));
+        assert!(first.signal.is_some_and(|s| s.io_contended && !s.cpu_contended));
+        assert_eq!(first.io_antagonists, [VmId(10)]);
+        assert_eq!(first.io_enrolled, [VmId(10)]);
+        assert_eq!(first.io_caps.len(), 1);
+        assert!((first.io_caps[0].1 - 0.2).abs() < 1e-9);
+        for r in &rb[4..7] {
+            assert!(r.io_enrolled.is_empty());
+            assert_eq!(r.io_caps.len(), 1);
+        }
+        assert!(rb[6].signal.is_some_and(|s| !s.io_contended));
     }
 
     #[test]
-    fn flight_recorder_captures_crash_restart_and_release() {
+    fn crash_restart_and_release_reach_the_report() {
         let mut tb = testbed((10.0, 1.0));
-        tb.nm.attach_flight(256);
+        tb.nm.set_observed(true);
         tb.run(3);
         tb.start_antagonist();
         tb.run(10);
@@ -1105,21 +984,36 @@ mod tests {
                 .window(crash_at, crash_at + SimDuration::from_secs(1.0)),
         );
         tb.nm.attach_faults(crate::chaos::NodeFaults::new(1, scenario, 0));
-        tb.run(1);
-        // The restart is the crashed interval's only event: the caps it
-        // drops are not releases.
-        assert_eq!(tb.events_at(crash_at), [FlightEvent::ManagerRestart { server: 0 }]);
-        // Deregistering the antagonist must log the cap release, after the
-        // detection transition and with no cap update.
+        // The crashed interval reports the restart and nothing else: the
+        // caps it drops are not releases.
+        let crashed = tb.run(1).pop().unwrap();
+        assert_eq!(crashed, StepReport { restarted: true, ..StepReport::default() });
+        // Deregistering the antagonist releases its cap with no cap update.
         let reports = tb.run(8);
         assert!(reports.last().unwrap().io_caps.iter().any(|&(vm, _)| vm == VmId(10)));
         tb.cloud.deregister(VmId(10));
         let released = tb.run(1).pop().unwrap();
         assert_eq!(released.io_released, [VmId(10)]);
-        assert_eq!(
-            tb.events_at(tb.now),
-            [FlightEvent::DetectClear { server: 0 }, FlightEvent::Release { server: 0, vm: 10 }]
-        );
+        assert!(released.io_caps.is_empty() && released.events.is_empty());
+    }
+
+    #[test]
+    fn releasing_every_cap_reports_the_releases() {
+        // With every victim gone the server has no application to protect:
+        // the manager takes all caps off and reports each one released.
+        let mut tb = testbed((10.0, 1.0));
+        tb.run(3);
+        tb.start_antagonist();
+        tb.run(10);
+        assert!(tb.server.io_throttle(VmId(10)).unwrap().is_throttled());
+        for &vm in &tb.victims {
+            tb.cloud.deregister(vm);
+        }
+        let report = tb.run(1).pop().unwrap();
+        assert!(!tb.server.io_throttle(VmId(10)).unwrap().is_throttled());
+        assert_eq!(report.signal, None);
+        assert_eq!(report.io_released, [VmId(10)]);
+        assert!(report.cpu_released.is_empty() && report.io_caps.is_empty());
     }
 
     #[test]

@@ -64,14 +64,13 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 enum Agent {
     /// The paper pipeline at the paper's 5 s sampling.
     Paper,
-    /// The same with a flight recorder attached before warm-up, so its ring
-    /// is the only pre-reserved buffer and the record path itself is
-    /// measured.
+    /// The same, observed from before warm-up, so every observation branch
+    /// and the report's reused `events` list are measured.
     PaperObserved,
     /// The fine-grained monitoring agent: the Alioth detector and the PANDA
     /// identifier at 1 s sampling, behind a fault filter (5% sample drops,
-    /// plus a placement-delay link rule the sample path must skip), with a
-    /// flight recorder.
+    /// plus a placement-delay link rule the sample path must skip),
+    /// observed, so each drop lands in the report's `events` list.
     Finemon,
 }
 
@@ -152,9 +151,7 @@ fn steady_state_allocs(agent: Agent) -> u64 {
             ..Default::default()
         })
     };
-    if agent != Agent::Paper {
-        nm.attach_flight(1024);
-    }
+    nm.set_observed(agent != Agent::Paper);
     let ticks_per_step = interval.as_micros() / DT.as_micros();
     let mut report = StepReport::default();
     let mut view = Placement::default();
@@ -198,10 +195,10 @@ fn steady_state_node_manager_step_is_allocation_free() {
 }
 
 #[test]
-fn steady_state_step_with_flight_recorder_is_allocation_free() {
-    // The recorder's ring is reserved at attach time; recording into it —
-    // and every `flight.as_mut()` branch threaded through the sampling,
-    // detection and control paths — must not allocate either.
+fn steady_state_observed_step_is_allocation_free() {
+    // Observation only refills the report's reused `events` list; that and
+    // every `observed` branch threaded through the sampling path must not
+    // allocate either.
     let total = steady_state_allocs(Agent::PaperObserved);
     assert_eq!(total, 0, "{total} allocations across 50 observed steady-state steps (expected 0)");
 }

@@ -70,18 +70,6 @@ fn json_num(v: f64) -> String {
     }
 }
 
-/// Decoded text of the newest `n` merged events, one per line prefixed
-/// with its track name — what golden-trace failures dump.
-pub fn merged_dump(sources: &[ExportSource], n: usize) -> String {
-    let all = merge(sources);
-    let skip = all.len().saturating_sub(n);
-    let mut out = String::new();
-    for &(i, ref rec) in all.iter().skip(skip) {
-        let _ = writeln!(out, "[{}] {}", sources[i].name, rec);
-    }
-    out
-}
-
 /// Renders sources as Chrome-trace-event JSON (the `traceEvents` object
 /// form), loadable in Perfetto / `chrome://tracing`.
 pub fn chrome_trace(sources: &[ExportSource]) -> String {

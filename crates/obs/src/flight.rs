@@ -14,8 +14,8 @@ use std::fmt;
 
 /// One in this many collected samples emits a [`FlightEvent::SampleIngested`]
 /// event. Collection is steady-state (every VM, every interval), so
-/// undecimated sample events would evict every interesting record from the
-/// ring within a few intervals.
+/// undecimated sample events would evict every interesting record from a
+/// bounded track within a few intervals.
 pub const SAMPLE_EVENT_DECIMATION: u64 = 64;
 
 /// A contended resource dimension: what the node manager detects,
@@ -448,16 +448,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Number of events currently retained.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Total events ever recorded, including overwritten ones.
     pub fn total_recorded(&self) -> u64 {
         self.seq
@@ -480,9 +470,8 @@ mod tests {
         for i in 0..5u64 {
             fr.record(i * 10, FlightEvent::DetectClear { server: i as u32 });
         }
-        assert_eq!(fr.len(), 3);
-        assert_eq!(fr.total_recorded(), 5);
-        assert_eq!(fr.total_recorded() - fr.len() as u64, 2, "two overwritten");
+        assert_eq!(fr.iter().count(), 3);
+        assert_eq!(fr.total_recorded(), 5, "two overwritten");
         let times: Vec<u64> = fr.iter().map(|r| r.t).collect();
         assert_eq!(times, [20, 30, 40]);
         let seqs: Vec<u64> = fr.iter().map(|r| r.seq).collect();
@@ -503,7 +492,8 @@ mod tests {
     #[test]
     fn events_stay_small() {
         // Every flight ring holds `capacity` records of this size, and the
-        // decision trace stores control-plane events inline.
+        // decision trace stores node-manager and control-plane events
+        // inline.
         assert!(std::mem::size_of::<FlightEvent>() <= 40);
         assert!(std::mem::size_of::<Record>() <= 56);
     }

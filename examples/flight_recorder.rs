@@ -1,8 +1,9 @@
 //! Flight-recorder walkthrough: watch PerfCloud think.
 //!
 //! Replays the paper's Fig. 10 shape — a terasort job on one server, a fio
-//! antagonist arriving mid-run — with flight recorders attached to the
-//! node manager, the control plane and its network. Afterwards it prints
+//! antagonist arriving mid-run — with observability on: the node
+//! manager's events go into the decision trace, and the control plane and
+//! its network each keep a flight ring. Afterwards it prints
 //! the merged, sim-time-ordered event log (detection onset, antagonist
 //! identification, throttling, CUBIC cap updates, placement epochs) and
 //! writes a Chrome-trace JSON you can open at <https://ui.perfetto.dev>.
@@ -53,8 +54,14 @@ fn main() {
     // sequence) order. `[server0]` lines are the node-manager agent —
     // detection, identification, throttling, cap updates; `[ctrl]` and
     // `[net]` are the control plane publishing placement epochs.
+    let sources = experiment.flight_sources();
+    let mut merged: Vec<_> =
+        sources.iter().flat_map(|src| src.records.iter().map(move |r| (src, r))).collect();
+    merged.sort_by_key(|&(src, r)| (r.t, src.rank, r.seq));
     println!("\nlast 40 flight-recorder events:");
-    print!("{}", experiment.flight_dump(40));
+    for (src, record) in &merged[merged.len().saturating_sub(40)..] {
+        println!("[{}] {record}", src.name);
+    }
 
     let path = "flight_recorder_trace.json";
     match std::fs::write(path, experiment.chrome_trace()) {

@@ -6,7 +6,7 @@ use perfcloud::cluster::{
     mean_efficiency, AntagonistKind, AntagonistPlacement, ClusterSpec, Experiment,
     ExperimentConfig, Mitigation, StepView,
 };
-use perfcloud::core::PerfCloudConfig;
+use perfcloud::core::{PerfCloudConfig, Resource};
 use perfcloud::frameworks::Benchmark;
 use perfcloud::host::VmId;
 use perfcloud::prelude::*;
@@ -159,7 +159,8 @@ fn crash_restart_redetects_within_bounded_intervals() {
 
     let trace = e.decision_trace().expect("trace enabled");
     let steps: Vec<StepView<'_>> = trace.steps().collect();
-    let throttles_fio = |s: &StepView<'_>| s.io_caps.first().is_some_and(|&(vm, _)| vm == VmId(10));
+    let throttles_fio =
+        |s: &StepView<'_>| s.caps(Resource::Io).first().is_some_and(|&(vm, _)| vm == VmId(10));
     let restart = steps.iter().position(|s| s.restarted).expect("crash-restart step recorded");
     assert!(
         steps[..restart].iter().any(throttles_fio),
@@ -167,7 +168,7 @@ fn crash_restart_redetects_within_bounded_intervals() {
         trace.canonical()
     );
     // The restart step reports a clean slate: every cap was released.
-    assert!(steps[restart].io_caps.is_empty(), "restart step must carry no caps");
+    assert!(steps[restart].caps(Resource::Io).is_empty(), "restart step must carry no caps");
     // Re-detection within 8 intervals of the restart.
     let horizon = &steps[restart + 1..steps.len().min(restart + 9)];
     assert!(

@@ -18,21 +18,21 @@
 
 use perfcloud_bench::golden::{self, GoldenStatus};
 use perfcloud_bench::sweep;
-use perfcloud_obs::chrome_trace;
+use perfcloud_obs::{chrome_trace, ExportSource};
 
 #[test]
 fn golden_traces_match() {
     let scenarios = golden::scenarios();
     // Scenarios are independent pure functions; render them through the
     // sweep runner (honours PERFCLOUD_THREADS) to keep wall time down. The
-    // flight dump lives in a thread-local on the worker that built the
-    // scenario, so capture it inside the closure.
-    let outputs: Vec<(String, String)> =
-        sweep::run(scenarios.len(), |i| ((scenarios[i].build)(), golden::take_flight_dump()));
+    // flight tracks live in a thread-local on the worker that built the
+    // scenario, so capture them inside the closure.
+    let outputs: Vec<(String, Vec<ExportSource>)> =
+        sweep::run(scenarios.len(), |i| ((scenarios[i].build)(), golden::take_flight_sources()));
     let mut failures = Vec::new();
     let mut regenerated = Vec::new();
-    for (sc, (out, dump)) in scenarios.iter().zip(&outputs) {
-        match golden::check_with_dump(sc.name, out, dump) {
+    for (sc, (out, sources)) in scenarios.iter().zip(&outputs) {
+        match golden::check(sc.name, out, sources) {
             GoldenStatus::Match => {}
             GoldenStatus::Regenerated => regenerated.push(sc.name),
             GoldenStatus::Mismatch { diff } => failures.push(diff),
@@ -106,8 +106,8 @@ fn traces_are_independent_of_sweep_thread_count() {
 #[test]
 fn golden_mismatch_dumps_flight_context() {
     // A deliberately tampered artifact must fail with both the first
-    // diverging line and the flight-recorder context of the run that
-    // produced it — the whole point of carrying recorders in golden runs.
+    // diverging line and the flight context of the run that produced it —
+    // the whole point of observing golden runs.
     if std::env::var("BLESS").map(|v| v == "1").unwrap_or(false) {
         return; // never bless a deliberately tampered artifact
     }
@@ -116,12 +116,12 @@ fn golden_mismatch_dumps_flight_context() {
     let artifact = (sc.build)();
     let tampered = artifact.replacen("# jct=", "# jct=9", 1);
     assert_ne!(artifact, tampered);
-    match golden::check(sc.name, &tampered) {
+    match golden::check(sc.name, &tampered, &golden::take_flight_sources()) {
         GoldenStatus::Mismatch { diff } => {
             assert!(diff.contains("diverges at line"), "{diff}");
             assert!(diff.contains("flight-recorder events"), "{diff}");
-            // The dump carries real per-track events, e.g. the manager
-            // restart injected by the crash fault.
+            // The tampered header has no instant, so the dump carries the
+            // server track from its last detection onset to the run's end.
             assert!(diff.contains("[server0]"), "{diff}");
         }
         other => panic!("tampered artifact unexpectedly {other:?}"),
