@@ -24,7 +24,7 @@ fn cpi_deviation_peak(bench: Benchmark, with_stream: bool, seed: u64) -> f64 {
     let _ = e.run();
     e.run_for(SimDuration::from_secs(10.0));
     let s = e.node_managers[0].identifier().deviation_series(Resource::Cpu);
-    s.values().iter().filter_map(|v| *v).fold(0.0, f64::max)
+    s.values().flatten().fold(0.0, f64::max)
 }
 
 /// Runs Figure 4 at `seed` and returns its text.

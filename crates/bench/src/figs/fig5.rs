@@ -69,14 +69,14 @@ pub fn run(seed: u64) -> String {
         let mut decoys_ok = true;
         // The dataset accumulates from the last sample before the suspect
         // became active (the paper's Fig. 5a/b series likewise span the onset).
-        let onset_idx = alive.times().iter().rposition(|&u| u < ANTAGONIST_ONSET).unwrap_or(0);
+        let onset_idx = alive.times().rposition(|u| u < ANTAGONIST_ONSET).unwrap_or(0);
         for size in [3usize, 6, 9, 12, 15] {
             let mut row = vec![size.to_string()];
             let mut fio_row = 0.0;
             for (k, &(vm, _)) in suspects.iter().enumerate() {
                 let usage = nm.monitor().series(vm, VmMetricKind::IoBps).expect("series");
                 let (mut x, mut y) = (Vec::new(), Vec::new());
-                align_tail(&alive, usage, alive.len(), &mut x, &mut y);
+                align_tail(alive, usage, alive.len(), &mut x, &mut y);
                 let end = (onset_idx + size).min(x.len());
                 let start = end.saturating_sub(size);
                 let r = pearson_missing_as_zero(&x[start..end], &y[start..end]).unwrap_or(0.0);

@@ -54,7 +54,7 @@ fn correlations(seed: u64, omit: bool) -> Vec<f64> {
     let nm = &e.node_managers[0];
     let victim = nm.identifier().deviation_series(Resource::Cpu);
     let alive = victim.trim_trailing_missing();
-    let onset_idx = alive.times().iter().rposition(|&u| u < ANTAGONIST_ONSET).unwrap_or(0);
+    let onset_idx = alive.times().rposition(|u| u < ANTAGONIST_ONSET).unwrap_or(0);
     [VmId(10), VmId(11), VmId(12), VmId(13)]
         .iter()
         .map(|&vm| {
@@ -62,7 +62,7 @@ fn correlations(seed: u64, omit: bool) -> Vec<f64> {
                 .series(vm, VmMetricKind::LlcMissRate)
                 .and_then(|usage| {
                     let (mut x, mut y) = (Vec::new(), Vec::new());
-                    align_tail(&alive, usage, alive.len(), &mut x, &mut y);
+                    align_tail(alive, usage, alive.len(), &mut x, &mut y);
                     let end = (onset_idx + 12).min(x.len());
                     let start = end.saturating_sub(12);
                     if omit {
@@ -105,7 +105,9 @@ pub fn run(seed: u64, omit: bool) -> String {
         let victim_norm = victim.normalized_by_peak();
         let series: Vec<_> = suspects
             .iter()
-            .map(|&(vm, _, _)| nm.monitor().series(vm, VmMetricKind::LlcMissRate).cloned())
+            .map(|&(vm, _, _)| {
+                nm.monitor().series(vm, VmMetricKind::LlcMissRate).map(|s| s.iter().collect())
+            })
             .collect();
         let headers = vec!["t (s)", "victim dev", "stream-1", "stream-2", "oltp", "cpu"];
         out.push_str(&super::series_table(headers, &victim_norm, &series).render());

@@ -8,7 +8,7 @@
 
 use crate::cli::{self, Flag, Flags, Kind};
 use crate::report::{f3, Table};
-use perfcloud_stats::TimeSeries;
+use perfcloud_sim::SimTime;
 use std::fmt;
 
 pub mod ablation_controller;
@@ -100,18 +100,19 @@ pub fn main(name: &str) {
     print!("{}", (harness.run)(crate::scenarios::base_seed(), &flags));
 }
 
+/// One `(time, value)` point of a series copied out for printing.
+type Sample = (SimTime, Option<f64>);
+
 /// A table with one row per sample of `victim`: the time in seconds, the
 /// victim's value, and each series' value at that instant (`-` where a
 /// series or its value is missing).
-fn series_table(headers: Vec<&str>, victim: &TimeSeries, series: &[Option<TimeSeries>]) -> Table {
+fn series_table(headers: Vec<&str>, victim: &[Sample], series: &[Option<Vec<Sample>>]) -> Table {
     let cell = |v: Option<f64>| v.map(f3).unwrap_or_else(|| "-".into());
     let mut t = Table::new(headers);
-    for (&ts, &v) in victim.times().iter().zip(victim.values()) {
+    for &(ts, v) in victim {
         let mut row = vec![format!("{:.0}", ts.as_secs_f64()), cell(v)];
         for s in series {
-            let at = |s: &TimeSeries| {
-                s.times().iter().position(|&u| u == ts).and_then(|k| s.values()[k])
-            };
+            let at = |s: &Vec<Sample>| s.iter().find(|p| p.0 == ts)?.1;
             row.push(cell(s.as_ref().and_then(at)));
         }
         t.row(row);

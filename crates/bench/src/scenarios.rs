@@ -106,11 +106,7 @@ pub fn colocated_jcts(kind: AntagonistKind, seed: u64) -> Vec<(f64, f64)> {
 /// value)` points, skipping intervals with no value.
 pub fn deviation_points(e: &Experiment, resource: Resource) -> Vec<(f64, f64)> {
     let s = e.node_managers[0].identifier().deviation_series(resource);
-    s.times()
-        .iter()
-        .zip(s.values())
-        .filter_map(|(&t, &v)| v.map(|v| (t.as_secs_f64(), v)))
-        .collect()
+    s.iter().filter_map(|(t, v)| v.map(|v| (t.as_secs_f64(), v))).collect()
 }
 
 /// The four-antagonist colocation of the paper's §IV-B (fio + STREAM +

@@ -35,20 +35,22 @@ pub enum TraceEntry {
 }
 
 /// A stored node-manager step: the [`StepReport`]'s scalar fields plus the
-/// position of its lists in the owning trace's flat columns.
+/// position of its lists in the owning trace's flat columns. Each column
+/// holds a row's lists back to back from one start offset, so the row
+/// stores that start and a `u16` length per list.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepRow {
     now: SimTime,
     server: u32,
     signal: Option<ContentionSignal>,
-    /// `[start, io_end, cpu_end]` of the row's I/O then CPU list in the
-    /// trace's column of the same name (`vms` holds the antagonists).
-    vms: [u32; 3],
-    caps: [u32; 3],
-    enrolled: [u32; 3],
-    released: [u32; 3],
-    /// `[start, end]` of the row's events in the `events` column.
-    events: [u32; 2],
+    /// Start of the row's lists in the `vms`, `caps` and `events` columns.
+    starts: [u32; 3],
+    /// Lengths of the row's `vms` lists: antagonists, enrolled and
+    /// released, each I/O then CPU.
+    vm_lens: [u16; 6],
+    /// Lengths of the row's I/O then CPU caps.
+    cap_lens: [u16; 2],
+    event_len: u16,
     stalled: bool,
     restarted: bool,
     placement_stale: bool,
@@ -275,31 +277,38 @@ fn offset(len: usize) -> u32 {
     u32::try_from(len).expect("decision-trace column exceeds u32 offsets")
 }
 
-/// Appends a row's I/O then CPU list to `column`, returning the
-/// `[start, io_end, cpu_end]` offsets.
-fn append<T: Copy>(column: &mut Vec<T>, io: &[T], cpu: &[T]) -> [u32; 3] {
-    let start = offset(column.len());
-    column.extend_from_slice(io);
-    let io_end = offset(column.len());
-    column.extend_from_slice(cpu);
-    [start, io_end, offset(column.len())]
+/// Appends `lists` to `column` back to back, returning their lengths.
+fn append<T: Copy, const N: usize>(column: &mut Vec<T>, lists: [&[T]; N]) -> [u16; N] {
+    lists.map(|list| {
+        column.extend_from_slice(list);
+        u16::try_from(list.len()).expect("decision-trace list exceeds u16 entries")
+    })
+}
+
+/// Splits `lens.len()` consecutive lists of the given lengths off `column`
+/// from `start`: the inverse of [`append`].
+fn split<T, const N: usize>(column: &[T], start: u32, lens: [u16; N]) -> [&[T]; N] {
+    let mut at = start as usize;
+    lens.map(|len| {
+        let list = &column[at..at + usize::from(len)];
+        at += usize::from(len);
+        list
+    })
 }
 
 /// An append-only record of node-manager steps and control-plane decisions,
 /// rendered to its canonical text on demand.
 ///
 /// Recording does no per-entry heap allocation: step rows keep their lists
-/// in five trace-level flat columns, so the only allocations are the
-/// amortized growth of six `Vec`s.
+/// in three trace-level flat columns, so the only allocations are the
+/// amortized growth of four `Vec`s.
 #[derive(Debug, Default, Clone)]
 pub struct DecisionTrace {
     entries: Vec<TraceEntry>,
-    /// The flat columns: every step's identified VMs, applied caps, newly
-    /// enrolled VMs, released VMs and other events, row after row.
+    /// The flat columns, row after row: every step's identified, newly
+    /// enrolled and released VMs; its applied caps; its other events.
     vms: Vec<VmId>,
     caps: Vec<(VmId, f64)>,
-    enrolled: Vec<VmId>,
-    released: Vec<VmId>,
     events: Vec<StoredEvent>,
 }
 
@@ -312,21 +321,30 @@ impl DecisionTrace {
     /// Appends one node-manager step. `server` is the server index the
     /// report came from.
     pub fn record(&mut self, now: SimTime, server: usize, report: &StepReport) {
-        let vms = append(&mut self.vms, &report.io_antagonists, &report.cpu_antagonists);
-        let caps = append(&mut self.caps, &report.io_caps, &report.cpu_caps);
-        let enrolled = append(&mut self.enrolled, &report.io_enrolled, &report.cpu_enrolled);
-        let released = append(&mut self.released, &report.io_released, &report.cpu_released);
-        let start = offset(self.events.len());
+        let starts = [self.vms.len(), self.caps.len(), self.events.len()].map(offset);
+        let vm_lens = append(
+            &mut self.vms,
+            [
+                &report.io_antagonists,
+                &report.cpu_antagonists,
+                &report.io_enrolled,
+                &report.cpu_enrolled,
+                &report.io_released,
+                &report.cpu_released,
+            ],
+        );
+        let cap_lens = append(&mut self.caps, [&report.io_caps, &report.cpu_caps]);
         self.events.extend(report.events.iter().map(StoredEvent::new));
+        let event_len =
+            u16::try_from(report.events.len()).expect("decision-trace list exceeds u16 entries");
         self.entries.push(TraceEntry::Step(StepRow {
             now,
             server: offset(server),
             signal: report.signal,
-            vms,
-            caps,
-            enrolled,
-            released,
-            events: [start, offset(self.events.len())],
+            starts,
+            vm_lens,
+            cap_lens,
+            event_len,
             stalled: report.stalled,
             restarted: report.restarted,
             placement_stale: report.placement_stale,
@@ -347,21 +365,18 @@ impl DecisionTrace {
 
     /// Borrows a stored step row with its lists.
     fn view(&self, row: &StepRow) -> StepView<'_> {
-        /// The I/O and CPU lists at a row's `[start, io_end, cpu_end]`.
-        fn pair<T>(column: &[T], offsets: [u32; 3]) -> [&[T]; 2] {
-            let [start, io, cpu] = offsets.map(|o| o as usize);
-            [&column[start..io], &column[io..cpu]]
-        }
-        let [start, end] = row.events.map(|o| o as usize);
+        let [vms, caps, events] = row.starts;
+        let [io_a, cpu_a, io_e, cpu_e, io_r, cpu_r] = split(&self.vms, vms, row.vm_lens);
+        let [events] = split(&self.events, events, [row.event_len]);
         StepView {
             now: row.now,
             server: row.server as usize,
             signal: row.signal,
-            antagonists: pair(&self.vms, row.vms),
-            caps: pair(&self.caps, row.caps),
-            enrolled: pair(&self.enrolled, row.enrolled),
-            released: pair(&self.released, row.released),
-            events: &self.events[start..end],
+            antagonists: [io_a, cpu_a],
+            caps: split(&self.caps, caps, row.cap_lens),
+            enrolled: [io_e, cpu_e],
+            released: [io_r, cpu_r],
+            events,
             stalled: row.stalled,
             restarted: row.restarted,
             placement_stale: row.placement_stale,
@@ -688,8 +703,11 @@ mod tests {
         assert_eq!(step.released(Resource::Cpu), [VmId(13), VmId(14)]);
         let server = offset(step.server);
         assert!(step.events.iter().map(|e| e.event(server)).eq(report.events.iter().copied()));
-        // Stored events are a fifth of a flight event's size.
+        // Stored events are a fifth of a flight event's size, and a row
+        // keeps one start per column and a `u16` length per list.
         assert_eq!(std::mem::size_of::<StoredEvent>(), 8);
+        assert_eq!(std::mem::size_of::<StepRow>(), 88);
+        assert_eq!(std::mem::size_of::<TraceEntry>(), 88);
         // None of it reaches the canonical line.
         assert_eq!(
             trace.canonical().lines().nth(1),

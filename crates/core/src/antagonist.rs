@@ -14,7 +14,7 @@ use crate::pipeline::Identifier;
 use perfcloud_host::VmId;
 use perfcloud_sim::SimTime;
 use perfcloud_stats::timeseries::align_tail;
-use perfcloud_stats::{RollingPearson, TimeSeries};
+use perfcloud_stats::{RollingPearson, SeriesRing, SeriesView};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
@@ -46,8 +46,9 @@ pub struct AntagonistIdentifier {
     window: usize,
     min_samples: usize,
     max_lag: usize,
-    io_deviation: TimeSeries,
-    cpi_deviation: TimeSeries,
+    /// The victim's I/O (column 0) and CPI (column 1) deviations, one row
+    /// per interval.
+    deviations: SeriesRing<2>,
     io_windows: BTreeMap<VmId, RollingPearson>,
     cpu_windows: BTreeMap<VmId, RollingPearson>,
 }
@@ -61,8 +62,7 @@ impl AntagonistIdentifier {
             window: config.corr_window,
             min_samples: config.min_corr_samples,
             max_lag: config.corr_max_lag,
-            io_deviation: TimeSeries::new(),
-            cpi_deviation: TimeSeries::new(),
+            deviations: SeriesRing::new(config.corr_window * 8),
             io_windows: BTreeMap::new(),
             cpu_windows: BTreeMap::new(),
         }
@@ -76,9 +76,10 @@ impl AntagonistIdentifier {
         suspects: &[VmId],
     ) {
         let window = self.window;
-        let (dev_series, windows) = match resource {
-            Resource::Io => (&self.io_deviation, &mut self.io_windows),
-            Resource::Cpu => (&self.cpi_deviation, &mut self.cpu_windows),
+        let dev_series = self.deviations.column(resource as usize);
+        let windows = match resource {
+            Resource::Io => &mut self.io_windows,
+            Resource::Cpu => &mut self.cpu_windows,
         };
         // Suspects that left this server (migration, teardown) stop
         // accumulating evidence; their windows go with them.
@@ -162,10 +163,7 @@ impl Identifier for AntagonistIdentifier {
         monitor: &PerformanceMonitor,
         suspects: &[VmId],
     ) {
-        self.io_deviation.push(now, io_dev);
-        self.cpi_deviation.push(now, cpi_dev);
-        self.io_deviation.retain_last(self.window * 8);
-        self.cpi_deviation.retain_last(self.window * 8);
+        self.deviations.push(now, [io_dev, cpi_dev]);
         self.advance(Resource::Io, io_dev, monitor, suspects);
         self.advance(Resource::Cpu, cpi_dev, monitor, suspects);
     }
@@ -206,19 +204,15 @@ impl Identifier for AntagonistIdentifier {
     }
 
     /// The victim deviation series for `resource`.
-    fn deviation_series(&self, resource: Resource) -> &TimeSeries {
-        match resource {
-            Resource::Io => &self.io_deviation,
-            Resource::Cpu => &self.cpi_deviation,
-        }
+    fn deviation_series(&self, resource: Resource) -> SeriesView<'_> {
+        self.deviations.column(resource as usize)
     }
 
     /// Drops every deviation sample and correlation window, keeping buffer
     /// capacity — the state a freshly constructed identifier has. Used by
     /// the crash-restart path, where the agent process loses its memory.
     fn reset(&mut self) {
-        self.io_deviation = TimeSeries::new();
-        self.cpi_deviation = TimeSeries::new();
+        self.deviations.clear();
         self.io_windows.clear();
         self.cpu_windows.clear();
     }
@@ -401,7 +395,7 @@ mod tests {
                 &[],
             );
         }
-        assert!(ident.deviation_series(Resource::Io).len() <= cfg.corr_window * 8);
+        assert_eq!(ident.deviation_series(Resource::Io).len(), cfg.corr_window * 8);
     }
 
     #[test]

@@ -320,7 +320,7 @@ mod tests {
         // invariant that matters: no panic, and the series timestamps are
         // strictly increasing with no point at t=5.
         let series = mon.series(VmId(0), VmMetricKind::IoBps).unwrap();
-        assert!(series.times().iter().all(|&t| t != SimTime::from_secs(5)));
+        assert!(series.times().all(|t| t != SimTime::from_secs(5)));
         assert!(!faults.delayed.iter().any(|&(due, _, _)| due <= SimTime::from_secs(25)));
     }
 
@@ -337,13 +337,7 @@ mod tests {
         // At t=10 the previous snapshot was re-delivered: zero delta, so the
         // iowait ratio is missing there but present at t=5 and t=15.
         let series = mon.series(VmId(0), VmMetricKind::IowaitRatio).unwrap();
-        let at = |secs: u64| {
-            series
-                .times()
-                .iter()
-                .position(|&t| t == SimTime::from_secs(secs))
-                .and_then(|i| series.values()[i])
-        };
+        let at = |secs: u64| series.iter().find(|p| p.0 == SimTime::from_secs(secs))?.1;
         assert!(at(5).is_some());
         assert_eq!(at(10), None);
         assert!(at(15).is_some());
@@ -358,10 +352,10 @@ mod tests {
         let mut mon = PerformanceMonitor::new(&PerfCloudConfig::default());
         drive(&mut faults, &mut mon, &mut server, 4);
         let series = mon.series(VmId(0), VmMetricKind::IowaitRatio).unwrap();
-        assert!(series.values().iter().all(|v| v.is_none()));
+        assert!(series.values().all(|v| v.is_none()));
         // The CPI stream was untargeted and stays clean and finite.
         let cpi = mon.series(VmId(0), VmMetricKind::Cpi).unwrap();
-        assert!(cpi.values().iter().any(|v| v.is_some_and(|x| x.is_finite())));
+        assert!(cpi.values().any(|v| v.is_some_and(|x| x.is_finite())));
     }
 
     #[test]
@@ -376,7 +370,7 @@ mod tests {
         let mut mon = PerformanceMonitor::new(&PerfCloudConfig::default());
         drive(&mut faults, &mut mon, &mut server, 5);
         let series = mon.series(VmId(0), VmMetricKind::Cpi).unwrap();
-        let vals: Vec<f64> = series.values().iter().filter_map(|v| *v).collect();
+        let vals: Vec<f64> = series.values().flatten().collect();
         assert!(vals.len() >= 3);
         // From the stuck window on, the *raw* input repeats; with EWMA the
         // smoothed series converges toward that constant, so consecutive

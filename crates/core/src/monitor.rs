@@ -2,17 +2,17 @@
 //!
 //! Every sampling interval (5 s in the paper) the monitor reads each VM's
 //! cumulative counters from the hypervisor, computes delta-derived interval
-//! metrics, smooths them with an EWMA, and appends them to per-VM time
-//! series. Metrics with no activity in the interval are recorded as missing
-//! (`None`): the block-iowait ratio is undefined with no serviced I/O, and
-//! "LLC miss rates are not counted when the VMs are not running any
-//! workload".
+//! metrics, smooths them with an EWMA, and appends them as one row to the
+//! VM's series ring (one shared timestamp, six values). Metrics with no
+//! activity in the interval are recorded as missing (`None`): the
+//! block-iowait ratio is undefined with no serviced I/O, and "LLC miss
+//! rates are not counted when the VMs are not running any workload".
 
 use crate::config::PerfCloudConfig;
 use perfcloud_host::counters::IntervalMetrics;
 use perfcloud_host::{CounterSnapshot, PhysicalServer, VmId};
 use perfcloud_sim::SimTime;
-use perfcloud_stats::{Ewma, TimeSeries};
+use perfcloud_stats::{Ewma, SeriesRing, SeriesView};
 use std::collections::BTreeMap;
 
 /// The per-VM metrics the monitor maintains.
@@ -43,7 +43,8 @@ impl VmMetricKind {
         VmMetricKind::CpuCores,
     ];
 
-    /// Position in [`Self::ALL`]: the slot of this kind's per-VM state.
+    /// Position in [`Self::ALL`]: the slot of this kind's per-VM state and
+    /// its column in the VM's series ring.
     fn index(self) -> usize {
         self as usize
     }
@@ -101,37 +102,34 @@ impl IngestStats {
     }
 }
 
-/// One VM's monitor state. The per-kind slots are indexed by
-/// [`VmMetricKind::index`]; an empty series is a kind never recorded.
-#[derive(Debug, Default, Clone)]
+/// One VM's monitor state. The EWMA slots and the ring's columns are
+/// indexed by [`VmMetricKind::index`]; a column the ring has never
+/// recorded is a kind never recorded.
+#[derive(Debug, Clone)]
 struct VmMonitorState {
     prev: Option<CounterSnapshot>,
     last_ingest: Option<SimTime>,
     ewma: [Option<Ewma>; 6],
-    series: [TimeSeries; 6],
+    series: SeriesRing<6>,
 }
 
 impl VmMonitorState {
-    fn record(
-        &mut self,
-        alpha: f64,
-        retain: usize,
-        now: SimTime,
-        kind: VmMetricKind,
-        raw: Option<f64>,
-    ) {
-        // A corrupted non-finite reading is recorded as missing: it must not
-        // enter the EWMA (which would hold it forever) or the series.
-        let smoothed = match raw.filter(|v| v.is_finite()) {
-            None => None,
-            Some(x) => {
-                let e = self.ewma[kind.index()].get_or_insert_with(|| Ewma::new(alpha));
-                Some(e.update(x))
-            }
-        };
-        let series = &mut self.series[kind.index()];
-        series.push(now, smoothed);
-        series.retain_last(retain);
+    fn new(retain: usize) -> Self {
+        VmMonitorState {
+            prev: None,
+            last_ingest: None,
+            ewma: [None; 6],
+            series: SeriesRing::new(retain),
+        }
+    }
+
+    /// Smooths one raw reading of `kind`. A corrupted non-finite reading is
+    /// recorded as missing: it must not enter the EWMA (which would hold it
+    /// forever) or the series.
+    fn smooth(&mut self, alpha: f64, kind: VmMetricKind, raw: Option<f64>) -> Option<f64> {
+        let x = raw.filter(|v| v.is_finite())?;
+        let e = self.ewma[kind.index()].get_or_insert_with(|| Ewma::new(alpha));
+        Some(e.update(x))
     }
 }
 
@@ -209,7 +207,7 @@ impl PerformanceMonitor {
     ) -> IngestOutcome {
         let interval_guess = 5.0; // replaced below by the actual delta time
         let (alpha, retain) = (self.alpha, self.retain);
-        let state = self.vms.entry(vm).or_default();
+        let state = self.vms.entry(vm).or_insert_with(|| VmMonitorState::new(retain));
         if let Some(last) = state.last_ingest {
             if now == last {
                 return IngestOutcome::Duplicate;
@@ -226,11 +224,12 @@ impl PerformanceMonitor {
                     return IngestOutcome::CounterRegression;
                 }
                 let delta = prev.delta_to(&snap);
-                // Interval length: derive from last series timestamp if any.
+                // Interval length: derive from the previous row's timestamp
+                // if any.
                 let interval = state
                     .series
-                    .iter()
-                    .find_map(|s| s.last().map(|(t, _)| now.saturating_since(t).as_secs_f64()))
+                    .last_time()
+                    .map(|t| now.saturating_since(t).as_secs_f64())
                     .filter(|&s| s > 0.0)
                     .unwrap_or(interval_guess);
                 let m = IntervalMetrics::from_delta(&delta, interval);
@@ -242,9 +241,11 @@ impl PerformanceMonitor {
                     Some(m.io_iops),
                     Some(m.cpu_cores),
                 ];
-                for (kind, raw) in VmMetricKind::ALL.into_iter().zip(raw) {
-                    state.record(alpha, retain, now, kind, tweak(kind, raw));
+                let mut row = [None; 6];
+                for ((kind, raw), slot) in VmMetricKind::ALL.into_iter().zip(raw).zip(&mut row) {
+                    *slot = state.smooth(alpha, kind, tweak(kind, raw));
                 }
+                state.series.push(now, row);
                 IngestOutcome::Recorded
             }
             None => IngestOutcome::Baseline,
@@ -260,8 +261,11 @@ impl PerformanceMonitor {
         self.vms.get(&vm)?.prev
     }
 
-    /// Appends a raw (unsmoothed) point to a VM's series — a test hook for
-    /// driving the identifier with exactly known values.
+    /// Writes a raw (unsmoothed) point of one kind to a VM's series — a
+    /// test hook for driving the identifier with exactly known values. A
+    /// push at the VM's newest row time fills `kind` in that row; a later
+    /// `now` opens a row whose other kinds are missing. Push a VM's kinds
+    /// at shared timestamps.
     #[doc(hidden)]
     pub fn push_synthetic(
         &mut self,
@@ -271,14 +275,14 @@ impl PerformanceMonitor {
         value: Option<f64>,
     ) {
         let retain = self.retain;
-        let series = &mut self.vms.entry(vm).or_default().series[kind.index()];
-        series.push(now, value);
-        series.retain_last(retain);
+        let state = self.vms.entry(vm).or_insert_with(|| VmMonitorState::new(retain));
+        state.series.set(now, kind.index(), value);
     }
 
     /// The smoothed series of `kind` for `vm`, if any samples exist.
-    pub fn series(&self, vm: VmId, kind: VmMetricKind) -> Option<&TimeSeries> {
-        Some(&self.vms.get(&vm)?.series[kind.index()]).filter(|s| !s.is_empty())
+    pub fn series(&self, vm: VmId, kind: VmMetricKind) -> Option<SeriesView<'_>> {
+        let series = &self.vms.get(&vm)?.series;
+        series.recorded(kind.index()).then(|| series.column(kind.index()))
     }
 
     /// Latest smoothed value of `kind` for `vm` (missing samples yield
@@ -399,7 +403,7 @@ mod tests {
             mon.sample(now, &server);
         }
         let len = mon.series(VmId(0), VmMetricKind::CpuCores).unwrap().len();
-        assert!(len <= 64);
+        assert_eq!(len, 64);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::detector::{ContentionSignal, PaperDetector};
 use crate::monitor::PerformanceMonitor;
 use perfcloud_host::VmId;
 use perfcloud_sim::SimTime;
-use perfcloud_stats::TimeSeries;
+use perfcloud_stats::SeriesView;
 
 /// The `CloneBox` bound on [`Detector`]: pipelines must be duplicable so a
 /// node manager (and therefore a whole experiment) can be forked mid-run.
@@ -120,7 +120,7 @@ pub trait Identifier: Send + CloneIdentifier {
 
     /// The victim deviation series for `resource` — every identifier keeps
     /// it; the figure harnesses plot it.
-    fn deviation_series(&self, resource: Resource) -> &TimeSeries;
+    fn deviation_series(&self, resource: Resource) -> SeriesView<'_>;
 
     /// Drops all internal state (crash-restart).
     fn reset(&mut self);

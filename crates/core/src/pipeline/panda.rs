@@ -24,7 +24,7 @@ use crate::monitor::PerformanceMonitor;
 use perfcloud_host::VmId;
 use perfcloud_sim::SimTime;
 use perfcloud_stats::timeseries::align_tail;
-use perfcloud_stats::{spearman_victim_aware_lagged, RankScratch, TimeSeries};
+use perfcloud_stats::{spearman_victim_aware_lagged, RankScratch, SeriesRing, SeriesView};
 
 /// Minimum fraction of movement intervals that must agree in direction.
 const SIGN_AGREEMENT_MIN: f64 = 0.5;
@@ -42,8 +42,9 @@ pub struct PandaIdentifier {
     window: usize,
     min_samples: usize,
     max_lag: usize,
-    io_deviation: TimeSeries,
-    cpi_deviation: TimeSeries,
+    /// The victim's I/O (column 0) and CPI (column 1) deviations, one row
+    /// per interval.
+    deviations: SeriesRing<2>,
     /// The latest pass's Spearman score per scored suspect, in suspect order.
     io_scores: Vec<(VmId, f64)>,
     cpu_scores: Vec<(VmId, f64)>,
@@ -67,21 +68,13 @@ impl PandaIdentifier {
             window: config.corr_window,
             min_samples: config.min_corr_samples,
             max_lag: config.corr_max_lag,
-            io_deviation: TimeSeries::new(),
-            cpi_deviation: TimeSeries::new(),
+            deviations: SeriesRing::new(config.corr_window * 8),
             io_scores: Vec::new(),
             cpu_scores: Vec::new(),
             x: Vec::new(),
             y: Vec::new(),
             passed: Vec::new(),
             ranks: RankScratch::default(),
-        }
-    }
-
-    fn dev_series(&self, resource: Resource) -> &TimeSeries {
-        match resource {
-            Resource::Io => &self.io_deviation,
-            Resource::Cpu => &self.cpi_deviation,
         }
     }
 
@@ -145,10 +138,7 @@ impl Identifier for PandaIdentifier {
         _monitor: &PerformanceMonitor,
         _suspects: &[VmId],
     ) {
-        self.io_deviation.push(now, io_dev);
-        self.cpi_deviation.push(now, cpi_dev);
-        self.io_deviation.retain_last(self.window * 8);
-        self.cpi_deviation.retain_last(self.window * 8);
+        self.deviations.push(now, [io_dev, cpi_dev]);
     }
 
     fn identify_into(
@@ -160,9 +150,10 @@ impl Identifier for PandaIdentifier {
     ) {
         out.clear();
         let metric = suspect_metric(resource);
-        let (dev, scores) = match resource {
-            Resource::Io => (&self.io_deviation, &mut self.io_scores),
-            Resource::Cpu => (&self.cpi_deviation, &mut self.cpu_scores),
+        let dev = self.deviations.column(resource as usize);
+        let scores = match resource {
+            Resource::Io => &mut self.io_scores,
+            Resource::Cpu => &mut self.cpu_scores,
         };
         let (x, y) = (&mut self.x, &mut self.y);
         scores.clear();
@@ -208,13 +199,12 @@ impl Identifier for PandaIdentifier {
         scores.iter().find(|&&(vm, _)| vm == suspect).map(|&(_, r)| r)
     }
 
-    fn deviation_series(&self, resource: Resource) -> &TimeSeries {
-        self.dev_series(resource)
+    fn deviation_series(&self, resource: Resource) -> SeriesView<'_> {
+        self.deviations.column(resource as usize)
     }
 
     fn reset(&mut self) {
-        self.io_deviation = TimeSeries::new();
-        self.cpi_deviation = TimeSeries::new();
+        self.deviations.clear();
         self.io_scores.clear();
         self.cpu_scores.clear();
     }

@@ -26,4 +26,4 @@ pub use pearson::{pearson, pearson_missing_as_zero};
 pub use quantile::{median, quantile};
 pub use rank::{robust_stddev, spearman_victim_aware_lagged, RankScratch};
 pub use rolling::RollingPearson;
-pub use timeseries::TimeSeries;
+pub use timeseries::{SeriesRing, SeriesView};

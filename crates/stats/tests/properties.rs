@@ -5,7 +5,7 @@ use perfcloud_stats::pearson::pearson_victim_aware;
 use perfcloud_stats::timeseries::align_tail;
 use perfcloud_stats::{
     mean, median, pearson, pearson_missing_as_zero, population_stddev, quantile, robust_stddev,
-    BoxplotSummary, Ewma, RollingPearson, Running, TimeSeries,
+    BoxplotSummary, Ewma, RollingPearson, Running, SeriesRing,
 };
 use proptest::prelude::*;
 
@@ -19,37 +19,35 @@ fn finite_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-1e6f64..1e6, len)
 }
 
-/// The reference `TimeSeries`: one `Vec` of samples, trimmed by draining
-/// its front — the straightforward form of sliding-window retention.
+/// The reference series ring: a `Vec` of two-column rows, trimmed by
+/// draining its front — the straightforward form of sliding-window
+/// retention.
 #[derive(Clone, Default)]
-struct ModelSeries(Vec<(SimTime, Option<f64>)>);
+struct ModelRing(Vec<(SimTime, [Option<f64>; 2])>);
 
-impl ModelSeries {
-    fn retain_last(&mut self, n: usize) {
-        let cut = self.0.len().saturating_sub(n);
-        self.0.drain(..cut);
-    }
-
-    fn times(&self) -> Vec<SimTime> {
-        self.0.iter().map(|p| p.0).collect()
-    }
-
-    fn values(&self) -> Vec<Option<f64>> {
-        self.0.iter().map(|p| p.1).collect()
-    }
-
-    fn last_present(&self) -> Option<(SimTime, f64)> {
-        self.0.iter().rev().find_map(|&(t, v)| v.map(|v| (t, v)))
+impl ModelRing {
+    fn column(&self, col: usize) -> Vec<(SimTime, Option<f64>)> {
+        self.0.iter().map(|&(t, row)| (t, row[col])).collect()
     }
 }
 
+/// Samples with their values as bits, so NaN compares equal to itself.
+fn bits(samples: impl Iterator<Item = (SimTime, Option<f64>)>) -> Vec<(SimTime, Option<u64>)> {
+    samples.map(|(t, v)| (t, v.map(f64::to_bits))).collect()
+}
+
 /// Reference `align_tail`: the most recent `window` timestamps common to
-/// both models, oldest first, found by a quadratic search.
-fn model_align(a: &ModelSeries, b: &ModelSeries, window: usize) -> Vec<(Option<f64>, Option<f64>)> {
-    let common: Vec<_> =
-        a.0.iter()
-            .filter_map(|&(t, x)| b.0.iter().find(|p| p.0 == t).map(|&(_, y)| (x, y)))
-            .collect();
+/// both samples lists, oldest first, found by a quadratic search.
+fn model_align(
+    a: &[(SimTime, Option<f64>)],
+    b: &[(SimTime, Option<f64>)],
+    window: usize,
+) -> Vec<(Option<u64>, Option<u64>)> {
+    let common: Vec<_> = a
+        .iter()
+        .filter_map(|&(t, x)| b.iter().find(|p| p.0 == t).map(|&(_, y)| (x, y)))
+        .map(|(x, y)| (x.map(f64::to_bits), y.map(f64::to_bits)))
+        .collect();
     common[common.len().saturating_sub(window)..].to_vec()
 }
 
@@ -248,61 +246,87 @@ proptest! {
         }
     }
 
-    /// The offset-trimmed `TimeSeries` behaves exactly like a `Vec` trimmed
-    /// by draining its front, under any interleaving of pushes, trims and
-    /// clones on two series: same window, same latest samples, same
-    /// equality, and the same aligned tails.
+    /// Two `SeriesRing`s behave exactly like `Vec`s of rows trimmed by
+    /// draining their front, under any interleaving of row pushes,
+    /// single-column writes (into the newest row or a new one), clears and
+    /// clones, non-finite values included: same columns, same latest
+    /// samples, and the same aligned tails within and across the rings.
     #[test]
-    fn time_series_matches_drain_model(
+    fn series_ring_matches_drain_model(
         ops in proptest::collection::vec(
-            (0u8..8, 0u8..2, 1u64..4, proptest::option::of(-1e3f64..1e3), 0usize..24),
+            (0u8..10, 0u8..2, 0u64..3, (0u8..6, -1e3f64..1e3), (0u8..6, -1e3f64..1e3)),
             0..300,
         ),
+        retain in 1usize..24,
         window in 1usize..32,
     ) {
-        let mut series = [TimeSeries::new(), TimeSeries::new()];
-        let mut models = [ModelSeries::default(), ModelSeries::default()];
+        let value = |(tag, v): (u8, f64)| match tag {
+            0 => None,
+            1 => Some(f64::NAN),
+            2 => Some(f64::NEG_INFINITY),
+            _ => Some(v),
+        };
+        let mut rings = [SeriesRing::<2>::new(retain), SeriesRing::<2>::new(retain)];
+        let mut models = [ModelRing::default(), ModelRing::default()];
         let mut clocks = [0u64; 2];
-        for &(op, which, gap, value, n) in &ops {
-            let (ts, model) = (&mut series[usize::from(which)], &mut models[usize::from(which)]);
+        for &(op, which, gap, a, b) in &ops {
+            let w = usize::from(which);
+            let (ring, model) = (&mut rings[w], &mut models[w]);
+            // A zero gap only ever lands on the newest row's time.
+            let newest = clocks[w];
+            let fresh = newest + gap.max(1);
             match op {
-                // Half the ops push; trims and clones share the rest.
                 0..=3 => {
-                    let clock = &mut clocks[usize::from(which)];
-                    *clock += gap;
-                    ts.push(SimTime::from_secs(*clock), value);
-                    model.0.push((SimTime::from_secs(*clock), value));
+                    clocks[w] = fresh;
+                    let t = SimTime::from_secs(fresh);
+                    ring.push(t, [value(a), value(b)]);
+                    model.0.push((t, [value(a), value(b)]));
                 }
                 4..=6 => {
-                    ts.retain_last(n);
-                    model.retain_last(n);
+                    let col = usize::from(op - 4).min(1);
+                    let at_newest = gap == 0 && !model.0.is_empty();
+                    let t = SimTime::from_secs(if at_newest { newest } else { fresh });
+                    ring.set(t, col, value(a));
+                    if at_newest {
+                        model.0.last_mut().expect("newest row").1[col] = value(a);
+                    } else {
+                        clocks[w] = fresh;
+                        let mut row = [None; 2];
+                        row[col] = value(a);
+                        model.0.push((t, row));
+                    }
                 }
-                _ => *ts = ts.clone(),
+                7 => {
+                    ring.clear();
+                    model.0.clear();
+                }
+                _ => *ring = ring.clone(),
             }
-            prop_assert_eq!(ts.times(), model.times().as_slice());
-            prop_assert_eq!(ts.values(), model.values().as_slice());
-            prop_assert_eq!(ts.len(), model.0.len());
-            prop_assert_eq!(ts.last(), model.0.last().copied());
-            prop_assert_eq!(ts.last_present(), model.last_present());
+            let cut = model.0.len().saturating_sub(retain);
+            model.0.drain(..cut);
+            prop_assert_eq!(ring.column(0).len(), model.0.len());
+            prop_assert_eq!(ring.last_time(), model.0.last().map(|r| r.0));
+            for col in 0..2 {
+                let view = ring.column(col);
+                let want = model.column(col);
+                prop_assert_eq!(bits(view.iter()), bits(want.iter().copied()));
+                prop_assert_eq!(bits(view.last().into_iter()), bits(want.last().copied().into_iter()));
+                let present = want.iter().rev().find_map(|&(t, v)| v.map(|v| (t, v.to_bits())));
+                prop_assert_eq!(view.last_present().map(|(t, v)| (t, v.to_bits())), present);
+            }
         }
-        // Equality sees only the retained window, whatever the offsets.
-        let fresh: Vec<TimeSeries> = models
-            .iter()
-            .map(|m| {
-                let mut t = TimeSeries::new();
-                for &(at, v) in &m.0 {
-                    t.push(at, v);
-                }
-                t
-            })
-            .collect();
-        prop_assert!(series[0] == fresh[0] && series[1] == fresh[1]);
-        prop_assert_eq!(series[0] == series[1], models[0].0 == models[1].0);
         let (mut xs, mut ys) = (Vec::new(), Vec::new());
-        align_tail(&series[0], &series[1], window, &mut xs, &mut ys);
-        let want = model_align(&models[0], &models[1], window);
-        let got: Vec<_> = xs.into_iter().zip(ys).collect();
-        prop_assert_eq!(got, want);
+        let pairs = [(0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0)];
+        for (ra, ca, rb, cb) in pairs {
+            align_tail(rings[ra].column(ca), rings[rb].column(cb), window, &mut xs, &mut ys);
+            let got: Vec<_> = xs
+                .iter()
+                .zip(&ys)
+                .map(|(x, y)| (x.map(f64::to_bits), y.map(f64::to_bits)))
+                .collect();
+            let want = model_align(&models[ra].column(ca), &models[rb].column(cb), window);
+            prop_assert_eq!(got, want);
+        }
     }
 
     /// The in-place robust deviation is bit-identical to the copying,

@@ -142,16 +142,39 @@ impl StreamsBuilder {
     /// count. The counting pass reads only each record's length prefix and
     /// server field. It stops at the first malformed record, which the
     /// decoding pass then reports.
+    ///
+    /// While records have this version's length, their offsets follow from
+    /// their index, so the pass steps at a fixed stride instead of chasing
+    /// each length prefix; the first other length hands the rest to the
+    /// prefix-chasing loop. A tee writes a server's samples of an instant
+    /// together, so servers are tallied a run at a time.
     fn sized_for(mut records: &[u8]) -> Self {
         let mut counts = BTreeMap::<u32, usize>::new();
+        let mut run = (0, 0);
+        let mut tally = |server: u32| {
+            if run.1 > 0 && run.0 != server {
+                *counts.entry(run.0).or_default() += run.1;
+                run.1 = 0;
+            }
+            run = (server, run.1 + 1);
+        };
+        let known = (RECORD_LEN as u32).to_le_bytes();
+        let mut fixed = 0;
+        for r in records.chunks_exact(4 + RECORD_LEN).take_while(|r| r[..4] == known) {
+            tally(u32::from_le_bytes(r[12..16].try_into().expect("4-byte field")));
+            fixed += r.len();
+        }
+        records = &records[fixed..];
         while let Some((len, rest)) = records.split_first_chunk::<4>() {
             let len = u32::from_le_bytes(*len) as usize;
             if len < RECORD_LEN || rest.len() < len {
                 break;
             }
-            let server = u32::from_le_bytes(rest[8..12].try_into().expect("4-byte field"));
-            *counts.entry(server).or_default() += 1;
+            tally(u32::from_le_bytes(rest[8..12].try_into().expect("4-byte field")));
             records = &rest[len..];
+        }
+        if run.1 > 0 {
+            *counts.entry(run.0).or_default() += run.1;
         }
         let streams = counts
             .into_iter()
@@ -564,5 +587,38 @@ mod tests {
         let rec = TelemetryReader::parse(&extended).expect("extended record parses");
         assert_eq!(rec.samples.len(), 1);
         assert_eq!(**rec.samples.get(2).unwrap(), [sample(5, 1, 0, 2.5)]);
+    }
+
+    #[test]
+    fn mixed_record_lengths_are_counted_exactly() {
+        // Runs of this version's records around one extended record: the
+        // counting pass leaves its fixed stride at the extension and must
+        // still size every stream to exactly its samples.
+        let header_len = 4 + 4 + 4 + 3;
+        let record = |server: u32, s: &Sample, extra: usize| {
+            let mut w = TelemetryWriter::new(RecordingFormat::Binary, "sim");
+            w.append(server, s);
+            let bytes = w.finish();
+            let mut r = ((RECORD_LEN + extra) as u32).to_le_bytes().to_vec();
+            r.extend_from_slice(&bytes[header_len + 4..]);
+            r.resize(4 + RECORD_LEN + extra, 0xab);
+            r
+        };
+        let mut w = TelemetryWriter::new(RecordingFormat::Binary, "sim");
+        w.append(0, &sample(1, 1, 0, 1.0));
+        let mut bytes = w.finish()[..header_len].to_vec();
+        let mut want: [Vec<Sample>; 2] = Default::default();
+        for t in 0..40u64 {
+            let server = (t / 3 % 2) as u32;
+            let s = sample(t, 1, t, 1.0 + t as f64);
+            bytes.extend(record(server, &s, if t == 17 { 16 } else { 0 }));
+            want[server as usize].push(s);
+        }
+        let rec = TelemetryReader::parse(&bytes).expect("parse");
+        for (server, want) in want.iter().enumerate() {
+            let stream = rec.samples.get(server as u32).expect("stream");
+            assert_eq!(**stream, *want);
+            assert_eq!(stream.capacity(), want.len(), "server {server}");
+        }
     }
 }

@@ -52,5 +52,5 @@ pub use perfcloud_workloads as workloads;
 /// Convenient glob-import of the most commonly used types.
 pub mod prelude {
     pub use perfcloud_sim::{RngFactory, SimDuration, SimTime};
-    pub use perfcloud_stats::{BoxplotSummary, Ewma, TimeSeries};
+    pub use perfcloud_stats::{BoxplotSummary, Ewma, SeriesRing, SeriesView};
 }

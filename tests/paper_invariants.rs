@@ -33,8 +33,7 @@ fn deviation_peak(bench: Benchmark, antagonist: Option<AntagonistKind>, resource
         .identifier()
         .deviation_series(resource)
         .values()
-        .iter()
-        .filter_map(|v| *v)
+        .flatten()
         .fold(0.0, f64::max)
 }
 
